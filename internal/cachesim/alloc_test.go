@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/opcode"
 )
 
 // Allocation regression tests: Hierarchy.Access is the simulator's hottest
-// function and must not allocate on either the memoized hit path or the
-// full probe/fill walk.
+// function and must not allocate on either the innermost-hit path or the
+// full probe/fill walk, and neither may the RunScript replay loop.
 
 func TestAccessHitPathZeroAllocs(t *testing.T) {
 	d := machine.Xeon7560()
@@ -22,7 +23,7 @@ func TestAccessHitPathZeroAllocs(t *testing.T) {
 		h.Access(0, clock, a, false)
 		clock++
 	}); n != 0 {
-		t.Errorf("memo fast path allocates %.1f per access, want 0", n)
+		t.Errorf("L1 hit path allocates %.1f per access, want 0", n)
 	}
 }
 
@@ -37,5 +38,28 @@ func TestAccessMissPathZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("miss/fill path allocates %.1f per access, want 0", n)
+	}
+}
+
+func TestRunScriptZeroAllocs(t *testing.T) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := New(d, sp)
+	// Two same-offset streams of hugepage-aligned arrays, read and write,
+	// interleaved with work: every access hits L1 after the first pass.
+	var ops []byte
+	prev := int64(0)
+	for i := int64(0); i < 64; i++ {
+		for _, a := range []int64{mem.PageSize + i*8, 2*mem.PageSize + i*8} {
+			ops = opcode.AppendUvarint(ops, opcode.Zigzag(a-prev)<<opcode.TagBits|opcode.Write)
+			prev = a
+		}
+		ops = opcode.AppendUvarint(ops, 3<<opcode.TagBits|opcode.Work)
+	}
+	runScripted(h, 0, ops, 1<<40)
+	if n := testing.AllocsPerRun(50, func() {
+		h.RunScript(0, ops, 0, int64(len(ops)), 0, 1<<40)
+	}); n != 0 {
+		t.Errorf("RunScript allocates %.1f per run, want 0", n)
 	}
 }

@@ -22,6 +22,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -43,6 +44,12 @@ type Stats struct {
 func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
 
 // Cache is one set-associative LRU cache.
+//
+// Every set keeps its ways in recency order: way 0 holds the most recently
+// used line, the valid lines follow in LRU order, and invalid ways (tag 0)
+// sit at the tail. A hit moves its line to the front; a fill evicts the
+// last way and inserts at the front. The LRU line is therefore always the
+// last way, and no per-way timestamps are needed.
 type Cache struct {
 	// Level is the machine level (1 = outermost cache, e.g. L3).
 	Level int
@@ -53,17 +60,17 @@ type Cache struct {
 	assoc      int
 	blockShift uint
 	// setMask is sets-1 when sets is a power of two (setPow2), letting the
-	// set index be a mask instead of a modulo on the access fast path.
+	// set index be a mask. Otherwise setMul = ceil(2^64/sets) computes it
+	// without a hardware divide (see setBase).
 	setMask uint64
 	setPow2 bool
-	// tags holds line+1 per way (0 = invalid), indexed set*assoc+way.
+	setMul  uint64
+	// tags holds line+1 per way (0 = invalid), indexed set*assoc+way, each
+	// set in recency order.
 	tags []uint64
-	// stamps holds the LRU timestamp per way.
-	stamps []uint64
 	// dirty marks written lines (write-back accounting at the outermost
-	// level).
+	// level). It moves with its tag; invalid ways are never dirty.
 	dirty []bool
-	clock uint64
 
 	// Stats accumulates hit/miss counters; read via the Hierarchy helpers
 	// or directly in tests.
@@ -93,11 +100,11 @@ func cacheGeom(size, block int64) (sets, assoc int) {
 	return sets, assoc
 }
 
-// init fills in a zero Cache. The tags/stamps/dirty slices are carved out
-// of shared backing arrays by the Hierarchy constructor (one allocation
-// per array for the whole tree instead of three per cache); standalone
+// init fills in a zero Cache. The tags/dirty slices are carved out of
+// shared backing arrays by the Hierarchy constructor (one allocation per
+// array for the whole tree instead of two per cache); standalone
 // construction via newCache allocates them directly.
-func (c *Cache) init(level, id int, size, block int64, tags, stamps []uint64, dirty []bool) {
+func (c *Cache) init(level, id int, size, block int64, tags []uint64, dirty []bool) {
 	sets, assoc := cacheGeom(size, block)
 	*c = Cache{
 		Level:      level,
@@ -107,8 +114,8 @@ func (c *Cache) init(level, id int, size, block int64, tags, stamps []uint64, di
 		blockShift: log2u(block),
 		setMask:    uint64(sets - 1),
 		setPow2:    sets&(sets-1) == 0,
+		setMul:     ^uint64(0)/uint64(sets) + 1,
 		tags:       tags,
-		stamps:     stamps,
 		dirty:      dirty,
 	}
 }
@@ -117,7 +124,7 @@ func newCache(level, id int, size, block int64) *Cache {
 	sets, assoc := cacheGeom(size, block)
 	ways := sets * assoc
 	c := new(Cache)
-	c.init(level, id, size, block, make([]uint64, ways), make([]uint64, ways), make([]bool, ways))
+	c.init(level, id, size, block, make([]uint64, ways), make([]bool, ways))
 	return c
 }
 
@@ -126,253 +133,108 @@ func (c *Cache) Lines() int { return c.sets * c.assoc }
 
 func (c *Cache) line(a mem.Addr) uint64 { return uint64(a) >> c.blockShift }
 
-// setBase returns the first way index of the set holding line ln.
-func (c *Cache) setBase(ln uint64) int {
-	if c.setPow2 {
-		return int(ln&c.setMask) * c.assoc
-	}
-	return int(ln%uint64(c.sets)) * c.assoc
-}
+// addr returns the address of the line a tag names.
+func (c *Cache) addr(tag uint64) mem.Addr { return mem.Addr(tag-1) << c.blockShift }
 
-// find is the fused probe+victim scan of the access fast path: one pass
-// over the set returns the way holding ln (victim -1), or way -1 plus the
-// way a fill of this set would evict. The victim is chosen exactly as fill
-// does — first invalid way, else the first way with the smallest LRU
-// stamp — and stays valid as long as the set is not modified in between,
-// which Hierarchy.Access guarantees (each cache appears once on a path and
-// nothing touches a missed cache between its probe and its fill).
+// setBase returns the first way index of the set holding line ln. For a
+// non-power-of-two set count and ln < 2^32 it computes ln mod sets as the
+// high word of (setMul*ln mod 2^64) * sets, which is exact for all 32-bit
+// ln and sets (Lemire, Kaser & Kurz, "Faster remainder by direct
+// computation", 2019); larger lines fall back to the divide.
 //
 //schedlint:hotpath
-func (c *Cache) find(ln uint64) (way, victim int) {
-	tag := ln + 1
-	base := c.setBase(ln)
-	// Hit scan first, free of victim bookkeeping: hits dominate and the
-	// set-sized slices let the compiler drop bounds checks.
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == tag {
-			return base + i, -1
+func (c *Cache) setBase(ln uint64) int {
+	set := ln & c.setMask
+	if !c.setPow2 {
+		if ln < 1<<32 {
+			set, _ = bits.Mul64(c.setMul*ln, uint64(c.sets))
+		} else {
+			set = ln % uint64(c.sets)
 		}
 	}
-	// Miss: victim scan — first invalid way, else first-minimum LRU stamp,
-	// exactly like fill.
-	stamps := c.stamps[base : base+c.assoc]
-	victim = 0
-	oldest := stamps[0]
-	if tags[0] != 0 {
-		for i := 1; i < len(tags); i++ {
-			if tags[i] == 0 {
-				victim = i
-				break
-			}
-			if stamps[i] < oldest {
-				victim, oldest = i, stamps[i]
-			}
-		}
-	}
-	return -1, base + victim
+	return int(set) * c.assoc
 }
 
-// findWay returns the way holding ln, or -1, without touching any state.
-func (c *Cache) findWay(ln uint64) int {
+// find scans ln's set from its MRU end and returns the set's first way
+// index plus ln's position within the set, or -1 if it is not resident.
+// It changes no state.
+//
+//schedlint:hotpath
+func (c *Cache) find(ln uint64) (base, way int) {
+	base = c.setBase(ln)
 	tag := ln + 1
-	base := c.setBase(ln)
 	for i, t := range c.tags[base : base+c.assoc] {
 		if t == tag {
-			return base + i
+			return base, i
 		}
 	}
-	return -1
+	return base, -1
 }
 
-// fillAt installs the line containing a into the given victim way (as
-// returned by find), bypassing the victim rescan of fill. Semantics are
-// identical to fill called immediately after the missing probe.
+// touch promotes position way of the set at base to MRU, shifting the more
+// recently used lines down one, and ORs dirty into the line's dirty bit.
 //
 //schedlint:hotpath
-func (c *Cache) fillAt(a mem.Addr, write bool, victim int) (evicted mem.Addr, evictedDirty bool) {
-	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
-		if c.dirty[victim] {
-			evicted = mem.Addr(c.tags[victim]-1) << c.blockShift
-			evictedDirty = true
+func (c *Cache) touch(base, way int, dirty bool) {
+	w := base + way
+	d := c.dirty[w] || dirty
+	if way > 0 { // way 0 is already the MRU line
+		t := c.tags[w]
+		for ; w > base; w-- {
+			c.tags[w], c.dirty[w] = c.tags[w-1], c.dirty[w-1]
 		}
+		c.tags[base] = t
 	}
-	c.clock++
-	c.tags[victim] = c.line(a) + 1
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = write
+	c.dirty[base] = d
+}
+
+// fill installs line ln (not resident) as the MRU line of the set at base,
+// evicting the set's LRU way. It returns the evicted tag (0 if the way was
+// invalid) and its dirty bit, so the hierarchy can account the write-back.
+//
+//schedlint:hotpath
+func (c *Cache) fill(base int, ln uint64, dirty bool) (evicted uint64, evictedDirty bool) {
+	last := c.assoc - 1
+	evicted, evictedDirty = c.tags[base+last], c.dirty[base+last]
+	if evicted != 0 {
+		c.Stats.Evictions++
+	}
+	c.tags[base+last], c.dirty[base+last] = ln+1, dirty
+	c.touch(base, last, false)
 	return evicted, evictedDirty
 }
 
-// probe looks up the line containing a; on a hit it refreshes the LRU
-// stamp (marking the line dirty on a write) and returns true. It does not
-// modify the cache on a miss.
-func (c *Cache) probe(a mem.Addr, write bool) bool {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			c.clock++
-			c.stamps[base+w] = c.clock
-			if write {
-				c.dirty[base+w] = true
-			}
-			c.Stats.Hits++
-			return true
-		}
+// invalidate removes line ln if resident (exclusive hierarchies move lines
+// rather than copy them), returning whether it was dirty. The lines after
+// it move up one, keeping the invalid way at the tail.
+func (c *Cache) invalidate(ln uint64) (wasDirty bool) {
+	base, way := c.find(ln)
+	if way < 0 {
+		return false
 	}
-	c.Stats.Misses++
-	return false
-}
-
-// markDirty sets the dirty bit of a's line if resident, without touching
-// LRU state or counters (used to propagate writes served by inner levels
-// to the outermost copy).
-func (c *Cache) markDirty(a mem.Addr) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			c.dirty[base+w] = true
-			return
-		}
-	}
-}
-
-// fill installs the line containing a, evicting the LRU way if the set is
-// full. It returns the evicted line's address (valid if evictedDirty) so
-// the hierarchy can account the write-back. fill must only be called after
-// a missing probe for the same line.
-func (c *Cache) fill(a mem.Addr, write bool) (evicted mem.Addr, evictedDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	victim, oldest := base, c.stamps[base]
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.tags[i] == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
-		}
-	}
-	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
-		if c.dirty[victim] {
-			evicted = mem.Addr(c.tags[victim]-1) << c.blockShift
-			evictedDirty = true
-		}
-	}
-	c.clock++
-	c.tags[victim] = ln
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = write
-	return evicted, evictedDirty
-}
-
-// invalidate removes a's line if resident (exclusive hierarchies move
-// lines rather than copy them), returning whether it was dirty.
-func (c *Cache) invalidate(a mem.Addr) (wasDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			wasDirty = c.dirty[base+w]
-			c.tags[base+w] = 0
-			c.stamps[base+w] = 0
-			c.dirty[base+w] = false
-			return wasDirty
-		}
-	}
-	return false
-}
-
-// insert installs a line with a given dirty state, returning any evicted
-// line (victim-cache insertion for exclusive hierarchies).
-func (c *Cache) insert(a mem.Addr, dirty bool) (evicted mem.Addr, evictedValid, evictedDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	victim, oldest := base, c.stamps[base]
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.tags[i] == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
-		}
-	}
-	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
-		evicted = mem.Addr(c.tags[victim]-1) << c.blockShift
-		evictedValid = true
-		evictedDirty = c.dirty[victim]
-	}
-	c.clock++
-	c.tags[victim] = ln
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = dirty
-	return evicted, evictedValid, evictedDirty
+	wasDirty = c.dirty[base+way]
+	last := base + c.assoc - 1
+	copy(c.tags[base+way:last], c.tags[base+way+1:last+1])
+	copy(c.dirty[base+way:last], c.dirty[base+way+1:last+1])
+	c.tags[last], c.dirty[last] = 0, false
+	return wasDirty
 }
 
 // Reset invalidates all lines and zeroes the counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.dirty[i] = false
-	}
-	c.clock = 0
+	c.Invalidate()
 	c.Stats = Stats{}
 }
 
-// Invalidate drops every resident line — tags, LRU stamps and dirty bits —
-// while preserving the hit/miss counters and the LRU clock. It models an
-// interference event (fault.Flush) wiping cache contents mid-run: the
-// lost dirty lines are not written back, matching a co-tenant evicting
-// them through its own traffic whose bandwidth we do not account. Line
-// memos held by the Hierarchy need no shoot-down: they are revalidated
-// against the tag array on every use.
+// Invalidate drops every resident line — tags and dirty bits — while
+// preserving the hit/miss counters. It models an interference event
+// (fault.Flush) wiping cache contents mid-run: the lost dirty lines are not
+// written back, matching a co-tenant evicting them through its own traffic
+// whose bandwidth we do not account.
 func (c *Cache) Invalidate() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.dirty[i] = false
-	}
+	clear(c.tags)
+	clear(c.dirty)
 }
-
-// lineMemo is one entry of the per-(leaf, level) line "TLB" of the access
-// fast path: a cache line this leaf recently located at this level, and
-// the way it occupied. A memo is a hint, never trusted blindly — it is
-// revalidated against the cache's tag array on every use, so evictions,
-// invalidations and resets by any core sharing the cache are picked up
-// without explicit shoot-downs.
-type lineMemo struct {
-	// line holds line number + 1 (0 = empty), matching the tag encoding.
-	line uint64
-	way  int32
-}
-
-// memoWays is the number of memo entries per (leaf, level), direct-mapped
-// by the line's low bits. More than one entry matters because kernels
-// interleave several streams (matrix multiply walks a row, a column and an
-// accumulator): with a single entry the streams evict each other's memo on
-// every access and the fast path never fires. Four 16-byte entries keep
-// one (leaf, level) table inside a single host cache line.
-const (
-	memoWays = 4
-	memoMask = memoWays - 1
-)
 
 // Hierarchy is the full tree of caches plus the DRAM links of one machine.
 type Hierarchy struct {
@@ -386,13 +248,6 @@ type Hierarchy struct {
 	// (index 0 nil), precomputed so Access performs no tree-index
 	// arithmetic (Desc.NodeOf divisions) per probe.
 	paths [][]*Cache
-	// memo is the per-(leaf, level) same-line memo table, indexed
-	// (leaf*nl+lvl)*memoWays + (line & memoMask).
-	memo []lineMemo
-	// victims[lvl] is per-Access scratch carrying the victim way found by
-	// the fused probe scan to the fill pass. Safe to share across workers:
-	// the engine serializes all Access calls.
-	victims []int
 	// hitCost[lvl] caches Desc.Levels[lvl].HitCost.
 	hitCost []int64
 	nl      int   // Desc.NumLevels()
@@ -428,13 +283,13 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		lineService: desc.LineService,
 	}
 	// Count caches and ways first, then carve every cache struct and its
-	// tag/stamp/dirty arrays out of four shared backings: the whole tree
-	// costs a constant number of allocations, not three per cache. Each
-	// carve is staggered by a growing multiple of stagger entries: sibling
-	// tag arrays are power-of-two sized (a 32KB/64B L1 is exactly 4KB of
-	// tags), and packing them back to back makes the same probe set of
-	// every sibling alias to the same host cache set — a measured ~9%
-	// slowdown on random-access probes before the stagger.
+	// tag/dirty arrays out of three shared backings: the whole tree costs a
+	// constant number of allocations, not two per cache. Each carve is
+	// staggered by a growing multiple of stagger entries: sibling tag
+	// arrays are power-of-two sized (a 32KB/64B L1 is exactly 4KB of tags),
+	// and packing them back to back makes the same probe set of every
+	// sibling alias to the same host cache set — a measured ~9% slowdown
+	// on random-access probes before the stagger.
 	const stagger = 8 // u64 entries = one 64B host line
 	nl := desc.NumLevels()
 	totalCaches, totalWays := 0, 0
@@ -445,7 +300,6 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 	}
 	structs := make([]Cache, totalCaches)
 	tags := make([]uint64, totalWays+stagger*totalCaches)
-	stamps := make([]uint64, totalWays+stagger*totalCaches)
 	dirty := make([]bool, totalWays+stagger*totalCaches)
 	ci, wi := 0, 0
 	for lvl := 1; lvl < nl; lvl++ {
@@ -457,7 +311,7 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 			sets, assoc := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
 			ways := sets * assoc
 			c.init(lvl, id, desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize,
-				tags[wi:wi+ways:wi+ways], stamps[wi:wi+ways:wi+ways], dirty[wi:wi+ways:wi+ways])
+				tags[wi:wi+ways:wi+ways], dirty[wi:wi+ways:wi+ways])
 			wi += ways + stagger
 			h.levels[lvl][id] = c
 		}
@@ -475,8 +329,6 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		h.paths[leaf] = path
 		h.socket[leaf] = desc.NodeOf(1, leaf)
 	}
-	h.memo = make([]lineMemo, cores*nl*memoWays)
-	h.victims = make([]int, nl)
 	h.hitCost = make([]int64, nl)
 	for lvl := 1; lvl < nl; lvl++ {
 		h.hitCost[lvl] = desc.Levels[lvl].HitCost
@@ -497,13 +349,9 @@ func (h *Hierarchy) Caches(level int) []*Cache { return h.levels[level] }
 // returns the number of cycles the access costs the core. servedLevel is
 // the machine level that supplied the line (0 = DRAM).
 //
-// The common case — the leaf re-touching the cache line of its previous
-// access, still resident in its innermost cache — takes a memoized fast
-// path: the per-(leaf, level) lineMemo names the way directly, one tag
-// compare revalidates it, and the full probe/fill walk is skipped. The
-// state transition is identical to the general path (an innermost hit
-// refreshes LRU and dirty bits and fills nothing), so the fast path is
-// exact for inclusive and exclusive hierarchies alike.
+// Levels are probed innermost first. Because sets are recency-ordered, a
+// line the leaf touched recently is found in the first way or two of its
+// set, and a fill needs no victim search: the LRU line is the last way.
 //
 //schedlint:hotpath
 func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost int64, servedLevel int) {
@@ -511,43 +359,27 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 	path := h.paths[leaf]
 	inner := nl - 1
 	c := path[inner]
-	ln := uint64(a) >> c.blockShift
-	if m := &h.memo[(leaf*nl+inner)*memoWays+int(ln&memoMask)]; m.line == ln+1 && c.tags[m.way] == ln+1 {
-		w := m.way
-		c.clock++
-		c.stamps[w] = c.clock
+	if base, way := c.find(c.line(a)); way >= 0 {
+		// Innermost hit, the common case: nothing to fill on any
+		// hierarchy, so return before the outer-level walk.
+		c.touch(base, way, write)
 		c.Stats.Hits++
-		if write {
-			c.dirty[w] = true
-			if inner > 1 {
-				// Propagate the dirty bit to the outermost resident copy
-				// so its eventual eviction is written back.
-				h.markDirtyOuter(leaf, a)
-			}
+		if write && inner > 1 {
+			h.markDirtyOuter(leaf, a)
 		}
 		return h.hitCost[inner], inner
 	}
-
-	// Probe innermost (highest index) to outermost (level 1), one fused
-	// scan per level that yields either the hit way or the fill victim.
+	c.Stats.Misses++
 	served := 0
-	for lvl := inner; lvl >= 1; lvl-- {
+	for lvl := inner - 1; lvl >= 1; lvl-- {
 		c := path[lvl]
-		ln := c.line(a)
-		way, victim := c.find(ln)
-		if way >= 0 {
-			c.clock++
-			c.stamps[way] = c.clock
-			if write {
-				c.dirty[way] = true
-			}
+		if base, way := c.find(c.line(a)); way >= 0 {
+			c.touch(base, way, write)
 			c.Stats.Hits++
-			h.memo[(leaf*nl+lvl)*memoWays+int(ln&memoMask)] = lineMemo{line: ln + 1, way: int32(way)}
 			served = lvl
 			break
 		}
 		c.Stats.Misses++
-		h.victims[lvl] = victim
 	}
 	if served == 0 {
 		// DRAM access: queue on the page's link.
@@ -570,21 +402,20 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 	} else {
 		cost = h.hitCost[served]
 		if write && served > 1 {
+			// Propagate the dirty bit to the outermost resident copy so
+			// its eventual eviction is written back.
 			h.markDirtyOuter(leaf, a)
 		}
 	}
 	if h.Desc.NonInclusive {
 		h.exclusiveFill(leaf, now, a, write, served)
 	} else {
-		// Inclusive fill of every level that missed, into the victim way
-		// the probe scan already found.
+		// Inclusive fill of every level that missed.
 		for lvl := served + 1; lvl < nl; lvl++ {
 			c := path[lvl]
-			ev, dirtyEv := c.fillAt(a, write, h.victims[lvl])
 			ln := c.line(a)
-			h.memo[(leaf*nl+lvl)*memoWays+int(ln&memoMask)] = lineMemo{line: ln + 1, way: int32(h.victims[lvl])}
-			if lvl == 1 && dirtyEv {
-				h.writeback(now, ev)
+			if ev, evDirty := c.fill(c.setBase(ln), ln, write); lvl == 1 && evDirty {
+				h.writeback(now, c.addr(ev))
 			}
 		}
 	}
@@ -592,21 +423,13 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 }
 
 // markDirtyOuter sets the dirty bit of a's line in leaf's outermost cache
-// if resident, without touching LRU state or counters, consulting the
-// level-1 memo before falling back to a set scan.
+// if resident, without touching LRU order or counters.
 //
 //schedlint:hotpath
 func (h *Hierarchy) markDirtyOuter(leaf int, a mem.Addr) {
 	c := h.paths[leaf][1]
-	ln := c.line(a)
-	m := &h.memo[(leaf*h.nl+1)*memoWays+int(ln&memoMask)]
-	if m.line == ln+1 && c.tags[m.way] == ln+1 {
-		c.dirty[m.way] = true
-		return
-	}
-	if way := c.findWay(ln); way >= 0 {
-		c.dirty[way] = true
-		*m = lineMemo{line: ln + 1, way: int32(way)}
+	if base, way := c.find(c.line(a)); way >= 0 {
+		c.dirty[base+way] = true
 	}
 }
 
@@ -625,32 +448,41 @@ func (h *Hierarchy) writeback(now int64, ev mem.Addr) {
 
 // exclusiveFill implements the victim-cache (non-inclusive) policy: the
 // accessed line moves into the innermost cache only; if it was served by
-// an outer cache it is removed there; victims cascade outward level by
-// level, and a dirty victim of the outermost cache is written back.
+// an outer cache it is removed there; evicted lines cascade outward level by
+// level, and a dirty victim of the outermost cache is written back. A
+// victim arriving at a shared cache that already holds its line (another
+// core's copy cascaded there first) merges into that copy — moved to MRU,
+// dirty bits ORed — so no set ever holds a line twice.
 func (h *Hierarchy) exclusiveFill(leaf int, now int64, a mem.Addr, write bool, served int) {
-	nl := h.Desc.NumLevels()
-	if served == nl-1 {
-		return // already innermost; probe updated LRU and dirty state
+	inner := h.nl - 1
+	if served == inner {
+		return // already innermost; the probe updated LRU and dirty state
 	}
+	path := h.paths[leaf]
 	dirty := write
-	if served > 0 {
-		if h.CacheAt(served, leaf).invalidate(a) {
-			dirty = true
-		}
+	if served > 0 && path[served].invalidate(path[served].line(a)) {
+		dirty = true
 	}
 	lineAddr, lineDirty := a, dirty
-	for lvl := nl - 1; lvl >= 1; lvl-- {
-		ev, evValid, evDirty := h.CacheAt(lvl, leaf).insert(lineAddr, lineDirty)
-		if !evValid {
+	for lvl := inner; lvl >= 1; lvl-- {
+		c := path[lvl]
+		ln := c.line(lineAddr)
+		base, way := c.find(ln)
+		if way >= 0 {
+			c.touch(base, way, lineDirty)
+			return
+		}
+		ev, evDirty := c.fill(base, ln, lineDirty)
+		if ev == 0 {
 			return
 		}
 		if lvl == 1 {
 			if evDirty {
-				h.writeback(now, ev)
+				h.writeback(now, c.addr(ev))
 			}
 			return
 		}
-		lineAddr, lineDirty = ev, evDirty
+		lineAddr, lineDirty = c.addr(ev), evDirty
 	}
 }
 
@@ -688,15 +520,12 @@ func (h *Hierarchy) HitsAt(level int) int64 {
 	return total
 }
 
-// Reset clears all caches, memos, link occupancy and DRAM counters.
+// Reset clears all caches, link occupancy and DRAM counters.
 func (h *Hierarchy) Reset() {
 	for _, lvl := range h.levels {
 		for _, c := range lvl {
 			c.Reset()
 		}
-	}
-	for i := range h.memo {
-		h.memo[i] = lineMemo{}
 	}
 	for i := range h.linkFree {
 		h.linkFree[i] = 0

@@ -6,12 +6,31 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/xrand"
 )
 
 func flatHier(nCores int, cacheSize int64) (*Hierarchy, *mem.Space) {
 	d := machine.Flat(nCores, cacheSize)
 	s := mem.NewSpace(d.Links, d.Links)
 	return New(d, s), s
+}
+
+// probe looks a's line up in one cache the way Access does at each level:
+// a hit moves the line to MRU and counts a hit, a miss only counts.
+func (c *Cache) probe(a mem.Addr, write bool) bool {
+	if base, way := c.find(c.line(a)); way >= 0 {
+		c.touch(base, way, write)
+		c.Stats.Hits++
+		return true
+	}
+	c.Stats.Misses++
+	return false
+}
+
+// load installs a's (non-resident) line as a clean MRU line.
+func (c *Cache) load(a mem.Addr) {
+	ln := c.line(a)
+	c.fill(c.setBase(ln), ln, false)
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -79,7 +98,7 @@ func TestLRUWithinSet(t *testing.T) {
 		if c.probe(addr(i), false) {
 			t.Fatalf("line %d hit while cold", i)
 		}
-		c.fill(addr(i), false)
+		c.load(addr(i))
 	}
 	for i := 0; i < 8; i++ {
 		if !c.probe(addr(i), false) {
@@ -87,7 +106,7 @@ func TestLRUWithinSet(t *testing.T) {
 		}
 	}
 	// Touch 0..7 again in order, then insert line 8: line 0 is LRU.
-	c.fill(addr(8), false)
+	c.load(addr(8))
 	if c.probe(addr(0), false) {
 		t.Error("LRU line 0 survived eviction")
 	}
@@ -309,7 +328,7 @@ func TestCacheCapacityProperty(t *testing.T) {
 					if pass > 0 {
 						return false // must be warm after first pass
 					}
-					c.fill(mem.Addr(i*64), false)
+					c.load(mem.Addr(i * 64))
 				}
 			}
 		}
@@ -401,5 +420,93 @@ func TestExclusiveDirtyVictimWritesBack(t *testing.T) {
 	}
 	if h.Writebacks != 8 {
 		t.Errorf("Writebacks = %d, want 8", h.Writebacks)
+	}
+}
+
+func TestInvalidatedLineMissesAndRefills(t *testing.T) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := New(d, sp)
+	a := mem.Addr(mem.PageSize)
+	h.Access(0, 0, a, false)
+	if _, lvl := h.Access(0, 1, a, false); lvl != 3 {
+		t.Fatalf("warm access served at level %d, want 3 (L1)", lvl)
+	}
+	// Remove the L1 copy, as an exclusive hierarchy does when moving the
+	// line.
+	l1 := h.CacheAt(3, 0)
+	missesBefore := l1.Stats.Misses
+	l1.invalidate(l1.line(a))
+	if _, lvl := h.Access(0, 2, a, false); lvl != 2 {
+		t.Errorf("after invalidate, access served at level %d, want 2 (L2)", lvl)
+	}
+	if l1.Stats.Misses != missesBefore+1 {
+		t.Errorf("L1 misses = %d, want %d: invalidated line must be a recorded miss", l1.Stats.Misses, missesBefore+1)
+	}
+	// The L2 hit refilled L1, so the next access is an L1 hit again.
+	if _, lvl := h.Access(0, 3, a, false); lvl != 3 {
+		t.Errorf("after refill, access served at level %d, want 3", lvl)
+	}
+}
+
+func TestConflictEvictedLineMisses(t *testing.T) {
+	// 8-line single-set cache: 8 conflicting fills evict the line.
+	h, _ := flatHier(1, 8*64)
+	base := mem.Addr(mem.PageSize)
+	h.Access(0, 0, base, false)
+	if _, lvl := h.Access(0, 1, base, false); lvl != 1 {
+		t.Fatalf("warm access served at level %d, want 1", lvl)
+	}
+	for i := 1; i <= 8; i++ { // base is LRU by the last of these
+		h.Access(0, int64(i+1), base+mem.Addr(i*64), false)
+	}
+	c := h.CacheAt(1, 0)
+	if _, way := c.find(c.line(base)); way != -1 {
+		t.Fatal("setup failed: base line still resident after 8 conflicting fills")
+	}
+	hitsBefore := c.Stats.Hits
+	if _, lvl := h.Access(0, 100, base, false); lvl != 0 {
+		t.Errorf("evicted line served at level %d, want 0 (DRAM)", lvl)
+	}
+	if c.Stats.Hits != hitsBefore {
+		t.Errorf("eviction turned into a false hit: hits %d -> %d", hitsBefore, c.Stats.Hits)
+	}
+}
+
+func TestWriteHitDirtiesLineForWriteback(t *testing.T) {
+	// A write that hits a clean line must set its dirty bit, so the line's
+	// later eviction is written back.
+	h, _ := flatHier(1, 8*64)
+	base := mem.Addr(mem.PageSize)
+	h.Access(0, 0, base, false) // clean load
+	h.Access(0, 1, base, true)  // write hit
+	for i := 1; i <= 8; i++ {   // evict it
+		h.Access(0, int64(i+1), base+mem.Addr(i*64), false)
+	}
+	if h.Writebacks != 1 {
+		t.Errorf("Writebacks = %d, want 1: write hit lost its dirty bit", h.Writebacks)
+	}
+}
+
+func TestSetBaseMatchesModulo(t *testing.T) {
+	// The division-free set index must equal ln % sets for every line
+	// below 2^32 and fall back to the divide above it. L3 set counts are
+	// 3·2^k at every machine scale.
+	rng := xrand.New(11)
+	for _, sets := range []int{2, 3, 5, 6, 7, 12, 96, 192, 768, 1000, 12288, 49152, 1<<20 - 1} {
+		var c Cache // setBase reads only the geometry: no way arrays needed
+		c.init(1, 0, int64(sets)*8*64, 64, nil, nil)
+		if c.sets != sets {
+			t.Fatalf("geometry: %d sets, want %d", c.sets, sets)
+		}
+		lines := []uint64{0, 1, uint64(sets) - 1, uint64(sets), 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 + 5, ^uint64(0) - 1}
+		for i := 0; i < 2000; i++ {
+			lines = append(lines, rng.Uint64()>>32, rng.Uint64())
+		}
+		for _, ln := range lines {
+			if got, want := c.setBase(ln), int(ln%uint64(sets))*c.assoc; got != want {
+				t.Fatalf("sets %d line %d: setBase %d, want %d", sets, ln, got, want)
+			}
+		}
 	}
 }

@@ -7,26 +7,28 @@ import (
 
 // RunScript is the replay fast path: it advances a recorded op stream
 // (see internal/dagtrace) for leaf, processing work charges and accesses
-// that hit the innermost cache through its line memo, and hands control
-// back the moment an access misses the memo (nip names that op, not yet
-// consumed — the caller routes it through the general Access walk) or the
-// op just processed drove budget to zero or below (the caller's chunk
-// boundary). Keeping the loop here, next to the cache state, is what the
-// fast path exists for: one call interprets a whole run of inner hits
-// with no per-op function-call overhead.
+// that hit the innermost cache, and hands control back the moment an
+// access misses the innermost cache (nip names that op, not yet consumed —
+// the caller routes it through the general Access walk) or the op just
+// processed drove budget to zero or below (the caller's chunk boundary).
+// Keeping the loop here, next to the cache state, is what the fast path
+// exists for: one call interprets a whole run of inner hits with no per-op
+// function-call overhead.
 //
-// Every state transition matches Access op for op: an innermost memo hit
-// refreshes the LRU stamp, counts a hit and propagates write dirt to the
-// outermost resident copy; a work op only spends cycles. The budget is
-// decremented after each op exactly where wctx.spend checks its chunk
-// budget, so callers observe boundaries on the same op as unscripted
-// execution. The cache's clock and hit counter accumulate in locals and
-// are flushed before every return; nothing else can touch this cache
-// while the run is in progress (the engine serializes accesses, and the
-// run's own hits never evict).
+// Every state transition matches Access op for op: an innermost hit is
+// found by scanning the set from its MRU end (recently used lines sit in
+// the first way or two), moves its line to the front, counts a hit and
+// propagates write dirt to the outermost resident copy; a work op only
+// spends cycles. The budget is decremented after each op exactly where
+// wctx.spend checks its chunk budget, so callers observe boundaries on the
+// same op as unscripted execution. The hit counter accumulates in a local
+// flushed before every return; nothing else can touch this cache while the
+// run is in progress (the engine serializes accesses, and the run's own
+// hits never evict).
 //
-// miss reports why the run stopped: true means nip is a memo-missing
-// access, false means the budget ran out or the stream ended.
+// miss reports why the run stopped: true means nip is an access that
+// misses the innermost cache, false means the budget ran out or the stream
+// ended.
 //
 //schedlint:hotpath
 func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64) (nip, nprev, spent int64, miss bool) {
@@ -34,8 +36,6 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 	c := h.paths[leaf][inner]
 	shift := c.blockShift
 	hit := h.hitCost[inner]
-	mbase := (leaf*h.nl + inner) * memoWays
-	clock := c.clock
 	markOuter := inner > 1
 	var hits int64
 	for ip < end {
@@ -62,20 +62,15 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 		} else {
 			u := v >> opcode.TagBits
 			a := prev + (int64(u>>1) ^ -int64(u&1))
-			ln := uint64(a) >> shift
-			m := &h.memo[mbase+int(ln&memoMask)]
-			if m.line != ln+1 || c.tags[m.way] != ln+1 {
+			base, way := c.find(uint64(a) >> shift)
+			if way < 0 {
 				break
 			}
-			w := m.way
-			clock++
-			c.stamps[w] = clock
+			write := tag == opcode.Write
+			c.touch(base, way, write)
 			hits++
-			if tag == opcode.Write {
-				c.dirty[w] = true
-				if markOuter {
-					h.markDirtyOuter(leaf, mem.Addr(a))
-				}
+			if write && markOuter {
+				h.markDirtyOuter(leaf, mem.Addr(a))
 			}
 			prev = a
 			cost = hit
@@ -84,12 +79,10 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 		spent += cost
 		budget -= cost
 		if budget <= 0 {
-			c.clock = clock
 			c.Stats.Hits += hits
 			return ip, prev, spent, false
 		}
 	}
-	c.clock = clock
 	c.Stats.Hits += hits
 	return ip, prev, spent, ip < end
 }

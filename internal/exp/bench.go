@@ -46,8 +46,8 @@ type BenchReport struct {
 	Benchmarks    []BenchEntry `json:"benchmarks"`
 }
 
-// BenchAccessHit measures the cachesim memo fast path: the same L1 line
-// re-touched every access.
+// BenchAccessHit measures the cachesim innermost-hit path: the same L1
+// line re-touched every access.
 func BenchAccessHit(b *testing.B) {
 	d := machine.Xeon7560()
 	sp := mem.NewSpace(d.Links, d.Links)
@@ -58,6 +58,29 @@ func BenchAccessHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, int64(i), a, false)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+}
+
+// BenchAccessPair measures RRM's access pattern, b[i] = a[i]+1: a read of
+// one array alternating with a write of another at the same offset, both
+// hugepage-aligned, so the two streams share their low address bits and
+// every line serves eight consecutive elements.
+func BenchAccessPair(b *testing.B) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := cachesim.New(d, sp)
+	const n = 1 << 16 // 512KB per array: past L2, inside L3
+	src, dst := mem.Addr(mem.PageSize), mem.Addr(2*mem.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := mem.Addr(i/2%n) * 8
+		if i&1 == 0 {
+			h.Access(0, int64(i), src+off, false)
+		} else {
+			h.Access(0, int64(i), dst+off, true)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
 }
@@ -352,6 +375,7 @@ var benchSuite = []struct {
 	fn   func(*testing.B)
 }{
 	{"access_hit", BenchAccessHit},
+	{"access_pair", BenchAccessPair},
 	{"access_stream", BenchAccessStream},
 	{"access_random", BenchAccessRandom},
 	{"engine_parallel_for", BenchEngineParallelFor},

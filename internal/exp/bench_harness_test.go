@@ -7,6 +7,7 @@ import "testing"
 // `go test -bench 'Harness' ./internal/exp`.
 
 func BenchmarkHarnessAccessHit(b *testing.B)    { BenchAccessHit(b) }
+func BenchmarkHarnessAccessPair(b *testing.B)   { BenchAccessPair(b) }
 func BenchmarkHarnessAccessStream(b *testing.B) { BenchAccessStream(b) }
 func BenchmarkHarnessAccessRandom(b *testing.B) { BenchAccessRandom(b) }
 func BenchmarkHarnessEngine(b *testing.B)       { BenchEngineParallelFor(b) }
