@@ -59,13 +59,18 @@ bench-compare:
 
 # bench-replay gates the record/replay subsystem: the live-vs-replay
 # equivalence suite must actually run and pass (the grep rejects a log
-# where it was skipped or filtered away), and a quick Fig. 8 grid must
-# resolve at least half of its cells from the trace cache.
+# where it was skipped or filtered away), a quick Fig. 8 grid must
+# resolve at least half of its cells from the trace cache, and two runs
+# over one -tracecache directory must round-trip its recordings: the
+# second run adopts the DGTS files the first wrote and records nothing.
 bench-replay:
 	@mkdir -p bin
 	$(GO) test ./internal/exp/ -run TestLiveReplayEquivalence -count=1 -v > bin/replay_equiv.log 2>&1 || { cat bin/replay_equiv.log; exit 1; }
 	grep -q -- "--- PASS: TestLiveReplayEquivalence" bin/replay_equiv.log
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -mintracehit 50
+	rm -rf bin/tracecache
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache -mintracehit 100
 
 # cluster gates the multi-machine serving subsystem: the determinism
 # suite (cluster-of-1 bit-identity, advance-order invariance, the pinned

@@ -63,7 +63,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print each cell as it completes")
 		csvDir     = flag.String("csv", "", "also write each figure's rows as CSV into this directory")
 		benchJSON  = flag.String("benchjson", "", "run the perf harness instead of experiments and write the report to this file (e.g. BENCH_sim.json)")
-		traceDir   = flag.String("tracecache", "", "spill recorded DAG traces to this directory and reload them across runs (empty = in-memory cache only)")
+		traceDir   = flag.String("tracecache", "", "keep recorded DAG traces in this directory and reuse them across runs: one framed-trace format for every experiment, so cell and fullgrid reuse recordings from it too (empty = keep recordings in memory for this run only)")
 		minHit     = flag.Float64("mintracehit", -1, "exit 1 if the trace-cache hit rate ends below this percentage (negative = no check)")
 		noTrace    = flag.Bool("notrace", false, "disable record/replay: execute every grid cell live")
 		kernel     = flag.String("kernel", "Quicksort", "cell experiment: kernel name (RRM|RRG|Quicksort|Samplesort|AwareSamplesort|Quad-Tree|MatMul)")
@@ -163,7 +163,7 @@ func main() {
 			fatalUsage("-notrace conflicts with -experiment fullgrid (sharing recordings is the point of the grid)")
 		}
 		if *minHit >= 0 {
-			fatalUsage("-mintracehit applies to the in-memory trace cache, which fullgrid does not use")
+			fatalUsage("-mintracehit does not apply to -experiment fullgrid (its summary line reports the grid's own cache counters)")
 		}
 	}
 
@@ -237,7 +237,12 @@ func main() {
 	case *noTrace:
 		r.Traces = nil
 	case *traceDir != "":
-		r.Traces = dagtrace.NewCache(*traceDir)
+		tc, err := dagtrace.NewStreamCache(*traceDir, 0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
+			os.Exit(1)
+		}
+		r.Traces = tc
 	}
 	reportTraces := func() {
 		if r.Traces == nil {
@@ -245,8 +250,10 @@ func main() {
 		}
 		s := r.Traces.Stats()
 		rate := 100 * s.HitRate()
-		fmt.Printf("# trace cache: %d replayed (%d from disk), %d recorded, %d fallbacks — hit rate %.1f%%\n",
-			s.Hits, s.DiskHits, s.Misses, s.Fallbacks, rate)
+		if s.Hits+s.Misses+s.Fallbacks > 0 {
+			fmt.Printf("# trace cache: %d replayed (%d from disk), %d recorded, %d fallbacks — hit rate %.1f%%\n",
+				s.Hits, s.DiskHits, s.Misses, s.Fallbacks, rate)
+		}
 		if *minHit >= 0 && rate < *minHit {
 			fmt.Fprintf(os.Stderr, "schedbench: trace-cache hit rate %.1f%% is below -mintracehit %.1f\n", rate, *minHit)
 			os.Exit(1)
@@ -316,16 +323,6 @@ func main() {
 			return nil
 		},
 		"fullgrid": func() error {
-			// The grid shares framed recordings on disk, not in-memory
-			// arena traces; silence the (unused) trace-cache report.
-			r.Traces = nil
-			if *traceDir != "" {
-				sc, err := dagtrace.NewStreamCache(*traceDir, 0)
-				if err != nil {
-					return err
-				}
-				r.FramedTraces = sc
-			}
 			r.Workers = *gridWork
 			r.GridBudget = *gridBudget
 			bands, err := parseBands(*bandsCSV)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/job"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/xrand"
 )
@@ -59,17 +58,24 @@ func TestReplayOpsAllocFree(t *testing.T) {
 }
 
 // TestReplayJobRunAllocFree extends the guarantee to the full replayed
-// strand — decode plus the terminal fork over prebuilt child slices.
+// strand — script, decode and the terminal fork over prebuilt child
+// slices — for both byte sources: the resident arena, and a window large
+// enough to keep every frame cached, whose recycled leases allocate
+// nothing once warm.
 func TestReplayJobRunAllocFree(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	sink := &opSink{}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := range tr.jobs {
-			tr.jobs[i].Run(sink)
+	tr, windowed, _ := writeFramed(t, 512, 4096, 1<<20)
+	for _, v := range []struct {
+		name string
+		st   *StreamTrace
+	}{{"resident", Resident(tr)}, {"windowed", windowed}} {
+		sink := &opSink{}
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := range v.st.jobs {
+				v.st.jobs[i].Run(sink)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: streamJob.Run allocates %.1f objects per run, want 0", v.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("replayJob.Run allocates %.1f objects per run, want 0", allocs)
 	}
 }

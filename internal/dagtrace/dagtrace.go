@@ -11,11 +11,14 @@
 // computation.) A Trace records the spawn/sync tree — one node per strand,
 // with the task and strand space declarations space-bounded schedulers
 // read — plus each strand's access script (delta-encoded addresses,
-// read/write bits, interleaved compute charges). Replaying the trace feeds
-// the identical op stream through the cache simulator via the ordinary
-// job.Job interface, so a replay run is bit-identical to a live run under
-// the same (machine, scheduler, cost model, seed): the golden equivalence
-// suite in internal/exp pins this.
+// read/write bits, interleaved compute charges). A StreamTrace replays a
+// recording — straight from a Trace still in memory (Resident) or through
+// the bounded frame window of a DGTS file (NewStream) — feeding the
+// identical op stream through the cache simulator via the ordinary job.Job
+// interface, so a replay run is bit-identical to a live run under the same
+// (machine, scheduler, cost model, seed): the golden equivalence suite in
+// internal/exp pins this. A StreamCache records each computation once and
+// hands every other cell of a grid its recording.
 //
 // Traces only capture pure fork/join programs: futures (ForkFuture /
 // ForkAwait) introduce cross-task dependencies whose replay order the
@@ -25,22 +28,34 @@
 package dagtrace
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
-	"fmt"
 
-	"repro/internal/job"
-	"repro/internal/sim"
+	"repro/internal/opcode"
 )
 
 // ErrUnsupported marks a computation the trace model cannot express
 // (futures, multiple roots). Recording fails softly: callers run live.
 var ErrUnsupported = errors.New("dagtrace: computation not traceable")
 
+// The op bytecode itself lives in internal/opcode so the sim engine's
+// inline interpreter can share it; the local names keep this package's
+// call sites short.
+const (
+	opRead  = opcode.Read
+	opWrite = opcode.Write
+	opWork  = opcode.Work
+
+	opTagBits = opcode.TagBits
+	opTagMask = opcode.TagMask
+)
+
+func zigzag(v int64) uint64   { return opcode.Zigzag(v) }
+func unzigzag(u uint64) int64 { return opcode.Unzigzag(u) }
+
+func appendUvarint(b []byte, v uint64) []byte { return opcode.AppendUvarint(b, v) }
+
 // node is one strand of the recorded computation. Offsets index the shared
-// arenas of the owning Trace, keeping the whole DAG in three flat
+// arenas of the owning trace, keeping the whole DAG in three flat
 // allocations regardless of strand count.
 type node struct {
 	// taskSize and strandSize are the space declarations (S(t;B) and
@@ -48,25 +63,24 @@ type node struct {
 	// strand itself; -1 when the original job was unannotated.
 	taskSize   int64
 	strandSize int64
-	// opOff/opEnd delimit the strand's access script in Trace.ops.
+	// opOff/opEnd delimit the strand's access script in the op arena.
 	opOff, opEnd int64
 	// cont is the node index of the task's next strand, spawned when this
 	// strand's parallel block joins; -1 when this strand ends the task's
 	// strand sequence.
 	cont int32
 	// childOff/childEnd delimit this strand's forked child tasks (their
-	// first strands) in Trace.childIdx.
+	// first strands) in the child-index arena.
 	childOff, childEnd int32
 }
 
-// Trace is one recorded execution: the strand tree plus per-strand access
-// scripts, in an arena-backed form that is immutable after construction —
-// a single Trace may be replayed by many simulations concurrently.
+// Trace is one finished recording held in memory: the strand tree plus
+// every strand's access script in one op arena. It is immutable after
+// Recorder.Finish. Replay it through Resident, or frame it to disk with
+// WriteFramed and replay the file through NewStream.
 type Trace struct {
-	// Key is the cache key the trace was recorded under (informational).
-	Key string
 	// TaskCount and StrandCount are the live run's totals; a replay must
-	// reproduce them exactly (see CheckResult).
+	// reproduce them exactly (see StreamTrace.CheckResult).
 	TaskCount   uint64
 	StrandCount uint64
 	// AccessOps and WorkOps count the recorded memory accesses and compute
@@ -78,76 +92,7 @@ type Trace struct {
 	ops      []byte  // encoded op streams, all strands back to back
 	childIdx []int32 // flattened child lists (node indices)
 	root     int32   // node index of the root strand
-	jobs     []replayJob
-	kids     []job.Job // prebuilt child jobs, parallel to childIdx
 }
-
-// finalize builds the prebuilt replay-job arenas after nodes/ops/childIdx
-// are in place (shared by the recorder and the decoder).
-func (t *Trace) finalize() {
-	t.jobs = make([]replayJob, len(t.nodes))
-	for i := range t.jobs {
-		t.jobs[i] = replayJob{t: t, n: int32(i)}
-	}
-	t.kids = make([]job.Job, len(t.childIdx))
-	for i, ci := range t.childIdx {
-		t.kids[i] = &t.jobs[ci]
-	}
-}
-
-// Root returns the job that replays the trace: running it under sim.Run
-// re-executes the recorded computation — identical spawn tree, identical
-// per-strand address streams — under whatever machine, scheduler, cost
-// model and seed the new configuration supplies.
-func (t *Trace) Root() job.Job { return &t.jobs[t.root] }
 
 // OpBytes returns the size of the encoded op arena in bytes.
 func (t *Trace) OpBytes() int64 { return int64(len(t.ops)) }
-
-// CheckResult verifies that a replay run executed the full recorded
-// computation: task and strand counts must match the live run's, and the
-// number of simulated accesses (every access hits or misses the innermost
-// cache level exactly once) must equal the recorded op count. Replayed
-// cells assert this instead of Kernel.Verify — the trace carries no data
-// values to verify, only the access structure, and this pins exactly that.
-func (t *Trace) CheckResult(res *sim.Result) error {
-	if res.Tasks != t.TaskCount || res.Strands != t.StrandCount {
-		return fmt.Errorf("dagtrace: replay executed %d tasks / %d strands, trace recorded %d / %d",
-			res.Tasks, res.Strands, t.TaskCount, t.StrandCount)
-	}
-	if res.Hier != nil {
-		inner := res.Machine.NumLevels() - 1
-		if got := res.Hier.HitsAt(inner) + res.Hier.MissesAt(inner); got != t.AccessOps {
-			return fmt.Errorf("dagtrace: replay performed %d accesses, trace recorded %d", got, t.AccessOps)
-		}
-	}
-	return nil
-}
-
-// Fingerprint returns a hex SHA-256 over the trace's canonical content —
-// counts, node table, child lists and op streams, excluding the cache key.
-// Recording a replay run must reproduce the fingerprint of the original
-// recording bit for bit; the golden equivalence suite asserts this.
-func (t *Trace) Fingerprint() string {
-	h := sha256.New()
-	var buf [8 * 4]byte
-	binary.LittleEndian.PutUint64(buf[0:], t.TaskCount)
-	binary.LittleEndian.PutUint64(buf[8:], t.StrandCount)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(t.AccessOps))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(t.root))
-	h.Write(buf[:])
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(n.taskSize))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(n.strandSize))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(n.cont))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(int64(n.childEnd)-int64(n.childOff)))
-		h.Write(buf[:])
-	}
-	for _, ci := range t.childIdx {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(ci))
-		h.Write(buf[:4])
-	}
-	h.Write(t.ops)
-	return hex.EncodeToString(h.Sum(nil))
-}

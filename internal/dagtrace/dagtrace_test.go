@@ -1,13 +1,7 @@
 package dagtrace
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/job"
@@ -54,19 +48,30 @@ func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trac
 	return tr, res
 }
 
-func replay(t *testing.T, tr *Trace, m *machine.Desc, schedName string, seed uint64, l sim.Listener) *sim.Result {
+// replay runs a replay of st and checks it against the recording.
+func replay(t *testing.T, st *StreamTrace, m *machine.Desc, schedName string, seed uint64, l sim.Listener) *sim.Result {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
 	res, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.New(schedName), Seed: seed, Listener: l,
-	}, tr.Root())
+	}, st.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.CheckResult(res); err != nil {
+	if err := st.CheckResult(res); err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// fingerprint returns st's canonical content hash.
+func fingerprint(t *testing.T, st *StreamTrace) string {
+	t.Helper()
+	fp, err := st.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
 }
 
 // TestReplayMatchesLiveAcrossSchedulers is the core soundness property:
@@ -80,6 +85,7 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 	if tr.TaskCount != recRes.Tasks || tr.StrandCount != recRes.Strands {
 		t.Fatalf("trace counts %d/%d, result %d/%d", tr.TaskCount, tr.StrandCount, recRes.Tasks, recRes.Strands)
 	}
+	st := Resident(tr)
 	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
 		sp := mem.NewSpace(m.Links, m.Links)
 		live, err := sim.Run(sim.Config{
@@ -88,7 +94,7 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s live: %v", sn, err)
 		}
-		rep := replay(t, tr, m, sn, seed, nil)
+		rep := replay(t, st, m, sn, seed, nil)
 		if live.Fingerprint() != rep.Fingerprint() {
 			t.Errorf("%s: live fingerprint != replay fingerprint\nlive:   %s\nreplay: %s",
 				sn, live.Fingerprint(), rep.Fingerprint())
@@ -102,52 +108,15 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 func TestTraceOfReplayIsIdentical(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
+	st := Resident(tr)
 	rec2 := NewRecorder()
-	replay(t, tr, m, "ws", 7, rec2)
+	replay(t, st, m, "ws", 7, rec2)
 	tr2, err := rec2.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Fingerprint() != tr2.Fingerprint() {
+	if fingerprint(t, st) != fingerprint(t, Resident(tr2)) {
 		t.Fatal("trace of replay differs from original trace")
-	}
-}
-
-// TestEncodeDecodeRoundTrip pins the binary codec: decode(encode(t)) must
-// preserve the canonical fingerprint and still replay identically.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, _ := record(t, m, "ws", 7)
-	data := tr.Encode()
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Fingerprint() != back.Fingerprint() {
-		t.Fatal("decoded trace fingerprint differs")
-	}
-	a := replay(t, tr, m, "sb", 7, nil)
-	b := replay(t, back, m, "sb", 7, nil)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("decoded trace replays differently")
-	}
-}
-
-// TestDecodeRejectsCorruption flips every byte of a small encoding in turn
-// and requires Decode to fail or at minimum never panic.
-func TestDecodeRejectsCorruption(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	data := tr.Encode()
-	if _, err := Decode(data[:len(data)-3]); err == nil {
-		t.Error("truncated trace decoded without error")
-	}
-	for i := 0; i < len(data); i += 17 {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x5a
-		if _, err := Decode(mut); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", i)
-		}
 	}
 }
 
@@ -170,173 +139,5 @@ func TestFutureProgramsAreRejected(t *testing.T) {
 	}
 	if _, err := rec.Finish(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Finish = %v, want ErrUnsupported", err)
-	}
-}
-
-// TestCacheSingleFlight: one recorder per key, everyone else blocks for
-// the fill; stats count one miss and the rest hits.
-func TestCacheSingleFlight(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	c := NewCache("")
-	const waiters = 8
-	got := make([]*Trace, waiters)
-	var recorders int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w, rec, err := c.GetOrReserve("k")
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			if rec {
-				mu.Lock()
-				recorders++
-				mu.Unlock()
-				c.Fill("k", tr, nil)
-				w = tr
-			}
-			got[i] = w
-		}(i)
-	}
-	wg.Wait()
-	if recorders != 1 {
-		t.Fatalf("%d recorders for one key, want 1", recorders)
-	}
-	for i, w := range got {
-		if w != tr {
-			t.Fatalf("waiter %d got %p, want the filled trace", i, w)
-		}
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != waiters-1 {
-		t.Fatalf("stats = %+v, want 1 miss / %d hits", s, waiters-1)
-	}
-	if hr := s.HitRate(); hr <= 0.8 {
-		t.Fatalf("hit rate %.2f, want > 0.8", hr)
-	}
-}
-
-// TestCacheFallbackAndDrop: an ErrUnsupported fill propagates to waiters
-// as a live-fallback signal; Drop evicts so the key records again.
-func TestCacheFallbackAndDrop(t *testing.T) {
-	c := NewCache("")
-	if _, rec, _ := c.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c.Fill("k", nil, ErrUnsupported)
-	if _, rec, err := c.GetOrReserve("k"); rec || !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("after unsupported fill: rec=%v err=%v", rec, err)
-	}
-	c.Drop("k")
-	if _, rec, err := c.GetOrReserve("k"); !rec || err != nil {
-		t.Fatalf("after drop: rec=%v err=%v, want a fresh reservation", rec, err)
-	}
-	c.Fill("k", nil, ErrUnsupported)
-	if s := c.Stats(); s.Fallbacks != 1 || s.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 fallback / 2 misses", s)
-	}
-}
-
-// TestCacheDiskSpill: a filled trace persists to the spill directory and
-// seeds a second cache instance without re-recording.
-func TestCacheDiskSpill(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	dir := t.TempDir()
-	c1 := NewCache(dir)
-	if _, rec, _ := c1.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c1.Fill("k", tr, nil)
-	files, err := filepath.Glob(filepath.Join(dir, "*.dgtr"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files = %v (err %v), want exactly one", files, err)
-	}
-	c2 := NewCache(dir)
-	got, rec, err := c2.GetOrReserve("k")
-	if err != nil || rec {
-		t.Fatalf("disk reload: rec=%v err=%v", rec, err)
-	}
-	if got.Fingerprint() != tr.Fingerprint() {
-		t.Fatal("reloaded trace fingerprint differs")
-	}
-	if s := c2.Stats(); s.DiskHits != 1 {
-		t.Fatalf("stats = %+v, want 1 disk hit", s)
-	}
-	// A corrupt spill must be ignored, not replayed.
-	data, _ := os.ReadFile(files[0])
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c3 := NewCache(dir)
-	if _, rec, _ := c3.GetOrReserve("k"); !rec {
-		t.Fatal("corrupt spill should force a fresh recording")
-	}
-}
-
-// TestCacheEvictsCorruptSpill: a spill file truncated mid-varint (with the
-// checksum recomputed, so only the structural varint guard can catch it)
-// is detected on reload, evicted from disk, counted in Stats.Corrupt, and
-// the cell falls back to re-recording — after which a fresh Fill re-spills
-// a good file.
-func TestCacheEvictsCorruptSpill(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	dir := t.TempDir()
-	c1 := NewCache(dir)
-	if _, rec, _ := c1.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c1.Fill("k", tr, nil)
-	files, err := filepath.Glob(filepath.Join(dir, "*.dgtr"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files = %v (err %v), want exactly one", files, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut the node table a few bytes in — mid-varint — keeping the fixed
-	// 68-byte header intact. Pad back to the original length with bare
-	// continuation bytes (0x80: a varint that never terminates) so the
-	// header's op-byte count stays plausible and only the varint reader
-	// can catch the damage, then append a valid checksum so the integrity
-	// guard cannot either.
-	cut := append([]byte{}, data[:68+7]...)
-	for len(cut) < len(data)-8 {
-		cut = append(cut, 0x80)
-	}
-	h := fnv.New64a()
-	h.Write(cut)
-	trunc := binary.LittleEndian.AppendUint64(cut, h.Sum64())
-	if _, err := Decode(trunc); err == nil || !strings.Contains(err.Error(), "mid-varint") {
-		t.Fatalf("Decode of truncated trace: err = %v, want mid-varint truncation", err)
-	}
-	if err := os.WriteFile(files[0], trunc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCache(dir)
-	if _, rec, _ := c2.GetOrReserve("k"); !rec {
-		t.Fatal("truncated spill must fall back to re-recording")
-	}
-	if s := c2.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.DiskHits != 0 {
-		t.Fatalf("stats = %+v, want Corrupt=1 Misses=1 DiskHits=0", s)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.dgtr")); len(left) != 0 {
-		t.Fatalf("corrupt spill not evicted: %v", left)
-	}
-	c2.Fill("k", tr, nil)
-	if respilled, _ := filepath.Glob(filepath.Join(dir, "*.dgtr")); len(respilled) != 1 {
-		t.Fatalf("re-record did not re-spill: %v", respilled)
-	}
-	c3 := NewCache(dir)
-	if got, rec, err := c3.GetOrReserve("k"); rec || err != nil || got.Fingerprint() != tr.Fingerprint() {
-		t.Fatalf("re-spilled trace did not reload cleanly (rec=%v err=%v)", rec, err)
 	}
 }

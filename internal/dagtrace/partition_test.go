@@ -29,9 +29,10 @@ func runPiece(t *testing.T, p Piece, m *machine.Desc, schedName string, seed uin
 func TestPartitionConservation(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
+	st := Resident(tr)
 	total := tr.OpBytes() + int64(tr.StrandCount)
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		p, err := PartitionTrace(tr, k)
+		p, err := PartitionStream(st, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +64,12 @@ func TestPartitionConservation(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	a, err := PartitionTrace(tr, 4)
+	st := Resident(tr)
+	a, err := PartitionStream(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PartitionTrace(tr, 4)
+	b, err := PartitionStream(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,27 +92,28 @@ func TestPartitionDeterministic(t *testing.T) {
 func TestPartitionSinglePieceIsUnchanged(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	p, err := PartitionTrace(tr, 1)
+	st := Resident(tr)
+	p, err := PartitionStream(st, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Pieces) != 1 {
 		t.Fatalf("k=1 produced %d pieces", len(p.Pieces))
 	}
-	a := replay(t, tr, m, "sb", 7, nil)
+	a := replay(t, st, m, "sb", 7, nil)
 	b := runPiece(t, p.Pieces[0], m, "sb", 7)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("single-piece partition replays differently from the plain root")
 	}
 }
 
-// TestPartitionStream: partitioning the framed form must yield the same
-// piece structure as the arena form, and its pieces must replay with the
-// same aggregate counts, leasing scripts through the window.
+// TestPartitionStream: partitioning the windowed view must yield the same
+// piece structure as the resident view, and its pieces must replay with
+// the same aggregate counts, leasing scripts through the window.
 func TestPartitionStream(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, st, _ := writeFramed(t, 512, 256, 2048)
-	pa, err := PartitionTrace(tr, 4)
+	pa, err := PartitionStream(Resident(tr), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +122,17 @@ func TestPartitionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(pa.Pieces) != len(ps.Pieces) {
-		t.Fatalf("piece counts differ: arena %d, stream %d", len(pa.Pieces), len(ps.Pieces))
+		t.Fatalf("piece counts differ: resident %d, windowed %d", len(pa.Pieces), len(ps.Pieces))
 	}
 	var tasks, strands uint64
 	for i := range ps.Pieces {
 		if pa.Pieces[i].Node != ps.Pieces[i].Node || pa.Pieces[i].Weight != ps.Pieces[i].Weight {
-			t.Fatalf("piece %d differs between arena and stream partition", i)
+			t.Fatalf("piece %d differs between resident and windowed partition", i)
 		}
 		ra := runPiece(t, pa.Pieces[i], m, "ws", 7)
 		rs := runPiece(t, ps.Pieces[i], m, "ws", 7)
 		if ra.Fingerprint() != rs.Fingerprint() {
-			t.Errorf("piece %d: streamed replay differs from arena replay", i)
+			t.Errorf("piece %d: windowed replay differs from resident replay", i)
 		}
 		tasks += rs.Tasks
 		strands += rs.Strands

@@ -260,6 +260,5 @@ func (r *Recorder) Finish() (*Trace, error) {
 		n.childEnd = int32(len(t.childIdx))
 	}
 	r.nodes, r.meta = nil, nil
-	t.finalize()
 	return t, nil
 }

@@ -5,49 +5,57 @@ import (
 	"repro/internal/mem"
 )
 
-// replayJob replays one recorded strand — and, through its continuation
+// streamJob replays one recorded strand — and, through its continuation
 // chain, one recorded task. It is allocated once per trace node in the
-// Trace's job arena and is immutable, so the same value serves every
-// concurrent replay of the trace. It implements job.SBJob by returning the
-// space declarations the live run resolved: Strand.SizeBytes already holds
-// the strand→task fallback the engine applies, so replay reproduces the
-// exact sizes (including the unannotated −1 case) every scheduler saw.
-type replayJob struct {
-	t *Trace
+// StreamTrace's job arena and is immutable, so the same value serves
+// every concurrent replay of the trace. It implements job.SBJob by
+// returning the space declarations the live run resolved:
+// Strand.SizeBytes already holds the strand→task fallback the engine
+// applies, so replay reproduces the exact sizes (including the
+// unannotated −1 case) every scheduler saw.
+//
+// Its Script bytes come from wherever the recording lives: a resident
+// view hands out a subslice of the recording's op arena (no copy, no
+// lease), a windowed view leases a copy from the frame window. Either
+// way the engine returns them through ReleaseScript when the strand
+// completes.
+type streamJob struct {
+	t *StreamTrace
 	n int32
 }
 
-// Run implements job.Job: replay the strand's access script, then its
-// terminal fork. Child jobs are prebuilt subslices of the trace's arenas,
-// so a replayed fork allocates nothing.
-func (j *replayJob) Run(ctx job.Ctx) {
+var _ job.StreamScripted = (*streamJob)(nil)
+var _ job.SBJob = (*streamJob)(nil)
+
+// Run implements job.Job. The engine's inline interpreter executes
+// replayed strands without the worker-goroutine handoff; Run is the
+// semantically identical fallback (used, e.g., when a replay is itself
+// being recorded).
+func (j *streamJob) Run(ctx job.Ctx) { runScripted(ctx, j) }
+
+// Script implements job.Scripted with the strand's op bytes.
+func (j *streamJob) Script() (ops []byte, lo, hi int64) {
 	t := j.t
 	n := &t.nodes[j.n]
-	replayOps(ctx, t.ops, n.opOff, n.opEnd)
-	if n.childEnd > n.childOff {
-		if n.cont >= 0 {
-			ctx.Fork(&t.jobs[n.cont], t.kids[n.childOff:n.childEnd]...)
-		} else {
-			ctx.Fork(nil, t.kids[n.childOff:n.childEnd]...)
-		}
+	if t.r == nil {
+		return t.ops, n.opOff, n.opEnd
+	}
+	buf := t.fetch(n.opOff, n.opEnd)
+	return buf, 0, int64(len(buf))
+}
+
+// ReleaseScript implements job.StreamScripted: a windowed view takes its
+// lease back; a resident view lent nothing.
+func (j *streamJob) ReleaseScript(ops []byte) {
+	if j.t.r != nil {
+		j.t.release(ops)
 	}
 }
 
-// The engine's inline interpreter executes replayed strands without the
-// worker-goroutine handoff; Run above is the semantically identical
-// fallback (used, e.g., when a replay is itself being recorded).
-var _ job.Scripted = (*replayJob)(nil)
-
-// Script implements job.Scripted with the strand's slice of the trace's
-// shared op arena.
-func (j *replayJob) Script() (ops []byte, lo, hi int64) {
-	n := &j.t.nodes[j.n]
-	return j.t.ops, n.opOff, n.opEnd
-}
-
-// ScriptFork implements job.Scripted with the prebuilt fork Run would
-// perform.
-func (j *replayJob) ScriptFork() (cont job.Job, children []job.Job) {
+// ScriptFork implements job.Scripted with the recorded terminal fork,
+// over child jobs prebuilt in the trace's arenas so a replayed fork
+// allocates nothing.
+func (j *streamJob) ScriptFork() (cont job.Job, children []job.Job) {
 	t := j.t
 	n := &t.nodes[j.n]
 	if n.childEnd <= n.childOff {
@@ -60,10 +68,21 @@ func (j *replayJob) ScriptFork() (cont job.Job, children []job.Job) {
 }
 
 // Size implements job.SBJob with the recorded S(t;B).
-func (j *replayJob) Size(int64) int64 { return j.t.nodes[j.n].taskSize }
+func (j *streamJob) Size(int64) int64 { return j.t.nodes[j.n].taskSize }
 
 // StrandSize implements job.SBJob with the recorded S(ℓ;B).
-func (j *replayJob) StrandSize(int64) int64 { return j.t.nodes[j.n].strandSize }
+func (j *streamJob) StrandSize(int64) int64 { return j.t.nodes[j.n].strandSize }
+
+// runScripted is the goroutine-path body of a replayed strand: take the
+// script, replay it, hand it back, then perform the terminal fork.
+func runScripted(ctx job.Ctx, j job.StreamScripted) {
+	ops, lo, hi := j.Script()
+	replayOps(ctx, ops, lo, hi)
+	j.ReleaseScript(ops)
+	if cont, kids := j.ScriptFork(); cont != nil || len(kids) > 0 {
+		ctx.Fork(cont, kids...)
+	}
+}
 
 // replayOps is the replay inner loop: decode the strand's op stream and
 // feed it through the simulation context. The uvarint decode is hand-rolled

@@ -1,13 +1,14 @@
 package dagtrace
 
-// Streamed traces: the framed on-disk form (format v2, "DGTS") and the
-// windowed decoder that replays it in O(window) memory.
+// Replayable traces: the framed on-disk form (format v2, "DGTS"), the
+// windowed decoder that replays it in O(window) memory, and the resident
+// view that replays a recording still in memory.
 //
-// A whole-arena Trace holds every strand's op bytes resident for the
-// lifetime of the replay; at paper scale (×1 inputs, 100M-element class)
-// that arena reaches gigabytes and caps the feasible input size long
-// before simulated time does. The framed form splits the op arena into
-// fixed-size frames, each independently checksummed, behind a small
+// A recording held in memory keeps every strand's op bytes resident for
+// the lifetime of the replay; at paper scale (×1 inputs, 100M-element
+// class) that arena reaches gigabytes and caps the feasible input size
+// long before simulated time does. The framed form splits the op arena
+// into fixed-size frames, each independently checksummed, behind a small
 // metadata block (node table, child lists, frame checksums) that stays
 // O(strands) — a few kilobytes per thousand strands. Replay opens the
 // file and leases each strand's op bytes through a bounded frame window:
@@ -134,12 +135,13 @@ func WriteFramed(t *Trace, path string, frameSize int64) error {
 	return nil
 }
 
-// StreamTrace is a framed trace opened for windowed replay. Like Trace it
-// is safe for concurrent replays: the frame window is mutex-guarded and
-// every other field is immutable after NewStream.
+// StreamTrace is a recording opened for replay. Its strand scripts come
+// from one of two byte sources: the op arena of a recording still in
+// memory (Resident), or the bounded frame window of a DGTS file
+// (NewStream, OpenStream). It is safe for concurrent replays: the frame
+// window is mutex-guarded and every other field is immutable after
+// construction.
 type StreamTrace struct {
-	// Key mirrors Trace.Key (informational).
-	Key string
 	// TaskCount, StrandCount, AccessOps and WorkOps are the recorded
 	// totals, as on Trace.
 	TaskCount   uint64
@@ -153,15 +155,52 @@ type StreamTrace struct {
 	jobs     []streamJob
 	kids     []job.Job
 
-	r         io.ReaderAt
-	closer    io.Closer // non-nil when OpenStream owns the file handle
-	dataOff   int64     // file offset of frame 0
+	// ops is a resident view's op arena, shared with its Trace; nil when
+	// r is set.
+	ops []byte
+
+	r         io.ReaderAt // nil for a resident view
+	closer    io.Closer   // non-nil when OpenStream owns the file handle
+	dataOff   int64       // file offset of frame 0
 	frameSize int64
 	frameBuf  int64 // min(frameSize, opBytes): the largest actual frame
 	frameSum  []uint64
 	opBytes   int64
 
 	win window
+}
+
+// Resident returns a replayable view of a recording still in memory: its
+// strand scripts are read straight from tr's op arena — zero-copy, no
+// window, no lease — so one view serves every concurrent replay of the
+// recording. Close on a resident view releases nothing.
+func Resident(tr *Trace) *StreamTrace {
+	t := &StreamTrace{
+		TaskCount:   tr.TaskCount,
+		StrandCount: tr.StrandCount,
+		AccessOps:   tr.AccessOps,
+		WorkOps:     tr.WorkOps,
+		nodes:       tr.nodes,
+		childIdx:    tr.childIdx,
+		root:        tr.root,
+		ops:         tr.ops,
+		opBytes:     tr.OpBytes(),
+	}
+	t.buildJobs()
+	return t
+}
+
+// buildJobs allocates the per-node replay jobs and the prebuilt child
+// slices their forks hand to the engine.
+func (t *StreamTrace) buildJobs() {
+	t.jobs = make([]streamJob, len(t.nodes))
+	for i := range t.jobs {
+		t.jobs[i] = streamJob{t: t, n: int32(i)}
+	}
+	t.kids = make([]job.Job, len(t.childIdx))
+	for i, ci := range t.childIdx {
+		t.kids[i] = &t.jobs[ci]
+	}
 }
 
 // OpenStream opens a framed trace file for windowed replay. windowBytes
@@ -342,14 +381,7 @@ func NewStreamBudget(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*S
 		t.frameSum[i] = binary.LittleEndian.Uint64(rest[i*8:])
 	}
 
-	t.jobs = make([]streamJob, len(t.nodes))
-	for i := range t.jobs {
-		t.jobs[i] = streamJob{t: t, n: int32(i)}
-	}
-	t.kids = make([]job.Job, len(t.childIdx))
-	for i, ci := range t.childIdx {
-		t.kids[i] = &t.jobs[ci]
-	}
+	t.buildJobs()
 	t.win.init(windowBytes, t.frameBuf, int64(frameN), budget)
 	return t, nil
 }
@@ -367,28 +399,36 @@ func (t *StreamTrace) Close() error {
 	return nil
 }
 
-// Root returns the job that replays the streamed trace under sim.Run; see
-// Trace.Root.
+// Root returns the job that replays the trace: running it under sim.Run
+// re-executes the recorded computation — identical spawn tree, identical
+// per-strand address streams — under whatever machine, scheduler, cost
+// model and seed the new configuration supplies.
 func (t *StreamTrace) Root() job.Job { return &t.jobs[t.root] }
 
-// OpBytes returns the total size of the (non-resident) op stream.
+// OpBytes returns the total size of the op stream.
 func (t *StreamTrace) OpBytes() int64 { return t.opBytes }
 
 // PeakResidentBytes reports the high-water mark of decoder-resident op
 // bytes: cached frames plus buffers leased to in-flight strands. The
-// bounded-memory contract of streamed replay is exactly that this stays
+// bounded-memory contract of windowed replay is exactly that this stays
 // O(window + concurrent strands × strand script size), independent of
-// OpBytes.
+// OpBytes. A resident view has no window and reports 0.
 func (t *StreamTrace) PeakResidentBytes() int64 {
 	t.win.mu.Lock()
 	defer t.win.mu.Unlock()
 	return t.win.peak
 }
 
-// CheckResult mirrors Trace.CheckResult for streamed replays, and
-// additionally surfaces any frame I/O or corruption error the window hit
-// while the replay ran (a failed fetch replays an empty script, which this
-// check then rejects by op count — the error here names the root cause).
+// CheckResult verifies that a replay run executed the full recorded
+// computation: task and strand counts must match the live run's, and the
+// number of simulated accesses (every access hits or misses the innermost
+// cache level exactly once) must equal the recorded op count. Replayed
+// cells assert this instead of Kernel.Verify — the trace carries no data
+// values to verify, only the access structure, and this pins exactly that.
+// It first surfaces any frame I/O or corruption error the window hit
+// while the replay ran (a failed fetch replays an empty script, which the
+// count check would reject — the error here names the root cause) and
+// any script lease still outstanding.
 func (t *StreamTrace) CheckResult(res *sim.Result) error {
 	if err := t.win.fetchErr(); err != nil {
 		return err
@@ -409,9 +449,12 @@ func (t *StreamTrace) CheckResult(res *sim.Result) error {
 	return nil
 }
 
-// Fingerprint returns the same canonical content hash Trace.Fingerprint
-// computes, streaming the op bytes through the hash one frame at a time.
-// WriteFramed followed by NewStream preserves the fingerprint bit for bit.
+// Fingerprint returns a hex SHA-256 over the trace's canonical content —
+// counts, node table, child lists and op streams — streaming a windowed
+// view's op bytes through the hash one frame at a time. WriteFramed
+// followed by NewStream preserves the fingerprint of the Resident view bit
+// for bit, and recording a replay run must reproduce it too; the golden
+// equivalence suite asserts both.
 func (t *StreamTrace) Fingerprint() (string, error) {
 	h := sha256.New()
 	var buf [8 * 4]byte
@@ -432,6 +475,8 @@ func (t *StreamTrace) Fingerprint() (string, error) {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(ci))
 		h.Write(buf[:4])
 	}
+	// A resident view hashes its arena; a windowed one, its frames.
+	h.Write(t.ops)
 	frame := make([]byte, t.frameBuf)
 	for f := int64(0); f < int64(len(t.frameSum)); f++ {
 		data, err := t.readFrame(f, frame)
@@ -682,62 +727,3 @@ func (w *window) frame(t *StreamTrace, f int64) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// --- the streamed replay job -----------------------------------------------
-
-// streamJob mirrors replayJob over a StreamTrace: immutable, one per
-// node, shared by every concurrent replay. Its Script bytes are leased
-// from the frame window, so it implements job.StreamScripted and the
-// engine returns the lease when the strand completes.
-type streamJob struct {
-	t *StreamTrace
-	n int32
-}
-
-var _ job.StreamScripted = (*streamJob)(nil)
-
-// Run implements job.Job (the goroutine-path fallback): lease, replay,
-// release, fork.
-func (j *streamJob) Run(ctx job.Ctx) {
-	t := j.t
-	n := &t.nodes[j.n]
-	ops := t.fetch(n.opOff, n.opEnd)
-	replayOps(ctx, ops, 0, int64(len(ops)))
-	t.release(ops)
-	if n.childEnd > n.childOff {
-		if n.cont >= 0 {
-			ctx.Fork(&t.jobs[n.cont], t.kids[n.childOff:n.childEnd]...)
-		} else {
-			ctx.Fork(nil, t.kids[n.childOff:n.childEnd]...)
-		}
-	}
-}
-
-// Script implements job.Scripted with a leased copy of the strand's ops.
-func (j *streamJob) Script() (ops []byte, lo, hi int64) {
-	n := &j.t.nodes[j.n]
-	buf := j.t.fetch(n.opOff, n.opEnd)
-	return buf, 0, int64(len(buf))
-}
-
-// ReleaseScript implements job.StreamScripted.
-func (j *streamJob) ReleaseScript(ops []byte) { j.t.release(ops) }
-
-// ScriptFork implements job.Scripted; see replayJob.ScriptFork.
-func (j *streamJob) ScriptFork() (cont job.Job, children []job.Job) {
-	t := j.t
-	n := &t.nodes[j.n]
-	if n.childEnd <= n.childOff {
-		return nil, nil
-	}
-	if n.cont >= 0 {
-		cont = &t.jobs[n.cont]
-	}
-	return cont, t.kids[n.childOff:n.childEnd]
-}
-
-// Size implements job.SBJob with the recorded S(t;B).
-func (j *streamJob) Size(int64) int64 { return j.t.nodes[j.n].taskSize }
-
-// StrandSize implements job.SBJob with the recorded S(ℓ;B).
-func (j *streamJob) StrandSize(int64) int64 { return j.t.nodes[j.n].strandSize }

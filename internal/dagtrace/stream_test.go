@@ -41,47 +41,28 @@ func writeFramed(t *testing.T, n int, frameSize, window int64) (*Trace, *StreamT
 	return tr, st, path
 }
 
-// replayStream runs a streamed replay and checks it against the trace.
-func replayStream(t *testing.T, st *StreamTrace, m *machine.Desc, schedName string, seed uint64) *sim.Result {
-	t.Helper()
-	sp := mem.NewSpace(m.Links, m.Links)
-	res, err := sim.Run(sim.Config{
-		Machine: m, Space: sp, Scheduler: sched.New(schedName), Seed: seed,
-	}, st.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CheckResult(res); err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestStreamRoundTrip pins the framed codec: writing a trace with a frame
 // size small enough to force many frames and reopening it must preserve
-// the canonical fingerprint bit for bit, and the streamed replay must
-// produce the same simulation result as the whole-arena replay.
+// the resident view's canonical fingerprint bit for bit, and the windowed
+// replay must produce the same simulation result as the resident replay.
 func TestStreamRoundTrip(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, st, _ := writeFramed(t, 512, 512, 4096)
-	if st.TaskCount != tr.TaskCount || st.StrandCount != tr.StrandCount ||
-		st.AccessOps != tr.AccessOps || st.WorkOps != tr.WorkOps {
-		t.Fatalf("streamed counts %d/%d/%d/%d differ from trace %d/%d/%d/%d",
-			st.TaskCount, st.StrandCount, st.AccessOps, st.WorkOps,
-			tr.TaskCount, tr.StrandCount, tr.AccessOps, tr.WorkOps)
+	res := Resident(tr)
+	if st.TaskCount != res.TaskCount || st.StrandCount != res.StrandCount ||
+		st.AccessOps != res.AccessOps || st.WorkOps != res.WorkOps || st.OpBytes() != res.OpBytes() {
+		t.Fatalf("windowed counts %d/%d/%d/%d/%d differ from resident %d/%d/%d/%d/%d",
+			st.TaskCount, st.StrandCount, st.AccessOps, st.WorkOps, st.OpBytes(),
+			res.TaskCount, res.StrandCount, res.AccessOps, res.WorkOps, res.OpBytes())
 	}
-	sfp, err := st.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sfp != tr.Fingerprint() {
-		t.Fatalf("streamed fingerprint differs:\narena:  %s\nstream: %s", tr.Fingerprint(), sfp)
+	if sfp, rfp := fingerprint(t, st), fingerprint(t, res); sfp != rfp {
+		t.Fatalf("windowed fingerprint differs:\nresident: %s\nwindowed: %s", rfp, sfp)
 	}
 	for _, sn := range []string{"ws", "sb"} {
-		a := replay(t, tr, m, sn, 7, nil)
-		b := replayStream(t, st, m, sn, 7)
+		a := replay(t, res, m, sn, 7, nil)
+		b := replay(t, st, m, sn, 7, nil)
 		if a.Fingerprint() != b.Fingerprint() {
-			t.Errorf("%s: streamed replay fingerprint differs from arena replay", sn)
+			t.Errorf("%s: windowed replay fingerprint differs from resident replay", sn)
 		}
 	}
 }
@@ -99,10 +80,10 @@ func TestStreamBoundedWindow(t *testing.T) {
 	if st.OpBytes() < 8*window {
 		t.Fatalf("trace op stream too small (%d bytes) to exercise a %d-byte window", st.OpBytes(), window)
 	}
-	a := replay(t, tr, m, "ws", 7, nil)
-	b := replayStream(t, st, m, "ws", 7)
+	a := replay(t, Resident(tr), m, "ws", 7, nil)
+	b := replay(t, st, m, "ws", 7, nil)
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("windowed replay fingerprint differs from whole-arena replay")
+		t.Fatal("windowed replay fingerprint differs from resident replay")
 	}
 	// Budget: the window itself + one lease per core, each rounded up to
 	// the 1KiB lease quantum (strand scripts here are far smaller).
@@ -123,8 +104,8 @@ func TestStreamBoundedWindow(t *testing.T) {
 func TestStreamWindowReuse(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	_, st, _ := writeFramed(t, 512, 256, 1024)
-	a := replayStream(t, st, m, "sb", 7)
-	b := replayStream(t, st, m, "sb", 7)
+	a := replay(t, st, m, "sb", 7, nil)
+	b := replay(t, st, m, "sb", 7, nil)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("second replay through the same window differs from the first")
 	}

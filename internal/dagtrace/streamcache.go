@@ -1,22 +1,22 @@
 package dagtrace
 
-// StreamCache is the framed-trace sibling of Cache: a single-flight
-// store of on-disk DGTS recordings shared by the cells of a full-scale
-// grid. One recording depends only on the computation key (kernel,
-// scale, seed, machine geometry — never the scheduler or bandwidth
-// under test), so an S-scheduler × B-bandwidth grid resolves K kernel
-// keys into K recordings instead of K·S·B: the first cell of a key
-// records and frames the trace, every other cell blocks until the file
-// lands and then replays it through its own bounded window.
+// StreamCache is the trace cache: a single-flight store of recordings
+// shared by the cells of an experiment grid. A recording depends only on
+// the computation key (kernel, scale, seed, machine geometry — never the
+// scheduler or bandwidth under test), so an S-scheduler × B-bandwidth
+// grid resolves K kernel keys into K recordings instead of K·S·B: the
+// first cell of a key records, every other cell blocks until the
+// recording is published and then replays it.
 //
-// Unlike Cache (whole-arena traces, memory-first with optional spill),
-// a StreamCache entry IS its file: nothing op-sized is ever resident
-// here, and the published value is a path for OpenStream. Files are
-// content-addressed by key hash, written atomically by WriteFramed, and
-// revalidated (metadata checksum) when an existing file is adopted from
-// a previous process — a corrupt or truncated file is evicted and
-// counted, and its key falls back to re-recording, exactly like Cache's
-// spill discipline.
+// Where a published recording lives is the cache's one setting. Without
+// a directory it stays in memory behind one Resident view that every
+// cell replays zero-copy. With a directory it is a DGTS file and nothing
+// op-sized stays resident here: each cell opens the file through its own
+// bounded window. Files are content-addressed by key hash, written
+// atomically by WriteFramed, and revalidated (metadata checksum) when an
+// existing file is adopted from a previous process — a corrupt or
+// truncated file is evicted and counted, and its key falls back to
+// re-recording.
 
 import (
 	"crypto/sha256"
@@ -27,10 +27,39 @@ import (
 	"sync"
 )
 
-// StreamCache is a single-flight cache of framed trace files.
+// Stats reports cache effectiveness. A Hit is a cell that replayed a
+// published recording — from this process or adopted from disk, which
+// DiskHits also counts — instead of executing kernel closures; a Miss is
+// a reservation that had to record; a Fallback is a cell whose awaited
+// recording failed (ErrUnsupported, a kernel error, a write error) and
+// which therefore runs live. Corrupt counts files that failed validation
+// (truncated or bit-rotted) and were evicted from disk; each also counts
+// as a Miss, since its cell falls back to re-recording.
+type Stats struct {
+	Hits      int64
+	DiskHits  int64
+	Misses    int64
+	Fallbacks int64
+	Corrupt   int64
+	// Quarantined counts recordings evicted on suspicion by Quarantine (a
+	// failing grid cell distrusting its shared trace before a retry), as
+	// opposed to Corrupt's checksum failures.
+	Quarantined int64
+}
+
+// HitRate is hits over all resolutions, in [0,1]; 0 when nothing ran.
+func (s Stats) HitRate() float64 {
+	total := s.Hits + s.Misses + s.Fallbacks
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}
+
+// StreamCache is a single-flight cache of recordings.
 type StreamCache struct {
-	dir       string
-	frameSize int64 // 0 = DefaultFrameSize
+	dir       string // "" keeps recordings resident
+	frameSize int64  // 0 = DefaultFrameSize
 
 	// writeFn frames a trace to disk; tests inject failing writers to
 	// exercise the disk-full / I/O-error paths. nil means WriteFramed.
@@ -39,6 +68,25 @@ type StreamCache struct {
 	mu      sync.Mutex
 	entries map[string]*streamEntry
 	stats   Stats
+}
+
+// Recording is a published recording: a DGTS file when the cache has a
+// directory, else a resident view.
+type Recording struct {
+	// Path is the recording's DGTS file; empty for a resident recording.
+	Path     string
+	resident *StreamTrace
+}
+
+// Open returns a view that replays the recording: the shared resident
+// view itself, or a new stream over Path whose frame window holds
+// windowBytes and charges budget (see OpenStreamBudget). Close the view
+// when its replay is done.
+func (r Recording) Open(windowBytes int64, budget *Budget) (*StreamTrace, error) {
+	if r.resident != nil {
+		return r.resident, nil
+	}
+	return OpenStreamBudget(r.Path, windowBytes, budget)
 }
 
 // WriteError is the typed failure of framing a recording to the cache's
@@ -61,34 +109,31 @@ func (e *WriteError) Unwrap() error { return e.Err }
 type streamEntry struct {
 	ready chan struct{} // closed by Fill/Fail
 	done  bool          // set under StreamCache.mu before ready closes
-	path  string
+	rec   Recording
 	err   error
 }
 
-// NewStreamCache returns a cache storing framed traces under dir,
-// creating it as needed. frameSize 0 selects DefaultFrameSize for the
-// recordings it writes.
+// NewStreamCache returns a cache storing recordings as DGTS files under
+// dir, creating it as needed, or keeping them resident when dir is
+// empty. frameSize 0 selects DefaultFrameSize for the files it writes.
 func NewStreamCache(dir string, frameSize int64) (*StreamCache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("dagtrace: stream cache needs a directory (framed traces live on disk)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dagtrace: stream cache: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("dagtrace: stream cache: %w", err)
+		}
 	}
 	return &StreamCache{dir: dir, frameSize: frameSize, entries: make(map[string]*streamEntry)}, nil
 }
 
-// Dir returns the cache's spill directory.
+// Dir returns the cache's directory; empty when recordings stay resident.
 func (c *StreamCache) Dir() string { return c.dir }
 
 // GetOrReserve resolves key. Exactly one caller per key observes
 // record=true and MUST follow up with Fill (on a successful recording)
 // or Fail; every other caller blocks until then and receives the
-// published path. shared reports that the recording was reused — from
-// another cell this process or adopted from disk — rather than produced
-// by this call; the grid's timing tables use it to avoid double-counting
-// the amortized record stage.
-func (c *StreamCache) GetOrReserve(key string) (path string, shared, record bool, err error) {
+// published recording, or the recording's failure as err — a cell that
+// gets an error runs live.
+func (c *StreamCache) GetOrReserve(key string) (rec Recording, record bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -100,33 +145,39 @@ func (c *StreamCache) GetOrReserve(key string) (path string, shared, record bool
 			c.stats.Fallbacks++
 		}
 		c.mu.Unlock()
-		return e.path, true, false, e.err
+		return e.rec, false, e.err
 	}
 	e := &streamEntry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
-	if p, ok := c.adoptDisk(key); ok {
-		c.publish(key, p, nil)
+	if rec, ok := c.adoptDisk(key); ok {
+		c.publish(key, rec, nil)
 		c.mu.Lock()
 		c.stats.Hits++
 		c.stats.DiskHits++
 		c.mu.Unlock()
-		return p, true, false, nil
+		return rec, false, nil
 	}
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	return "", false, true, nil
+	return Recording{}, true, nil
 }
 
-// Fill frames the recorded trace to the key's content-addressed file and
-// publishes the path, unblocking the key's waiters. A write failure
+// Fill publishes a finished recording under key, unblocking the key's
+// waiters: behind one resident view, or framed to the key's
+// content-addressed file when the cache has a directory. A write failure
 // (disk full, I/O error) comes back as a *WriteError: the error is
 // published as this reservation's outcome (waiters see the same failure
 // the recorder does — there is no file to fall back to), a half-written
 // file is removed, and the reservation is released so the key stays
 // recordable once the disk recovers.
-func (c *StreamCache) Fill(key string, t *Trace) (string, error) {
+func (c *StreamCache) Fill(key string, t *Trace) (Recording, error) {
+	if c.dir == "" {
+		rec := Recording{resident: Resident(t)}
+		c.publish(key, rec, nil)
+		return rec, nil
+	}
 	p := c.path(key)
 	write := c.writeFn
 	if write == nil {
@@ -135,11 +186,12 @@ func (c *StreamCache) Fill(key string, t *Trace) (string, error) {
 	if err := write(t, p, c.frameSize); err != nil {
 		werr := &WriteError{Key: key, Path: p, Err: err}
 		os.Remove(p) // WriteFramed is tmp+rename, but an injected writer may tear
-		c.publish(key, "", werr)
-		return "", werr
+		c.publish(key, Recording{}, werr)
+		return Recording{}, werr
 	}
-	c.publish(key, p, nil)
-	return p, nil
+	rec := Recording{Path: p}
+	c.publish(key, rec, nil)
+	return rec, nil
 }
 
 // Fail publishes a recording failure for a reservation made by
@@ -151,17 +203,17 @@ func (c *StreamCache) Fail(key string, err error) {
 	if err == nil {
 		panic("dagtrace: StreamCache.Fail with nil error")
 	}
-	c.publish(key, "", err)
+	c.publish(key, Recording{}, err)
 }
 
-func (c *StreamCache) publish(key, path string, err error) {
+func (c *StreamCache) publish(key string, rec Recording, err error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil || e.done {
 		c.mu.Unlock()
 		panic("dagtrace: stream-cache publish without matching GetOrReserve reservation")
 	}
-	e.path, e.err, e.done = path, err, true
+	e.rec, e.err, e.done = rec, err, true
 	if err != nil {
 		// Release the single-flight reservation on failure: current waiters
 		// hold e and still observe the error, but the key must not stay
@@ -170,6 +222,18 @@ func (c *StreamCache) publish(key, path string, err error) {
 	}
 	c.mu.Unlock()
 	close(e.ready)
+}
+
+// Drop evicts key's published recording from memory, bounding a grid's
+// memory to the recordings still in use; its file, if any, survives and
+// is adopted again by a later GetOrReserve. Dropping an unfilled or
+// absent key is a no-op.
+func (c *StreamCache) Drop(key string) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok && e.done {
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
 }
 
 // Quarantine evicts a key's published recording — cache entry and
@@ -188,7 +252,7 @@ func (c *StreamCache) Quarantine(key string) bool {
 		return false
 	}
 	delete(c.entries, key)
-	removed := os.Remove(c.path(key)) == nil
+	removed := c.dir != "" && os.Remove(c.path(key)) == nil
 	if e != nil || removed {
 		c.stats.Quarantined++
 		return true
@@ -216,7 +280,10 @@ func (c *StreamCache) path(key string) string {
 // counted in Stats.Corrupt, and the key falls back to re-recording.
 // Frame-body corruption deeper than the metadata checksum is caught at
 // replay time by the window's per-frame checksums.
-func (c *StreamCache) adoptDisk(key string) (string, bool) {
+func (c *StreamCache) adoptDisk(key string) (Recording, bool) {
+	if c.dir == "" {
+		return Recording{}, false
+	}
 	p := c.path(key)
 	st, err := OpenStream(p, 0)
 	if err != nil {
@@ -227,8 +294,8 @@ func (c *StreamCache) adoptDisk(key string) (string, bool) {
 			c.stats.Corrupt++
 			c.mu.Unlock()
 		}
-		return "", false
+		return Recording{}, false
 	}
 	st.Close()
-	return p, true
+	return Recording{Path: p}, true
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,29 +53,24 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, shared, record, err := c.GetOrReserve("k")
+			rec, record, err := c.GetOrReserve("k")
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if record {
-				if shared {
-					t.Error("record=true with shared=true")
-				}
-				if p, err = c.Fill("k", tr); err != nil {
+				if rec, err = c.Fill("k", tr); err != nil {
 					t.Error(err)
 					return
 				}
-			} else if !shared {
-				t.Error("non-recording caller saw shared=false")
 			}
 			mu.Lock()
 			if record {
 				records++
 			}
-			paths[p] = true
+			paths[rec.Path] = true
 			mu.Unlock()
-			st, err := OpenStream(p, 0)
+			st, err := rec.Open(0, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -98,6 +94,101 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestStreamCacheResident pins the directory-less mode: concurrent
+// callers of one key share a single recording through one zero-copy
+// resident view; Drop releases a filled key so it records again; a failed
+// recording — ErrUnsupported included — reaches the callers waiting on it
+// and releases the key; and Quarantine evicts a resident entry like a
+// file-backed one.
+func TestStreamCacheResident(t *testing.T) {
+	c, err := NewStreamCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := recordTestTrace(t, 1<<10)
+	const callers = 8
+	views := make([]*StreamTrace, callers)
+	var records atomic.Int32
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec, record, err := c.GetOrReserve("k")
+			if err == nil && record {
+				records.Add(1)
+				rec, err = c.Fill("k", tr)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rec.Path != "" {
+				t.Errorf("resident recording has a file %q", rec.Path)
+			}
+			if views[i], err = rec.Open(0, nil); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := records.Load(); n != 1 {
+		t.Fatalf("got %d recordings, want exactly 1", n)
+	}
+	for i, v := range views {
+		if v == nil || v != views[0] {
+			t.Fatalf("caller %d got view %p, want the one shared view %p", i, v, views[0])
+		}
+	}
+	if &views[0].ops[0] != &tr.ops[0] {
+		t.Fatal("resident view copied the recording's op arena")
+	}
+	replay(t, views[0], machine.TwoSocket(4, 1<<16, 1<<12), "sb", 7, nil)
+	if s := c.Stats(); s.Misses != 1 || s.Hits != callers-1 || s.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, %d hits, no disk hits", s, callers-1)
+	}
+
+	c.Drop("k")
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
+		t.Fatalf("after Drop: record=%v err=%v, want a fresh recording slot", record, err)
+	}
+	waiter := make(chan error, 1)
+	registered := make(chan struct{})
+	go func() {
+		close(registered)
+		_, _, err := c.GetOrReserve("k")
+		waiter <- err
+	}()
+	// As in TestStreamCacheFail: the waiter must be blocked on this
+	// reservation before the failure publishes, or it would re-record.
+	<-registered
+	time.Sleep(50 * time.Millisecond)
+	c.Fail("k", ErrUnsupported)
+	if err := <-waiter; !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("waiter got %v, want ErrUnsupported", err)
+	}
+	if s := c.Stats(); s.Fallbacks != 1 {
+		t.Fatalf("stats = %+v, want 1 fallback", s)
+	}
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
+		t.Fatalf("after Fail: record=%v err=%v, want a fresh recording slot", record, err)
+	}
+	if _, err := c.Fill("k", tr); err != nil {
+		t.Fatal(err)
+	}
+
+	if !c.Quarantine("k") {
+		t.Fatal("refused to quarantine a resident recording")
+	}
+	if s := c.Stats(); s.Quarantined != 1 {
+		t.Fatalf("stats = %+v, want 1 quarantined", s)
+	}
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
+		t.Fatalf("after Quarantine: record=%v err=%v, want re-record", record, err)
+	}
+	c.Fail("k", errors.New("cleanup"))
+}
+
 // TestStreamCacheAdoptsDisk checks that a fresh cache over an existing
 // directory adopts (and revalidates) a previous process's file instead
 // of re-recording.
@@ -108,10 +199,10 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordTestTrace(t, 1<<10)
-	if _, _, record, _ := c1.GetOrReserve("k"); !record {
+	if _, record, _ := c1.GetOrReserve("k"); !record {
 		t.Fatal("cold cache did not ask for a recording")
 	}
-	p1, err := c1.Fill("k", tr)
+	r1, err := c1.Fill("k", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +211,12 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, shared, record, err := c2.GetOrReserve("k")
+	r2, record, err := c2.GetOrReserve("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if record || !shared || p2 != p1 {
-		t.Fatalf("adoption: path=%q shared=%v record=%v, want %q true false", p2, shared, record, p1)
+	if record || r2.Path != r1.Path {
+		t.Fatalf("adoption: path=%q record=%v, want %q false", r2.Path, record, r1.Path)
 	}
 	if s := c2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("stats = %+v, want 1 disk hit", s)
@@ -144,12 +235,12 @@ func TestStreamCacheEvictsCorrupt(t *testing.T) {
 	if err := os.WriteFile(p, []byte("not a framed trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, shared, record, err := c.GetOrReserve("k")
+	_, record, err := c.GetOrReserve("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record || shared {
-		t.Fatalf("corrupt file: shared=%v record=%v, want false true", shared, record)
+	if !record {
+		t.Fatal("corrupt file was adopted instead of re-recorded")
 	}
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
 		t.Fatalf("corrupt file still on disk (stat err %v)", err)
@@ -166,7 +257,7 @@ func TestStreamCacheFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, record, _ := c.GetOrReserve("k"); !record {
+	if _, record, _ := c.GetOrReserve("k"); !record {
 		t.Fatal("cold cache did not ask for a recording")
 	}
 	boom := errors.New("kernel exploded")
@@ -174,7 +265,7 @@ func TestStreamCacheFail(t *testing.T) {
 	registered := make(chan struct{})
 	go func() {
 		close(registered)
-		_, _, _, err := c.GetOrReserve("k")
+		_, _, err := c.GetOrReserve("k")
 		done <- err
 	}()
 	// Let the waiter block on the reservation before it fails: a waiter
@@ -190,7 +281,7 @@ func TestStreamCacheFail(t *testing.T) {
 	}
 	// Fail releases the reservation: the key is recordable again, not
 	// wedged on the stale failure.
-	if _, _, record, err := c.GetOrReserve("k"); err != nil || !record {
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
 		t.Fatalf("post-Fail GetOrReserve: record=%v err=%v, want a fresh recording slot", record, err)
 	}
 	if _, err := c.Fill("k", recordTestTrace(t, 1<<10)); err != nil {
@@ -215,14 +306,14 @@ func TestStreamCacheFillWriteError(t *testing.T) {
 		return diskFull
 	}
 	tr := recordTestTrace(t, 1<<10)
-	if _, _, record, _ := c.GetOrReserve("k"); !record {
+	if _, record, _ := c.GetOrReserve("k"); !record {
 		t.Fatal("cold cache did not ask for a recording")
 	}
 	waiter := make(chan error, 1)
 	registered := make(chan struct{})
 	go func() {
 		close(registered)
-		_, _, _, err := c.GetOrReserve("k")
+		_, _, err := c.GetOrReserve("k")
 		waiter <- err
 	}()
 	// As in TestStreamCacheFail: the waiter must be blocked on this
@@ -246,15 +337,14 @@ func TestStreamCacheFillWriteError(t *testing.T) {
 
 	// Reservation released: with a healthy writer the key records fine.
 	c.writeFn = nil
-	p, _, record, err := c.GetOrReserve("k")
-	if err != nil || !record {
-		t.Fatalf("post-failure GetOrReserve: path=%q record=%v err=%v, want a fresh recording slot", p, record, err)
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
+		t.Fatalf("post-failure GetOrReserve: record=%v err=%v, want a fresh recording slot", record, err)
 	}
-	p, err = c.Fill("k", tr)
+	rec, err := c.Fill("k", tr)
 	if err != nil {
 		t.Fatalf("recording after writer recovery: %v", err)
 	}
-	st, err := OpenStream(p, 0)
+	st, err := rec.Open(0, nil)
 	if err != nil {
 		t.Fatalf("recovered file does not open: %v", err)
 	}
@@ -274,27 +364,27 @@ func TestStreamCacheQuarantine(t *testing.T) {
 		t.Fatal("quarantined a key that was never recorded")
 	}
 	tr := recordTestTrace(t, 1<<10)
-	if _, _, record, _ := c.GetOrReserve("k"); !record {
+	if _, record, _ := c.GetOrReserve("k"); !record {
 		t.Fatal("cold cache did not ask for a recording")
 	}
 	// In flight: the reservation is live, nothing published to distrust.
 	if c.Quarantine("k") {
 		t.Fatal("quarantined an in-flight recording")
 	}
-	p, err := c.Fill("k", tr)
+	rec, err := c.Fill("k", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Quarantine("k") {
 		t.Fatal("refused to quarantine a published recording")
 	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
+	if _, err := os.Stat(rec.Path); !os.IsNotExist(err) {
 		t.Fatalf("quarantined file still on disk (stat err %v)", err)
 	}
 	if s := c.Stats(); s.Quarantined != 1 {
 		t.Fatalf("stats = %+v, want 1 quarantined", s)
 	}
-	if _, _, record, err := c.GetOrReserve("k"); err != nil || !record {
+	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
 		t.Fatalf("post-quarantine GetOrReserve: record=%v err=%v, want re-record", record, err)
 	}
 	c.Fail("k", errors.New("cleanup"))
@@ -343,7 +433,7 @@ func TestBudgetSharedAccounting(t *testing.T) {
 	}
 	var fps []string
 	for _, st := range sts {
-		replayStream(t, st, m, "sb", 7)
+		replay(t, st, m, "sb", 7, nil)
 		fp, err := st.Fingerprint()
 		if err != nil {
 			t.Fatal(err)

@@ -196,15 +196,20 @@ func BenchTraceRecord(b *testing.B) {
 }
 
 // BenchReplayFig8 measures the steady-state replay grid: the quick-profile
-// Fig. 8 grid against a cache warmed before the timer, so every cell of
-// every iteration replays a recording instead of running kernel closures.
+// Fig. 8 grid against a directory-backed cache warmed before the timer,
+// so every cell of every iteration replays a recording from disk instead
+// of running kernel closures. (RunGrid evicts each group's recordings
+// from memory as the group finishes, so every iteration adopts the files
+// again and replays them through frame windows.)
 func BenchReplayFig8(b *testing.B) {
 	p := Quick()
 	p.Reps = 1
-	cache := dagtrace.NewCache("")
+	cache, err := dagtrace.NewStreamCache(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	warm := NewRunner(p, nullWriter{})
 	warm.Traces = cache
-	warm.KeepTraces = true
 	if _, err := warm.Fig8(); err != nil {
 		b.Fatal(err)
 	}
@@ -214,14 +219,13 @@ func BenchReplayFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(p, nullWriter{})
 		r.Traces = cache
-		r.KeepTraces = true
 		if _, err := r.Fig8(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "grid-wall-s")
 	s := cache.Stats()
-	hits := float64(s.Hits - before.Hits + s.DiskHits - before.DiskHits)
+	hits := float64(s.Hits - before.Hits)
 	total := hits + float64(s.Misses-before.Misses) + float64(s.Fallbacks-before.Fallbacks)
 	if total > 0 {
 		b.ReportMetric(hits/total, "trace-hit-rate")
@@ -351,7 +355,6 @@ func BenchGridFullscale(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(p, nullWriter{})
-		r.Traces = nil
 		r.Workers = 2
 		r.Shards = 1
 		rep, err := r.FullGrid([]string{"Quicksort"}, []string{"sb", "sbd"}, []int{4, 1})

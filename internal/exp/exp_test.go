@@ -169,3 +169,20 @@ func TestProfilesSane(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordFirst pins the dispatch policy RunGrid and FullGridRun share:
+// the first item of every key goes out ahead of the rest, and both parts
+// keep input order.
+func TestRecordFirst(t *testing.T) {
+	keys := []string{"a", "a", "b", "a", "c", "b"}
+	got := recordFirst([]int{0, 1, 2, 3, 4, 5}, func(i int) string { return keys[i] })
+	want := []int{0, 2, 4, 1, 3, 5}
+	if len(got) != len(want) {
+		t.Fatalf("recordFirst = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("recordFirst = %v, want %v", got, want)
+		}
+	}
+}

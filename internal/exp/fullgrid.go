@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -96,15 +95,15 @@ type FullGridReport struct {
 
 // FullGrid runs the kernels × schedNames × bands grid of full-scale
 // cells concurrently on r.Workers host goroutines. All cells of one
-// kernel share a single framed recording (r.FramedTraces when set, else
-// a grid-lifetime temp cache): the first cell to arrive records under
-// FullRecordSched, everyone else blocks on the cache and replays the
-// same file. Every cell's decoder window draws on one shared budget of
-// r.GridBudget bytes, so grid peak decoder memory tracks a single
-// cell's rather than multiplying by the worker count. Cells skip the
-// unsharded full-machine replay (the cell experiment's cross-check);
-// their results come from the sharded per-socket replay, which is where
-// the full-scale numbers come from anyway.
+// kernel share a single framed recording (through r.Traces when it has a
+// directory, else a grid-lifetime temp cache): the first cell to arrive
+// records under FullRecordSched, everyone else blocks on the cache and
+// replays the same file. Every cell's decoder window draws on one
+// shared budget of r.GridBudget bytes, so grid peak decoder memory
+// tracks a single cell's rather than multiplying by the worker count.
+// Cells skip the unsharded full-machine replay (the cell experiment's
+// cross-check); their results come from the sharded per-socket replay,
+// which is where the full-scale numbers come from anyway.
 func (r *Runner) FullGrid(kernels, schedNames []string, bands []int) (*FullGridReport, error) {
 	return r.FullGridRun(context.Background(), kernels, schedNames, bands, GridRunOpts{})
 }
@@ -195,25 +194,23 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		defer journal.Close()
 	}
 
-	cache := r.FramedTraces
-	if cache == nil {
-		if opts.RunDir != "" {
-			// Recordings live inside the run directory, so a resumed or
-			// retried process adopts them from disk instead of re-recording.
-			var err error
-			if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces"), 0); err != nil {
-				return nil, err
-			}
-		} else {
-			dir, err := os.MkdirTemp("", "fullgrid-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			if cache, err = dagtrace.NewStreamCache(dir, 0); err != nil {
-				return nil, err
-			}
+	cache := r.diskTraces()
+	switch {
+	case cache != nil:
+	case opts.RunDir != "":
+		// Recordings live inside the run directory, so a resumed or
+		// retried process adopts them from disk instead of re-recording.
+		var err error
+		if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces"), 0); err != nil {
+			return nil, err
 		}
+	default:
+		c, cleanup, err := privateTraces("fullgrid-")
+		if err != nil {
+			return nil, err
+		}
+		defer cleanup()
+		cache = c
 	}
 	before := cache.Stats()
 	budgetBytes := r.GridBudget
@@ -314,22 +311,8 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 			}
 		}()
 	}
-	// Record-first dispatch: the first pending cell of every kernel goes
-	// out ahead of the rest, so recordings start immediately and replay
-	// cells never occupy workers just to block on the cache.
-	seen := make(map[string]bool, len(kernels))
-	order := make([]int, 0, len(pending))
-	var rest []int
-	for _, i := range pending {
-		if seen[cells[i].Kernel] {
-			rest = append(rest, i)
-			continue
-		}
-		seen[cells[i].Kernel] = true
-		order = append(order, i)
-	}
 dispatch:
-	for _, i := range append(order, rest...) {
+	for _, i := range recordFirst(pending, func(i int) string { return cells[i].Kernel }) {
 		//schedlint:ignore nondeterminism dispatch racing cancellation; an undispatched cell is journal-pending either way
 		select {
 		case idx <- i:

@@ -44,7 +44,7 @@ func TestFullGridEquivalence(t *testing.T) {
 			r := NewRunner(Quick(), io.Discard)
 			r.ReplayWindow = 1 << 22
 			r.Shards = 1
-			r.FramedTraces = refCache
+			r.Traces = refCache
 			rep, err := r.FullCellAt("Quicksort", sn, b)
 			if err != nil {
 				t.Fatalf("FullCellAt(%s,%d): %v", sn, b, err)
@@ -81,7 +81,7 @@ func TestFullGridEquivalence(t *testing.T) {
 		r.Workers = cfg.workers
 		r.Shards = cfg.shards
 		r.GridBudget = cfg.budget
-		r.FramedTraces = cache
+		r.Traces = cache
 		rep, err := r.FullGrid(kernels, scheds, bands)
 		if err != nil {
 			t.Fatalf("grid %d (workers=%d): %v", i, cfg.workers, err)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -145,7 +144,7 @@ type FullCellReport struct {
 // full-scale cell run.
 type fullCellOpts struct {
 	linksUsed int                   // 0 = all machine links
-	cache     *dagtrace.StreamCache // nil = private temp recording
+	cache     *dagtrace.StreamCache // nil = private temp-dir cache
 	budget    *dagtrace.Budget      // shared window budget (nil = per-stream only)
 	unsharded bool                  // also replay unsharded on the full machine
 	window    int64                 // decoder window override (0 = r.ReplayWindow)
@@ -181,24 +180,48 @@ func (r *Runner) fullRecord(mk KernelFactory, m *machine.Desc, seed uint64) (*da
 	return tr, nil
 }
 
+// diskTraces returns r.Traces when it keeps its recordings as files —
+// the only form the full-scale paths can share — and nil otherwise.
+func (r *Runner) diskTraces() *dagtrace.StreamCache {
+	if r.Traces == nil || r.Traces.Dir() == "" {
+		return nil
+	}
+	return r.Traces
+}
+
+// privateTraces returns a trace cache over a fresh temp directory and the
+// function that removes it.
+func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
+	dir, err := os.MkdirTemp("", pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := dagtrace.NewStreamCache(dir, 0)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return c, func() { os.RemoveAll(dir) }, nil
+}
+
 // FullCell runs one full-scale grid cell end to end: record the kernel
 // live on the profile's machine (under FullRecordSched), frame the trace
 // to disk, reopen it through a window of r.ReplayWindow bytes, replay it
 // unsharded on the full machine, then partition it and replay it sharded
 // over the machine's sockets on r.Shards host goroutines. The sharded
 // fingerprint it reports is invariant under r.Shards; the driver's
-// fullscale-smoke CI job pins that by diffing two runs. When
-// r.FramedTraces is set the recording resolves through the shared grid
-// cache instead of a private temp file.
+// fullscale-smoke CI job pins that by diffing two runs. When r.Traces
+// has a directory the recording resolves through it — reused if already
+// there — instead of a private temp file.
 func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
-	return r.fullCell(kernel, schedName, fullCellOpts{cache: r.FramedTraces, unsharded: true})
+	return r.FullCellAt(kernel, schedName, 0)
 }
 
 // FullCellAt is FullCell at a bandwidth setting: linksUsed of the
 // machine's DRAM links in use (0 = all). It is the sequential reference
 // the grid equivalence tests compare against.
 func (r *Runner) FullCellAt(kernel, schedName string, linksUsed int) (*FullCellReport, error) {
-	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, cache: r.FramedTraces, unsharded: true})
+	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, cache: r.diskTraces(), unsharded: true})
 }
 
 func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellReport, error) {
@@ -227,74 +250,57 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		LinksUsed: links, Shards: r.Shards, Window: window, Degraded: o.degraded,
 	}
 
-	// Stage 1: resolve the framed recording — through the shared grid
-	// cache (one recording per kernel key, whoever gets there first) or a
-	// private temp file.
-	var path string
-	if o.cache != nil {
-		key := r.framedKey(kernel, m)
-		p, shared, record, err := o.cache.GetOrReserve(key)
+	// Stage 1: resolve the framed recording through the shared grid cache
+	// (one recording per kernel key, whoever gets there first) or a
+	// private one.
+	cache := o.cache
+	if cache == nil {
+		c, cleanup, err := privateTraces("fullscale-")
 		if err != nil {
-			return nil, fmt.Errorf("exp: full-scale shared record: %w", err)
+			return nil, err
 		}
-		if record {
-			//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
-			t0 := time.Now()
-			tr, err := r.fullRecord(mk, m, seed)
-			if err != nil {
-				o.cache.Fail(key, err)
-				return nil, err
-			}
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			rep.RecordSec = time.Since(t0).Seconds()
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			t0 = time.Now()
-			if p, err = o.cache.Fill(key, tr); err != nil {
-				return nil, fmt.Errorf("exp: full-scale frame: %w", err)
-			}
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			rep.WriteSec = time.Since(t0).Seconds()
-		} else {
-			rep.RecordShared = shared
-		}
-		path = p
-	} else {
+		defer cleanup()
+		cache = c
+	}
+	key := r.framedKey(kernel, m)
+	rec, record, err := cache.GetOrReserve(key)
+	if err != nil {
+		return nil, fmt.Errorf("exp: full-scale shared record: %w", err)
+	}
+	if record {
 		//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
 		t0 := time.Now()
 		tr, err := r.fullRecord(mk, m, seed)
 		if err != nil {
+			cache.Fail(key, err)
 			return nil, err
 		}
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		rep.RecordSec = time.Since(t0).Seconds()
-		dir, err := os.MkdirTemp("", "fullscale-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "cell.dgts")
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		t0 = time.Now()
-		if err := dagtrace.WriteFramed(tr, path, 0); err != nil {
+		if rec, err = cache.Fill(key, tr); err != nil {
 			return nil, fmt.Errorf("exp: full-scale frame: %w", err)
 		}
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		rep.WriteSec = time.Since(t0).Seconds()
+	} else {
+		rep.RecordShared = true
 	}
-	if fi, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(rec.Path); err == nil {
 		rep.TraceBytes = fi.Size()
 	}
 	// Release the arena before replaying: from here on, op bytes live only
-	// behind the window. (In the cache path the arena reference died with
-	// Fill's scope; the collector still needs the nudge before the replay
-	// allocates its address space.)
+	// behind the window. (The arena reference died with Fill's scope; the
+	// collector still needs the nudge before the replay allocates its
+	// address space.)
 	runtime.GC()
 
 	// Stage 2: reopen through the bounded window, charging the shared grid
 	// budget when one is set. Window size bounds decoder memory only —
 	// simulated results are invariant under it, which is what makes the
 	// supervisor's shrunken-window degraded mode safe.
-	st, err := dagtrace.OpenStreamBudget(path, window, o.budget)
+	st, err := rec.Open(window, o.budget)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale open: %w", err)
 	}

@@ -105,8 +105,11 @@ func TestGoldenDeterminism(t *testing.T) {
 // run of the kernel's closures under that scheduler. It also pins the two
 // auxiliary identities the design rests on: the recording run itself
 // matches the live run (attaching the recorder perturbs nothing), and
-// re-recording a replay reproduces the original trace (replay is a fixed
-// point of record).
+// re-recording a replay under the recording scheduler reproduces the
+// original trace (replay is a fixed point of record). RunGrid records
+// under whichever scheduler owns a group's first cell (cilk in Validate,
+// SB(σ) in Fig. 10) and FullCell under sb, so the race-trimmed kernels
+// are recorded under sb and cilk as well.
 func TestLiveReplayEquivalence(t *testing.T) {
 	p := Quick()
 	m := p.MachineHT()
@@ -138,7 +141,13 @@ func TestLiveReplayEquivalence(t *testing.T) {
 		kernels = trimmed
 		schedulers = []string{"ws", "sb"}
 	}
-	live := func(k KernelFactory, sc string, l sim.Listener) *sim.Result {
+	recorders := func(kernel string) []string {
+		if kernel == "rrm" || kernel == "quicksort" {
+			return []string{"ws", "sb", "cilk"}
+		}
+		return []string{"ws"}
+	}
+	live := func(t *testing.T, k KernelFactory, sc string, l sim.Listener) *sim.Result {
 		t.Helper()
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		kern := k(sp, m, p.Seed)
@@ -153,46 +162,64 @@ func TestLiveReplayEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	replay := func(tr *dagtrace.Trace, sc string, l sim.Listener) *sim.Result {
+	replay := func(t *testing.T, st *dagtrace.StreamTrace, sc string, l sim.Listener) *sim.Result {
 		t.Helper()
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		res, err := sim.Run(sim.Config{
 			Machine: m, Space: sp, Scheduler: SchedulerFactories(sc)[0](), Seed: p.Seed, Listener: l,
-		}, tr.Root())
+		}, st.Root())
 		if err != nil {
 			t.Fatalf("replay %s: %v", sc, err)
 		}
-		if err := tr.CheckResult(res); err != nil {
+		if err := st.CheckResult(res); err != nil {
 			t.Fatalf("replay %s: %v", sc, err)
 		}
 		return res
+	}
+	fingerprint := func(t *testing.T, st *dagtrace.StreamTrace) string {
+		t.Helper()
+		fp, err := st.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
 	}
 	for _, k := range kernels {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			rec := dagtrace.NewRecorder()
-			recRes := live(k.mk, "ws", rec)
-			tr, err := rec.Finish()
-			if err != nil {
-				t.Fatalf("recording: %v", err)
-			}
-			if got, want := recRes.Fingerprint(), live(k.mk, "ws", nil).Fingerprint(); got != want {
-				t.Fatalf("recording run diverged from plain live run")
-			}
-			for _, sc := range schedulers {
-				if got, want := replay(tr, sc, nil).Fingerprint(), live(k.mk, sc, nil).Fingerprint(); got != want {
-					t.Errorf("%s/%s: replay fingerprint differs from live", k.name, sc)
+			liveFP := map[string]string{}
+			liveOf := func(sc string) string {
+				if _, ok := liveFP[sc]; !ok {
+					liveFP[sc] = live(t, k.mk, sc, nil).Fingerprint()
 				}
+				return liveFP[sc]
 			}
-			rec2 := dagtrace.NewRecorder()
-			replay(tr, "ws", rec2)
-			tr2, err := rec2.Finish()
-			if err != nil {
-				t.Fatalf("re-recording replay: %v", err)
-			}
-			if tr.Fingerprint() != tr2.Fingerprint() {
-				t.Errorf("%s: trace of replay differs from original trace", k.name)
+			for _, rs := range recorders(k.name) {
+				rec := dagtrace.NewRecorder()
+				recRes := live(t, k.mk, rs, rec)
+				tr, err := rec.Finish()
+				if err != nil {
+					t.Fatalf("recording under %s: %v", rs, err)
+				}
+				if recRes.Fingerprint() != liveOf(rs) {
+					t.Fatalf("recording run under %s diverged from plain live run", rs)
+				}
+				st := dagtrace.Resident(tr)
+				for _, sc := range schedulers {
+					if replay(t, st, sc, nil).Fingerprint() != liveOf(sc) {
+						t.Errorf("%s recorded under %s: %s replay fingerprint differs from live", k.name, rs, sc)
+					}
+				}
+				rec2 := dagtrace.NewRecorder()
+				replay(t, st, rs, rec2)
+				tr2, err := rec2.Finish()
+				if err != nil {
+					t.Fatalf("re-recording %s replay: %v", rs, err)
+				}
+				if fingerprint(t, st) != fingerprint(t, dagtrace.Resident(tr2)) {
+					t.Errorf("%s: trace of a %s replay differs from the trace recorded under %s", k.name, rs, rs)
+				}
 			}
 		})
 	}

@@ -69,11 +69,11 @@ type Runner struct {
 	// Traces, when non-nil, records each distinct computation (kernel ×
 	// seed) once and replays the capture in every other cell sharing it —
 	// scheduler, bandwidth and cost sweeps re-simulate the identical DAG
-	// without re-running kernel closures. nil runs every cell live.
-	Traces *dagtrace.Cache
-	// KeepTraces retains traces in memory after their last grid cell
-	// finishes (default: evict per group to bound grid memory).
-	KeepTraces bool
+	// without re-running kernel closures. nil runs every RunGrid cell
+	// live. The full-scale paths (FullCell, FullGrid) share recordings
+	// through it only when it has a directory, because their recordings
+	// must be files; otherwise they use a cache of their own.
+	Traces *dagtrace.StreamCache
 	// Shards is the host-goroutine count for sharded full-scale replays
 	// (FullCell); it never changes results, only how many cores the fixed
 	// per-socket simulations are spread over. <1 means 1.
@@ -81,13 +81,6 @@ type Runner struct {
 	// ReplayWindow bounds the decoder-resident bytes of streamed replays
 	// (FullCell); 0 means dagtrace.DefaultWindowBytes.
 	ReplayWindow int64
-	// FramedTraces, when non-nil, resolves full-scale recordings through a
-	// shared on-disk framed-trace cache: one recording per (kernel, scale,
-	// seed, machine) key, shared by every scheduler × bandwidth cell of a
-	// grid — and, because files are content-addressed, across processes.
-	// nil gives every FullCell a private temp recording; FullGrid then
-	// builds a grid-lifetime cache of its own.
-	FramedTraces *dagtrace.StreamCache
 	// GridBudget is the FullGrid token bucket over decoder-resident window
 	// bytes, shared by every concurrent cell's stream; 0 means
 	// max(ReplayWindow, dagtrace.DefaultWindowBytes) — concurrent cells
@@ -95,10 +88,11 @@ type Runner struct {
 	GridBudget int64
 }
 
-// NewRunner returns a Runner writing tables to out, with an in-memory
-// trace cache enabled.
+// NewRunner returns a Runner writing tables to out, with a resident
+// (directory-less) trace cache enabled.
 func NewRunner(p Profile, out io.Writer) *Runner {
-	return &Runner{P: p, Out: out, Traces: dagtrace.NewCache("")}
+	traces, _ := dagtrace.NewStreamCache("", 0) // only creating a directory can fail
+	return &Runner{P: p, Out: out, Traces: traces}
 }
 
 // RunCell executes one cell: Reps repetitions with distinct seeds.
@@ -181,7 +175,11 @@ func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
 			}
 		}()
 	}
-	for _, i := range r.gridOrder(cells) {
+	all := make([]int, len(cells))
+	for i := range all {
+		all[i] = i
+	}
+	for _, i := range recordFirst(all, func(i int) string { return r.traceKey(cells[i], r.P.Seed) }) {
 		idx <- i
 	}
 	close(idx)

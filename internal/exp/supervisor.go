@@ -45,7 +45,7 @@ import (
 // the grid exactly like FullGrid: no journal, no deadline, no retries.
 type GridRunOpts struct {
 	// RunDir is the run's journal directory (manifest + cell records +
-	// the framed-trace cache when r.FramedTraces is unset). Empty
+	// the framed-trace cache when r.Traces has no directory). Empty
 	// disables journaling.
 	RunDir string
 	// Resume continues the journal already in RunDir instead of refusing

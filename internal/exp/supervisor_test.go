@@ -108,7 +108,7 @@ func TestFullGridResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rRef := newGridRunner(io.Discard)
-	rRef.FramedTraces = refCache
+	rRef.Traces = refCache
 	ref, err := rRef.FullGrid(kernels, scheds, bands)
 	if err != nil {
 		t.Fatalf("reference grid: %v", err)
@@ -210,7 +210,7 @@ func TestDegradedWindowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newGridRunner(io.Discard)
-	r.FramedTraces = cache
+	r.Traces = cache
 	normal, err := r.fullCell("Quicksort", "sb", fullCellOpts{linksUsed: 1, cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 	r := newGridRunner(io.Discard)
 	r.Workers = 2
 	r.GridBudget = 1
-	r.FramedTraces = cache
+	r.Traces = cache
 	rep, err := r.FullGrid([]string{"Quicksort"}, []string{"sb", "sbd"}, []int{1})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 		t.Fatalf("DegradedCells=%d out of range", rep.DegradedCells)
 	}
 	ref := newGridRunner(io.Discard)
-	ref.FramedTraces = cache
+	ref.Traces = cache
 	for _, c := range rep.Cells {
 		want, err := ref.FullCellAt(c.Kernel, c.Scheduler, c.LinksUsed)
 		if err != nil {

@@ -45,31 +45,41 @@ func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 		return r.liveRep(c, seed, nil)
 	}
 	key := r.traceKey(c, seed)
-	tr, rec, err := r.Traces.GetOrReserve(key)
+	rec, record, err := r.Traces.GetOrReserve(key)
 	switch {
-	case rec:
+	case record:
 		return r.recordRep(c, seed, key)
 	case err != nil:
 		// Recording was rejected (ErrUnsupported: futures) or failed — run
 		// live and untraced; a real simulation error will reproduce here.
 		return r.liveRep(c, seed, nil)
-	default:
-		return r.replayRep(c, seed, tr)
 	}
+	st, err := rec.Open(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return r.replayRep(c, seed, st)
 }
 
 // recordRep runs the cell live with a recorder attached and publishes the
-// outcome under key. Every path fills the reservation, so cache waiters
-// can never block on a recording that died.
+// outcome under key. Every path fills or fails the reservation, so cache
+// waiters can never block on a recording that died.
 func (r *Runner) recordRep(c Cell, seed uint64, key string) (*sim.Result, error) {
 	rec := dagtrace.NewRecorder()
 	res, err := r.liveRep(c, seed, rec)
 	if err != nil {
-		r.Traces.Fill(key, nil, err)
+		r.Traces.Fail(key, err)
 		return nil, err
 	}
-	tr, terr := rec.Finish()
-	r.Traces.Fill(key, tr, terr)
+	tr, err := rec.Finish()
+	if err != nil {
+		r.Traces.Fail(key, err)
+		return res, nil
+	}
+	// A failed write reaches the key's waiters, which then run live; this
+	// cell's live result stands either way.
+	_, _ = r.Traces.Fill(key, tr)
 	return res, nil
 }
 
@@ -99,7 +109,7 @@ func (r *Runner) liveRep(c Cell, seed uint64, l sim.Listener) (*sim.Result, erro
 // cost model and bandwidth. Kernel.Verify is skipped — a replay moves no
 // program data to verify — and the trace's structural check (task, strand
 // and access counts against the live recording) takes its place.
-func (r *Runner) replayRep(c Cell, seed uint64, tr *dagtrace.Trace) (*sim.Result, error) {
+func (r *Runner) replayRep(c Cell, seed uint64, st *dagtrace.StreamTrace) (*sim.Result, error) {
 	sp := mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize())
 	res, err := sim.Run(sim.Config{
 		Machine:   c.Machine,
@@ -107,38 +117,31 @@ func (r *Runner) replayRep(c Cell, seed uint64, tr *dagtrace.Trace) (*sim.Result
 		Scheduler: c.MakeS(),
 		Cost:      c.Cost,
 		Seed:      seed,
-	}, tr.Root())
+	}, st.Root())
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.CheckResult(res); err != nil {
+	if err := st.CheckResult(res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// gridOrder returns the execution order for cells: the first cell of each
-// trace group (same key → same recording) is scheduled ahead of everything
-// else, so recordings start immediately and replay cells never sit behind
-// unrelated record work.
-func (r *Runner) gridOrder(cells []Cell) []int {
-	order := make([]int, 0, len(cells))
-	if r.Traces == nil {
-		for i := range cells {
+// recordFirst orders the items so the first item of every recording key
+// is dispatched ahead of the rest, each part in input order: recordings
+// start immediately, and cells that replay them never occupy workers only
+// to block on the cache behind unrelated record work.
+func recordFirst(items []int, key func(int) string) []int {
+	seen := make(map[string]bool, len(items))
+	order := make([]int, 0, len(items))
+	var rest []int
+	for _, i := range items {
+		if k := key(i); seen[k] {
+			rest = append(rest, i)
+		} else {
+			seen[k] = true
 			order = append(order, i)
 		}
-		return order
-	}
-	seen := make(map[string]bool, len(cells))
-	var rest []int
-	for i := range cells {
-		g := r.traceKey(cells[i], r.P.Seed)
-		if seen[g] {
-			rest = append(rest, i)
-			continue
-		}
-		seen[g] = true
-		order = append(order, i)
 	}
 	return append(order, rest...)
 }
@@ -146,9 +149,9 @@ func (r *Runner) gridOrder(cells []Cell) []int {
 // groupCounters maps each cell to a shared countdown of its trace group's
 // unfinished cells, so RunGrid can evict a group's traces the moment its
 // last cell completes (bounding grid memory to the groups in flight).
-// Returns nil when eviction is off (no cache, or KeepTraces).
+// Returns nil without a cache.
 func (r *Runner) groupCounters(cells []Cell) []*int32 {
-	if r.Traces == nil || r.KeepTraces {
+	if r.Traces == nil {
 		return nil
 	}
 	byKey := make(map[string]*int32, len(cells))
@@ -166,8 +169,8 @@ func (r *Runner) groupCounters(cells []Cell) []*int32 {
 	return counters
 }
 
-// dropTraces evicts every repetition key of c's group from the in-memory
-// cache (disk spills survive).
+// dropTraces evicts every repetition key of c's group from the cache's
+// memory (files survive).
 func (r *Runner) dropTraces(c Cell) {
 	reps := r.P.Reps
 	if reps < 1 {

@@ -37,7 +37,7 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := dagtrace.PartitionTrace(tr, k)
+	p, err := dagtrace.PartitionStream(dagtrace.Resident(tr), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestShardCountInvariance(t *testing.T) {
 
 // TestShardStreamedReplay runs the sharded replay over a framed trace:
 // concurrent sub-simulations lease scripts from one shared frame window,
-// and the result must match the whole-arena sharded replay exactly.
+// and the result must match the resident sharded replay exactly.
 func TestShardStreamedReplay(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, arenaRoots := recordParts(t, m, 4)
+	tr, residentRoots := recordParts(t, m, 4)
 	path := t.TempDir() + "/trace.dgts"
 	if err := dagtrace.WriteFramed(tr, path, 512); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestShardStreamedReplay(t *testing.T) {
 	}
 	cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.NewWS() }, Seed: 11}
 	cfg.Shards = 1
-	arena, err := Replay(cfg, arenaRoots)
+	resident, err := Replay(cfg, residentRoots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestShardStreamedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if res.Fingerprint() != arena.Fingerprint() {
-			t.Errorf("shards=%d: streamed sharded replay differs from arena sharded replay", shards)
+		if res.Fingerprint() != resident.Fingerprint() {
+			t.Errorf("shards=%d: streamed sharded replay differs from resident sharded replay", shards)
 		}
 	}
 	if peak := st.PeakResidentBytes(); peak >= st.OpBytes() {
