@@ -60,14 +60,21 @@ bench-compare:
 # bench-replay gates the record/replay subsystem: the live-vs-replay
 # equivalence suite must actually run and pass (the grep rejects a log
 # where it was skipped or filtered away), a quick Fig. 8 grid must
-# resolve at least half of its cells from the trace cache, and two runs
-# over one -tracecache directory must round-trip its recordings: the
-# second run adopts the DGTS files the first wrote and records nothing.
+# resolve at least half of its cells from the trace cache and print the
+# same tables (every line but the # comments) as the grid run all live
+# with -notrace, and two runs over one -tracecache directory must
+# round-trip its recordings: the second run adopts the DGTS files the
+# first wrote and records nothing.
 bench-replay:
 	@mkdir -p bin
 	$(GO) test ./internal/exp/ -run TestLiveReplayEquivalence -count=1 -v > bin/replay_equiv.log 2>&1 || { cat bin/replay_equiv.log; exit 1; }
 	grep -q -- "--- PASS: TestLiveReplayEquivalence" bin/replay_equiv.log
-	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -mintracehit 50
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -mintracehit 50 > bin/fig8_traced.txt || { cat bin/fig8_traced.txt; exit 1; }
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -notrace > bin/fig8_live.txt
+	grep -v '^#' bin/fig8_traced.txt > bin/fig8_traced.tables
+	grep -v '^#' bin/fig8_live.txt > bin/fig8_live.tables
+	diff bin/fig8_traced.tables bin/fig8_live.tables
+	@grep '^# trace cache:' bin/fig8_traced.txt; echo "bench-replay: traced fig8 tables equal the all-live run"
 	rm -rf bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache -mintracehit 100

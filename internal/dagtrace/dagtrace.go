@@ -1,4 +1,4 @@
-// Package dagtrace captures one simulated execution of a deterministic
+// Package dagtrace captures the computation of a deterministic
 // nested-parallel program as a compact, schedule-independent trace, and
 // replays it under any scheduler, cost model or bandwidth setting.
 //
@@ -11,14 +11,17 @@
 // computation.) A Trace records the spawn/sync tree — one node per strand,
 // with the task and strand space declarations space-bounded schedulers
 // read — plus each strand's access script (delta-encoded addresses,
-// read/write bits, interleaved compute charges). A StreamTrace replays a
-// recording — straight from a Trace still in memory (Resident) or through
-// the bounded frame window of a DGTS file (NewStream) — feeding the
-// identical op stream through the cache simulator via the ordinary job.Job
-// interface, so a replay run is bit-identical to a live run under the same
-// (machine, scheduler, cost model, seed): the golden equivalence suite in
-// internal/exp pins this. A StreamCache records each computation once and
-// hands every other cell of a grid its recording.
+// read/write bits, interleaved compute charges). Record captures it by
+// running the program sequentially, with nothing simulated; a Recorder
+// attached to a live simulation captures the same computation. A
+// StreamTrace replays a recording — straight from a Trace still in memory
+// (Resident) or through the bounded frame window of a DGTS file
+// (NewStream) — feeding the identical op stream through the cache
+// simulator via the ordinary job.Job interface, so a replay run is
+// bit-identical to a live run under the same (machine, scheduler, cost
+// model, seed): the golden equivalence suite in internal/exp pins this. A
+// StreamCache records each computation once and hands every cell of a
+// grid its recording.
 //
 // Traces only capture pure fork/join programs: futures (ForkFuture /
 // ForkAwait) introduce cross-task dependencies whose replay order the

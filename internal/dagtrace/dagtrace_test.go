@@ -48,6 +48,17 @@ func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trac
 	return tr, res
 }
 
+// recordSeq records testProgram sequentially, without simulating it.
+func recordSeq(t *testing.T, m *machine.Desc) *Trace {
+	t.Helper()
+	sp := mem.NewSpace(m.Links, m.Links)
+	tr, err := Record(testProgram(sp, 512), m.Block())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // replay runs a replay of st and checks it against the recording.
 func replay(t *testing.T, st *StreamTrace, m *machine.Desc, schedName string, seed uint64, l sim.Listener) *sim.Result {
 	t.Helper()
@@ -75,9 +86,9 @@ func fingerprint(t *testing.T, st *StreamTrace) string {
 }
 
 // TestReplayMatchesLiveAcrossSchedulers is the core soundness property:
-// record once (under ws), replay under every scheduler, and require the
-// replay Result fingerprint to be bit-identical to a live run under that
-// scheduler.
+// record once — live under ws, and sequentially with Record — replay under
+// every scheduler, and require each replay's Result fingerprint to be
+// bit-identical to a live run under that scheduler.
 func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	const seed = 7
@@ -85,7 +96,10 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 	if tr.TaskCount != recRes.Tasks || tr.StrandCount != recRes.Strands {
 		t.Fatalf("trace counts %d/%d, result %d/%d", tr.TaskCount, tr.StrandCount, recRes.Tasks, recRes.Strands)
 	}
-	st := Resident(tr)
+	traces := []struct {
+		name string
+		st   *StreamTrace
+	}{{"live", Resident(tr)}, {"sequential", Resident(recordSeq(t, m))}}
 	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
 		sp := mem.NewSpace(m.Links, m.Links)
 		live, err := sim.Run(sim.Config{
@@ -94,11 +108,78 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s live: %v", sn, err)
 		}
-		rep := replay(t, st, m, sn, seed, nil)
-		if live.Fingerprint() != rep.Fingerprint() {
-			t.Errorf("%s: live fingerprint != replay fingerprint\nlive:   %s\nreplay: %s",
-				sn, live.Fingerprint(), rep.Fingerprint())
+		for _, tc := range traces {
+			rep := replay(t, tc.st, m, sn, seed, nil)
+			if live.Fingerprint() != rep.Fingerprint() {
+				t.Errorf("%s, %s recording: live fingerprint != replay fingerprint\nlive:   %s\nreplay: %s",
+					sn, tc.name, live.Fingerprint(), rep.Fingerprint())
+			}
 		}
+	}
+}
+
+// TestRecordMatchesLiveRecording: a sequential recording captures the
+// same computation as a live one — the same totals and op volume — and
+// recording a replay of it sequentially reproduces it exactly, node
+// order included.
+func TestRecordMatchesLiveRecording(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	live, _ := record(t, m, "sb", 7)
+	seq := recordSeq(t, m)
+	if seq.TaskCount != live.TaskCount || seq.StrandCount != live.StrandCount ||
+		seq.AccessOps != live.AccessOps || seq.WorkOps != live.WorkOps || seq.OpBytes() != live.OpBytes() {
+		t.Fatalf("sequential recording %d tasks / %d strands / %d accesses / %d work ops / %d op bytes, live %d / %d / %d / %d / %d",
+			seq.TaskCount, seq.StrandCount, seq.AccessOps, seq.WorkOps, seq.OpBytes(),
+			live.TaskCount, live.StrandCount, live.AccessOps, live.WorkOps, live.OpBytes())
+	}
+	st := Resident(seq)
+	again, err := Record(st.Root(), m.Block())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(t, st) != fingerprint(t, Resident(again)) {
+		t.Fatal("sequential recording of a replay differs from the original recording")
+	}
+}
+
+// TestRecordFailsOnBadStrands: a strand that panics, and a strand that
+// forks twice, end a sequential recording with an error instead of
+// crashing the caller.
+func TestRecordFailsOnBadStrands(t *testing.T) {
+	leaf := job.FuncJob(func(ctx job.Ctx) { ctx.Work(1) })
+	for name, root := range map[string]job.Job{
+		"panic": job.FuncJob(func(ctx job.Ctx) {
+			ctx.Fork(nil, leaf, job.FuncJob(func(job.Ctx) { panic("kernel bug") }))
+		}),
+		"double fork": job.FuncJob(func(ctx job.Ctx) {
+			ctx.Fork(nil, leaf)
+			ctx.Fork(nil, leaf)
+		}),
+	} {
+		tr, err := Record(root, 64)
+		if err == nil || tr != nil {
+			t.Errorf("%s: Record = %v, %v; want an error", name, tr, err)
+		}
+	}
+}
+
+// TestFingerprintCountsOpSplit: two traces with the same nodes and the
+// same concatenated op stream, split between the strands at different
+// bytes, are different recordings and must fingerprint differently.
+func TestFingerprintCountsOpSplit(t *testing.T) {
+	split := func(at int64) *StreamTrace {
+		return Resident(&Trace{
+			TaskCount: 2, StrandCount: 2,
+			nodes: []node{
+				{taskSize: -1, strandSize: -1, opOff: 0, opEnd: at, cont: -1, childOff: 0, childEnd: 1},
+				{taskSize: -1, strandSize: -1, opOff: at, opEnd: 3, cont: -1, childOff: 1, childEnd: 1},
+			},
+			ops:      []byte{byte(opWork) | 1<<opTagBits, byte(opWork) | 2<<opTagBits, byte(opWork) | 3<<opTagBits},
+			childIdx: []int32{1},
+		})
+	}
+	if fingerprint(t, split(1)) == fingerprint(t, split(2)) {
+		t.Fatal("traces that split one op stream differently share a fingerprint")
 	}
 }
 
@@ -121,7 +202,8 @@ func TestTraceOfReplayIsIdentical(t *testing.T) {
 }
 
 // TestFutureProgramsAreRejected: a ForkFuture program must abort recording
-// with ErrUnsupported (callers fall back to live execution).
+// with ErrUnsupported, live or sequential (callers fall back to live
+// execution).
 func TestFutureProgramsAreRejected(t *testing.T) {
 	m := machine.Flat(2, 1<<14)
 	sp := mem.NewSpace(1, 1)
@@ -139,5 +221,8 @@ func TestFutureProgramsAreRejected(t *testing.T) {
 	}
 	if _, err := rec.Finish(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Finish = %v, want ErrUnsupported", err)
+	}
+	if _, err := Record(root, m.Block()); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Record = %v, want ErrUnsupported", err)
 	}
 }

@@ -18,10 +18,12 @@ package dagtrace
 // by the recorded trace: subtree weights are op-byte counts (a proxy for
 // simulated work), each step cuts the heaviest remaining child edge on the
 // spine (the continuation chain of the piece root) of the heaviest piece,
-// and every tie breaks by lowest node index. No map iteration, no
-// randomness: the same trace and K always yield the same pieces,
-// whatever the host parallelism — the foundation of the shard-count
-// invariance guarantee.
+// and every tie breaks structurally: earliest piece in cut order, then
+// first in spine order, then lowest child slot — never by node index, so
+// the pieces do not depend on the order a recording numbered its nodes.
+// No map iteration, no randomness: the same trace and K always yield the
+// same pieces, whatever the host parallelism — the foundation of the
+// shard-count invariance guarantee.
 
 import (
 	"fmt"
@@ -82,7 +84,8 @@ func PartitionStream(t *StreamTrace, k int) (*Partition, error) {
 	}
 	for len(pieces) < k {
 		// Heaviest piece first (ties: earliest piece), heaviest un-cut
-		// child edge on its spine (ties: lowest node, lowest slot).
+		// child edge on its spine (ties: first in spine order, lowest
+		// slot).
 		order := make([]int, len(pieces))
 		for i := range order {
 			order[i] = i

@@ -25,12 +25,14 @@ type recNode struct {
 	forkChildren int
 }
 
-// Recorder implements sim.TraceListener: pass it as Config.Listener on one
-// live run, then call Finish for the captured Trace. It keys its maps by
-// strand and task IDs — never retaining the pointers an event delivers —
-// and declares that through sim.PoolSafe, so the engine keeps its
-// task/strand pooling on while recording (the dominant cost of a record
-// cell is otherwise the pool-less allocation churn).
+// Recorder implements sim.TraceListener and builds a Trace from the
+// program events it receives: from Record's sequential run, or — passed
+// as Config.Listener — from one live simulation; then Finish returns the
+// captured Trace. It keys its maps by strand and task IDs — never
+// retaining the pointers an event delivers — and declares that through
+// sim.PoolSafe, so the engine keeps its task/strand pooling on while
+// recording (the dominant cost of a live record run is otherwise the
+// pool-less allocation churn), and Record recycles its records too.
 //
 // A Recorder is single-use and must only observe one run.
 type Recorder struct {

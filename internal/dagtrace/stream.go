@@ -53,8 +53,11 @@ const (
 
 	// DefaultFrameSize is the frame granularity WriteFramed uses when the
 	// caller passes 0: large enough to amortize ReadAt and checksum cost,
-	// small enough that a 16-frame window stays well under typical L3.
-	DefaultFrameSize = 1 << 20
+	// small enough that a 1 MiB window (the degraded-mode floor) still
+	// holds 16 frames. A replay fetches scripts from as many places in
+	// the file as its schedule has subtrees in flight, and a window of a
+	// few large frames reloads them over and over.
+	DefaultFrameSize = 64 << 10
 
 	// DefaultWindowBytes is the frame-window budget NewStream applies when
 	// the caller passes 0.
@@ -419,6 +422,15 @@ func (t *StreamTrace) PeakResidentBytes() int64 {
 	return t.win.peak
 }
 
+// FrameLoads reports how many frames the window has read from the file so
+// far, over every replay of this view; a replay that streams the file in
+// order loads each frame once. A resident view reports 0.
+func (t *StreamTrace) FrameLoads() int64 {
+	t.win.mu.Lock()
+	defer t.win.mu.Unlock()
+	return t.win.loads
+}
+
 // CheckResult verifies that a replay run executed the full recorded
 // computation: task and strand counts must match the live run's, and the
 // number of simulated accesses (every access hits or misses the innermost
@@ -450,25 +462,27 @@ func (t *StreamTrace) CheckResult(res *sim.Result) error {
 }
 
 // Fingerprint returns a hex SHA-256 over the trace's canonical content —
-// counts, node table, child lists and op streams — streaming a windowed
-// view's op bytes through the hash one frame at a time. WriteFramed
-// followed by NewStream preserves the fingerprint of the Resident view bit
-// for bit, and recording a replay run must reproduce it too; the golden
-// equivalence suite asserts both.
+// counts, node table (each node's op length included, so the split of the
+// op stream across strands counts), child lists and op streams —
+// streaming a windowed view's op bytes through the hash one frame at a
+// time. WriteFramed followed by NewStream preserves the fingerprint of the
+// Resident view bit for bit, and recording a replay run must reproduce it
+// too; the golden equivalence suite asserts both.
 func (t *StreamTrace) Fingerprint() (string, error) {
 	h := sha256.New()
-	var buf [8 * 4]byte
+	var buf [8 * 5]byte
 	binary.LittleEndian.PutUint64(buf[0:], t.TaskCount)
 	binary.LittleEndian.PutUint64(buf[8:], t.StrandCount)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(t.AccessOps))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(t.root))
-	h.Write(buf[:])
+	h.Write(buf[:32])
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		binary.LittleEndian.PutUint64(buf[0:], uint64(n.taskSize))
 		binary.LittleEndian.PutUint64(buf[8:], uint64(n.strandSize))
 		binary.LittleEndian.PutUint64(buf[16:], uint64(n.cont))
 		binary.LittleEndian.PutUint64(buf[24:], uint64(int64(n.childEnd)-int64(n.childOff)))
+		binary.LittleEndian.PutUint64(buf[32:], uint64(n.opEnd-n.opOff))
 		h.Write(buf[:])
 	}
 	for _, ci := range t.childIdx {
@@ -536,6 +550,10 @@ type window struct {
 	residentBytes int64
 	leasedBytes   int64
 	peak          int64
+	// loads counts the frames read from the file into the window; how far
+	// it exceeds the frame count shows how poorly a replay's fetch order
+	// fits the file's node order.
+	loads int64
 
 	// free recycles lease buffers; spare recycles evicted frame buffers.
 	free  [][]byte
@@ -699,6 +717,7 @@ func (w *window) frame(t *StreamTrace, f int64) ([]byte, error) {
 	}
 	w.frames[f] = data
 	w.lastUse[f] = w.clock
+	w.loads++
 	w.resident = append(w.resident, f)
 	w.residentBytes += int64(len(data))
 	w.shared.charge(int64(len(data)))

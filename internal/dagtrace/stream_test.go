@@ -96,6 +96,14 @@ func TestStreamBoundedWindow(t *testing.T) {
 		t.Fatalf("peak resident %d not below op stream size %d; window is not bounding memory",
 			st.PeakResidentBytes(), st.OpBytes())
 	}
+	// Every frame enters the window at least once; a resident view has no
+	// window to load into.
+	if frames := (st.OpBytes() + frameSize - 1) / frameSize; st.FrameLoads() < frames {
+		t.Fatalf("windowed replay loaded %d frames, fewer than the %d its op stream spans", st.FrameLoads(), frames)
+	}
+	if n := Resident(tr).FrameLoads(); n != 0 {
+		t.Fatalf("resident view reports %d frame loads", n)
+	}
 }
 
 // TestStreamWindowReuse replays the same StreamTrace twice (grid cells

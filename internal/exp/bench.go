@@ -165,9 +165,10 @@ func BenchGridFig8(b *testing.B) {
 }
 
 // BenchTraceRecord measures the capture side of record-once/replay-
-// everywhere: a live quicksort run with a Recorder attached, reported per
-// recorded op (accesses + work segments) together with the encoded trace
-// density.
+// everywhere: a sequential recording of the quick-profile quicksort
+// (dagtrace.Record — the kernel's closures plus the recorder, nothing
+// simulated), reported per recorded op (accesses + work segments)
+// together with the encoded trace density.
 func BenchTraceRecord(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
@@ -178,13 +179,7 @@ func BenchTraceRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		k := mk(sp, m, p.Seed)
-		rec := dagtrace.NewRecorder()
-		if _, err := sim.Run(sim.Config{
-			Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: p.Seed, Listener: rec,
-		}, k.Root()); err != nil {
-			b.Fatal(err)
-		}
-		tr, err := rec.Finish()
+		tr, err := dagtrace.Record(k.Root(), m.Block())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,26 +227,19 @@ func BenchReplayFig8(b *testing.B) {
 	}
 }
 
-// benchStream records the quick-profile quicksort once, frames it to a
-// temp file, and opens it through a window of the given byte budget. The
-// file and stream are cleaned up with the benchmark. Recording runs under
-// sb — the scheduler the replay benchmarks use — so the op stream's frame
-// order matches the replay's access order, as it does in the FullCell
-// pipeline (a replay whose schedule diverges from the recording order
-// still works, but re-fetches frames instead of streaming them).
+// benchStream records the quick-profile quicksort once, sequentially as
+// FullCell does, frames it to a temp file, and opens it through a window
+// of the given byte budget. The file and stream are cleaned up with the
+// benchmark. The file holds the strands in sequential spawn order, each
+// subtree contiguous, so a replay fetches frames in the order its
+// schedule reaches the subtrees.
 func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamTrace) {
 	b.Helper()
 	p := Quick()
 	m := p.MachineHT()
 	sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 	k := p.QuicksortFactory()(sp, m, p.Seed)
-	rec := dagtrace.NewRecorder()
-	if _, err := sim.Run(sim.Config{
-		Machine: m, Space: sp, Scheduler: sched.New("sb"), Seed: p.Seed, Listener: rec,
-	}, k.Root()); err != nil {
-		b.Fatal(err)
-	}
-	tr, err := rec.Finish()
+	tr, err := dagtrace.Record(k.Root(), m.Block())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,6 +260,9 @@ func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamT
 // window an order of magnitude smaller than its op stream. The headline
 // metric is decoded op-stream bytes per second; the decoder's resident
 // high-water mark is reported so eviction-policy regressions are visible.
+// The window holds a single frame while the 64 workers interleave
+// subtrees that lie in different frames, so this replay reloads frames
+// far more often than it streams them (DESIGN.md §10).
 // It replays under the sb scheduler — same as the FullCell pipeline and
 // BenchShardedReplay, so the two replay-wall figures are comparable.
 func BenchWindowedDecode(b *testing.B) {

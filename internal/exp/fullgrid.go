@@ -4,11 +4,10 @@ package exp
 // bandwidth cell at a FullScale profile, sharing one framed recording
 // per kernel and one decoder-memory budget across concurrently
 // replaying cells. A K-kernel, S-scheduler, B-bandwidth grid performs K
-// recordings (not K·S·B) — the record stage is over half of a cell's
-// wall-clock, so the grid amortizes the dominant cost — and its
-// per-cell fingerprints are bit-identical to running each cell alone
-// through FullCellAt, invariant under -shards, worker count and budget
-// (pinned by TestFullGridEquivalence).
+// recordings (not K·S·B), so the grid amortizes the record and frame
+// stages, and its per-cell fingerprints are bit-identical to running
+// each cell alone through FullCellAt, invariant under -shards, worker
+// count and budget (pinned by TestFullGridEquivalence).
 //
 // FullGridRun is the supervised entry point (journal, resume, deadline,
 // retries, degraded mode — see supervisor.go); FullGrid is the
@@ -97,8 +96,8 @@ type FullGridReport struct {
 // cells concurrently on r.Workers host goroutines. All cells of one
 // kernel share a single framed recording (through r.Traces when it has a
 // directory, else a grid-lifetime temp cache): the first cell to arrive
-// records under FullRecordSched, everyone else blocks on the cache and
-// replays the same file. Every cell's decoder window draws on one
+// records it, everyone else blocks on the cache and replays the same
+// file. Every cell's decoder window draws on one
 // shared budget of r.GridBudget bytes, so grid peak decoder memory
 // tracks a single cell's rather than multiplying by the worker count.
 // Cells skip the unsharded full-machine replay (the cell experiment's

@@ -80,16 +80,13 @@ func (p Profile) FullKernelFactory(name string) (KernelFactory, error) {
 	return nil, fmt.Errorf("exp: unknown kernel %q (want RRM, RRG, Quicksort, Samplesort, AwareSamplesort, Quad-Tree or MatMul)", name)
 }
 
-// FullRecordSched is the canonical scheduler every full-scale recording
-// runs under. A recording's semantics (ops, addresses, dependencies) are
-// schedule-independent, but its layout is not: node numbering follows
-// the recording execution order, and the partitioner breaks ties on node
-// indices. Pinning one recording scheduler makes the framed file — and
-// therefore every replay fingerprint derived from it — a pure function
-// of (kernel, scale, seed, machine), which is what lets a grid share one
-// recording across cells and still match the one-cell-at-a-time path
-// bit for bit. sb is the paper's reference scheduler and the cheapest to
-// simulate at full scale.
+// FullRecordSched is the scheduler full-scale recordings were once made
+// under, live. Recording is now sequential and schedule-free
+// (dagtrace.Record), so it no longer fixes a file's layout; the name
+// survives as the tag in framedKey, which keeps the keys of existing
+// -tracecache files and run journals valid. A file recorded live under sb
+// holds the same computation in another node order and replays
+// identically.
 const FullRecordSched = "sb"
 
 // FullCellReport is the outcome of one full-scale cell.
@@ -125,12 +122,17 @@ type FullCellReport struct {
 	Resumed bool
 
 	// Host wall-clock of each pipeline stage, in seconds.
-	RecordSec   float64 // live run + recording (0 when RecordShared)
+	RecordSec   float64 // sequential recording + output check (0 when RecordShared)
 	WriteSec    float64 // framing to disk (0 when RecordShared)
 	ReplaySec   float64 // unsharded streamed replay, full machine
 	ShardedSec  float64 // sharded streamed replay (Shards goroutines)
 	PeakSysMB   float64 // runtime.MemStats.Sys after the replays
 	PeakWindowB int64   // decoder-resident high-water mark (window + leases)
+	// ReplayLoads and ShardedLoads count the frames the window read from
+	// the file during the unsharded and the sharded replay: the read
+	// amplification of each replay's access order against the file's
+	// node order.
+	ReplayLoads, ShardedLoads int64
 
 	// Simulated results.
 	ReplayWall  int64  // unsharded makespan, cycles (0 in grid cells)
@@ -153,31 +155,10 @@ type fullCellOpts struct {
 
 // framedKey is the grid cache identity of a kernel's framed recording:
 // the schedule-independent computation key (same discipline as traceKey
-// — scheduler, bandwidth and cost are absent) plus the canonical
-// recording scheduler, which fixes the file's layout.
+// — scheduler, bandwidth and cost are absent) plus the FullRecordSched
+// tag that every existing file's key carries.
 func (r *Runner) framedKey(kernel string, m *machine.Desc) string {
 	return r.traceKey(Cell{Label: kernel, Machine: m}, r.P.Seed) + "|framed:rec=" + FullRecordSched
-}
-
-// fullRecord runs the kernel live under the canonical recording
-// scheduler with a recorder attached and returns the finished trace.
-func (r *Runner) fullRecord(mk KernelFactory, m *machine.Desc, seed uint64) (*dagtrace.Trace, error) {
-	sp := mem.NewSpacePaged(m.Links, m.Links, r.P.PageSize())
-	k := mk(sp, m, seed)
-	rec := dagtrace.NewRecorder()
-	if _, err := sim.Run(sim.Config{
-		Machine: m, Space: sp, Scheduler: sched.New(FullRecordSched), Seed: seed, Listener: rec,
-	}, k.Root()); err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: %w", err)
-	}
-	if err := k.Verify(); err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: output verification failed: %w", err)
-	}
-	tr, err := rec.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: %w", err)
-	}
-	return tr, nil
 }
 
 // diskTraces returns r.Traces when it keeps its recordings as files —
@@ -205,14 +186,14 @@ func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
 }
 
 // FullCell runs one full-scale grid cell end to end: record the kernel
-// live on the profile's machine (under FullRecordSched), frame the trace
-// to disk, reopen it through a window of r.ReplayWindow bytes, replay it
-// unsharded on the full machine, then partition it and replay it sharded
-// over the machine's sockets on r.Shards host goroutines. The sharded
-// fingerprint it reports is invariant under r.Shards; the driver's
-// fullscale-smoke CI job pins that by diffing two runs. When r.Traces
-// has a directory the recording resolves through it — reused if already
-// there — instead of a private temp file.
+// sequentially for the profile's machine (dagtrace.Record), frame the
+// trace to disk, reopen it through a window of r.ReplayWindow bytes,
+// replay it unsharded on the full machine, then partition it and replay
+// it sharded over the machine's sockets on r.Shards host goroutines. The
+// sharded fingerprint it reports is invariant under r.Shards; the
+// driver's fullscale-smoke CI job pins that by diffing two runs. When
+// r.Traces has a directory the recording resolves through it — reused if
+// already there — instead of a private temp file.
 func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
 	return r.FullCellAt(kernel, schedName, 0)
 }
@@ -270,8 +251,9 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	if record {
 		//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
 		t0 := time.Now()
-		tr, err := r.fullRecord(mk, m, seed)
+		tr, err := r.recordKernel(mk, m, seed)
 		if err != nil {
+			err = fmt.Errorf("exp: full-scale record: %w", err)
 			cache.Fail(key, err)
 			return nil, err
 		}
@@ -325,6 +307,7 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		rep.ReplaySec = time.Since(t0).Seconds()
 		rep.ReplayWall = res.WallCycles
+		rep.ReplayLoads = st.FrameLoads()
 	}
 
 	// Stage 4: partition and replay sharded over the machine's sockets.
@@ -366,6 +349,7 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	}
 	rep.Fingerprint = sres.Fingerprint()
 	rep.PeakWindowB = st.PeakResidentBytes()
+	rep.ShardedLoads = st.FrameLoads() - rep.ReplayLoads
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.PeakSysMB = float64(ms.Sys) / (1 << 20)
@@ -376,7 +360,8 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 // greps (fingerprint= in particular). The trace:, sim: and fingerprint=
 // lines are deterministic; host: and memory: report host-side
 // observations (stage wall-clock, decoder/runtime memory high-water
-// marks) that vary with machine load and goroutine interleaving.
+// marks, frame loads) that vary with machine load and goroutine
+// interleaving.
 func (rep *FullCellReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "fullscale cell %s/%s on %s links=%d\n", rep.Kernel, rep.Scheduler, rep.Machine, rep.LinksUsed)
 	fmt.Fprintf(w, "  trace: tasks=%d strands=%d opbytes=%d filebytes=%d\n",
@@ -387,8 +372,8 @@ func (rep *FullCellReport) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  host: record=%.2fs%s write=%.2fs replay=%.2fs sharded=%.2fs (shards=%d)\n",
 		rep.RecordSec, shared, rep.WriteSec, rep.ReplaySec, rep.ShardedSec, rep.Shards)
-	fmt.Fprintf(w, "  memory: window=%d peak_window_bytes=%d runtime_sys=%.1fMB\n",
-		rep.Window, rep.PeakWindowB, rep.PeakSysMB)
+	fmt.Fprintf(w, "  memory: window=%d peak_window_bytes=%d frame_loads=%d sharded_frame_loads=%d runtime_sys=%.1fMB\n",
+		rep.Window, rep.PeakWindowB, rep.ReplayLoads, rep.ShardedLoads, rep.PeakSysMB)
 	fmt.Fprintf(w, "  sim: replay_wall=%d sharded_wall=%d l3_misses=%d stall=%d\n",
 		rep.ReplayWall, rep.ShardedWall, rep.L3Misses, rep.StallCycles)
 	fmt.Fprintf(w, "  fingerprint=%s\n", rep.Fingerprint)

@@ -52,7 +52,8 @@ func TestFullCellShardInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if rep.Fingerprint == "" || rep.ReplayWall <= 0 || rep.ShardedWall <= 0 {
+		if rep.Fingerprint == "" || rep.ReplayWall <= 0 || rep.ShardedWall <= 0 ||
+			rep.ReplayLoads <= 0 || rep.ShardedLoads <= 0 {
 			t.Fatalf("shards=%d: incomplete report %+v", shards, rep)
 		}
 		if rep.PeakWindowB >= rep.OpBytes {

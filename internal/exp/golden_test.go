@@ -99,17 +99,18 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // TestLiveReplayEquivalence is the soundness gate for record-once/
-// replay-everywhere: for every kernel in the quick profile, record one
-// execution (under ws), then require that replaying the capture under
-// EVERY scheduler produces a Result fingerprint bit-identical to a live
-// run of the kernel's closures under that scheduler. It also pins the two
-// auxiliary identities the design rests on: the recording run itself
-// matches the live run (attaching the recorder perturbs nothing), and
-// re-recording a replay under the recording scheduler reproduces the
-// original trace (replay is a fixed point of record). RunGrid records
-// under whichever scheduler owns a group's first cell (cilk in Validate,
-// SB(σ) in Fig. 10) and FullCell under sb, so the race-trimmed kernels
-// are recorded under sb and cilk as well.
+// replay-everywhere: for every kernel in the quick profile, record the
+// computation sequentially with dagtrace.Record — the recorder every
+// production path uses — and live under ws, then require that replaying
+// each capture under EVERY scheduler produces a Result fingerprint
+// bit-identical to a live run of the kernel's closures under that
+// scheduler. It also pins the auxiliary identities the design rests on:
+// a live recording run matches the plain live run (attaching the
+// recorder perturbs nothing), and re-recording a replay the way the trace
+// was recorded reproduces the original trace (replay is a fixed point of
+// record). Live recordings under sb and cilk are checked too for the
+// race-trimmed kernels: a file recorded live under sb by an earlier
+// version must keep replaying identically.
 func TestLiveReplayEquivalence(t *testing.T) {
 	p := Quick()
 	m := p.MachineHT()
@@ -195,6 +196,38 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				}
 				return liveFP[sc]
 			}
+			// check requires every replay of tr to match the live run, and
+			// rerecord's capture of a replay to reproduce tr.
+			check := func(how string, tr *dagtrace.Trace, rerecord func(*dagtrace.StreamTrace) *dagtrace.Trace) {
+				t.Helper()
+				st := dagtrace.Resident(tr)
+				for _, sc := range schedulers {
+					if replay(t, st, sc, nil).Fingerprint() != liveOf(sc) {
+						t.Errorf("%s recorded %s: %s replay fingerprint differs from live", k.name, how, sc)
+					}
+				}
+				if fingerprint(t, st) != fingerprint(t, dagtrace.Resident(rerecord(st))) {
+					t.Errorf("%s: re-recording a replay %s does not reproduce the trace", k.name, how)
+				}
+			}
+
+			sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
+			kern := k.mk(sp, m, p.Seed)
+			tr, err := dagtrace.Record(kern.Root(), m.Block())
+			if err != nil {
+				t.Fatalf("sequential recording: %v", err)
+			}
+			if err := kern.Verify(); err != nil {
+				t.Fatalf("sequential recording: verify: %v", err)
+			}
+			check("sequentially", tr, func(st *dagtrace.StreamTrace) *dagtrace.Trace {
+				tr2, err := dagtrace.Record(st.Root(), m.Block())
+				if err != nil {
+					t.Fatalf("re-recording a replay sequentially: %v", err)
+				}
+				return tr2
+			})
+
 			for _, rs := range recorders(k.name) {
 				rec := dagtrace.NewRecorder()
 				recRes := live(t, k.mk, rs, rec)
@@ -205,21 +238,15 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				if recRes.Fingerprint() != liveOf(rs) {
 					t.Fatalf("recording run under %s diverged from plain live run", rs)
 				}
-				st := dagtrace.Resident(tr)
-				for _, sc := range schedulers {
-					if replay(t, st, sc, nil).Fingerprint() != liveOf(sc) {
-						t.Errorf("%s recorded under %s: %s replay fingerprint differs from live", k.name, rs, sc)
+				check("under "+rs, tr, func(st *dagtrace.StreamTrace) *dagtrace.Trace {
+					rec2 := dagtrace.NewRecorder()
+					replay(t, st, rs, rec2)
+					tr2, err := rec2.Finish()
+					if err != nil {
+						t.Fatalf("re-recording %s replay: %v", rs, err)
 					}
-				}
-				rec2 := dagtrace.NewRecorder()
-				replay(t, st, rs, rec2)
-				tr2, err := rec2.Finish()
-				if err != nil {
-					t.Fatalf("re-recording %s replay: %v", rs, err)
-				}
-				if fingerprint(t, st) != fingerprint(t, dagtrace.Resident(tr2)) {
-					t.Errorf("%s: trace of a %s replay differs from the trace recorded under %s", k.name, rs, rs)
-				}
+					return tr2
+				})
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dagtrace"
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -39,20 +40,21 @@ func (r *Runner) traceKey(c Cell, seed uint64) string {
 }
 
 // runRep executes one repetition of cell c: through the trace cache when
-// one is configured (record once, replay everywhere), live otherwise.
+// one is configured (record once, replay everywhere — the recording cell
+// included), live otherwise.
 func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 	if r.Traces == nil {
-		return r.liveRep(c, seed, nil)
+		return r.liveRep(c, seed)
 	}
 	key := r.traceKey(c, seed)
 	rec, record, err := r.Traces.GetOrReserve(key)
-	switch {
-	case record:
-		return r.recordRep(c, seed, key)
-	case err != nil:
+	if record {
+		rec, err = r.recordRep(c, seed, key)
+	}
+	if err != nil {
 		// Recording was rejected (ErrUnsupported: futures) or failed — run
 		// live and untraced; a real simulation error will reproduce here.
-		return r.liveRep(c, seed, nil)
+		return r.liveRep(c, seed)
 	}
 	st, err := rec.Open(0, nil)
 	if err != nil {
@@ -62,30 +64,40 @@ func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 	return r.replayRep(c, seed, st)
 }
 
-// recordRep runs the cell live with a recorder attached and publishes the
-// outcome under key. Every path fills or fails the reservation, so cache
-// waiters can never block on a recording that died.
-func (r *Runner) recordRep(c Cell, seed uint64, key string) (*sim.Result, error) {
-	rec := dagtrace.NewRecorder()
-	res, err := r.liveRep(c, seed, rec)
+// recordRep records the cell's computation and publishes the outcome
+// under key. Every path fills or fails the reservation, so cache waiters
+// can never block on a recording that died.
+func (r *Runner) recordRep(c Cell, seed uint64, key string) (dagtrace.Recording, error) {
+	tr, err := r.recordKernel(c.MakeK, c.Machine, seed)
 	if err != nil {
 		r.Traces.Fail(key, err)
+		return dagtrace.Recording{}, err
+	}
+	// A failed write reaches the key's waiters, which then run live, as
+	// this cell does.
+	return r.Traces.Fill(key, tr)
+}
+
+// recordKernel constructs the kernel and records its computation without
+// simulating it (dagtrace.Record), then verifies the computed output as a
+// live run would. Addresses do not depend on the link count, so the
+// recording serves every bandwidth setting.
+func (r *Runner) recordKernel(mk KernelFactory, m *machine.Desc, seed uint64) (*dagtrace.Trace, error) {
+	sp := mem.NewSpacePaged(m.Links, m.Links, r.P.PageSize())
+	k := mk(sp, m, seed)
+	tr, err := dagtrace.Record(k.Root(), m.Block())
+	if err != nil {
 		return nil, err
 	}
-	tr, err := rec.Finish()
-	if err != nil {
-		r.Traces.Fail(key, err)
-		return res, nil
+	if err := k.Verify(); err != nil {
+		return nil, fmt.Errorf("output verification failed: %w", err)
 	}
-	// A failed write reaches the key's waiters, which then run live; this
-	// cell's live result stands either way.
-	_, _ = r.Traces.Fill(key, tr)
-	return res, nil
+	return tr, nil
 }
 
 // liveRep constructs the kernel and executes its closures under the cell's
 // scheduler, verifying the computed output afterwards.
-func (r *Runner) liveRep(c Cell, seed uint64, l sim.Listener) (*sim.Result, error) {
+func (r *Runner) liveRep(c Cell, seed uint64) (*sim.Result, error) {
 	sp := mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize())
 	k := c.MakeK(sp, c.Machine, seed)
 	res, err := sim.Run(sim.Config{
@@ -94,7 +106,6 @@ func (r *Runner) liveRep(c Cell, seed uint64, l sim.Listener) (*sim.Result, erro
 		Scheduler: c.MakeS(),
 		Cost:      c.Cost,
 		Seed:      seed,
-		Listener:  l,
 	}, k.Root())
 	if err != nil {
 		return nil, err

@@ -12,14 +12,12 @@ import (
 	"repro/internal/sim"
 )
 
-// recordParts records a deterministic fork/join program on m and
-// partitions its trace into k pieces.
-func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root) {
-	t.Helper()
-	sp := mem.NewSpace(m.Links, m.Links)
+// shardProgram is a deterministic fork/join program over sp: a parallel
+// fill and a dependent parallel update.
+func shardProgram(sp *mem.Space) job.Job {
 	a := sp.NewF64("a", 4096)
 	size := func(lo, hi int) int64 { return int64(hi-lo) * 8 }
-	root := job.FuncJob(func(ctx job.Ctx) {
+	return job.FuncJob(func(ctx job.Ctx) {
 		ctx.Fork(job.For(1, 4095, 16, size, func(c job.Ctx, i int) {
 			a.Write(c, i, a.Read(c, i-1)+1)
 		}), job.For(0, 4096, 16, size, func(c job.Ctx, i int) {
@@ -27,16 +25,29 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 			c.Work(5)
 		}))
 	})
+}
+
+// recordParts records shardProgram live on m and partitions its trace
+// into k pieces.
+func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root) {
+	t.Helper()
+	sp := mem.NewSpace(m.Links, m.Links)
 	rec := dagtrace.NewRecorder()
 	if _, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 11, Listener: rec,
-	}, root); err != nil {
+	}, shardProgram(sp)); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := rec.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr, partRoots(t, tr, k)
+}
+
+// partRoots partitions tr into k pieces and returns them as replay roots.
+func partRoots(t *testing.T, tr *dagtrace.Trace, k int) []Root {
+	t.Helper()
 	p, err := dagtrace.PartitionStream(dagtrace.Resident(tr), k)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +56,48 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 	for i, pc := range p.Pieces {
 		roots[i] = Root{Job: pc.Root, Weight: pc.Weight}
 	}
-	return tr, roots
+	return roots
+}
+
+// TestShardedReplayIgnoresNodeOrder: a live recording numbers its nodes
+// in the order the schedule reached them, a sequential one
+// (dagtrace.Record) in depth-first spawn order. The partitioner and the
+// LPT assignment break ties structurally, never by node index, so both
+// recordings replay sharded to the same merged result.
+func TestShardedReplayIgnoresNodeOrder(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	live, liveRoots := recordParts(t, m, 4)
+	sp := mem.NewSpace(m.Links, m.Links)
+	seq, err := dagtrace.Record(shardProgram(sp), m.Block())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := func(tr *dagtrace.Trace) string {
+		s, err := dagtrace.Resident(tr).Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if fp(live) == fp(seq) {
+		t.Fatal("the live and the sequential recording number their nodes alike; the test needs them to differ")
+	}
+	seqRoots := partRoots(t, seq, 4)
+	for _, sn := range []string{"ws", "sb"} {
+		cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.New(sn) }, Seed: 11, Shards: 2}
+		a, err := Replay(cfg, liveRoots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Replay(cfg, seqRoots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Fingerprint() != b.Fingerprint() || a.WallCycles != b.WallCycles {
+			t.Errorf("%s: sharded replay of the sequential recording differs from the live one's (wall %d vs %d)",
+				sn, b.WallCycles, a.WallCycles)
+		}
+	}
 }
 
 // TestShardCountInvariance is the tentpole determinism guarantee: the
