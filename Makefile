@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-vettool bench bench-compare bench-replay cluster fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
+.PHONY: all build test race lint lint-vettool bench bench-compare bench-replay bench-module cluster fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
 
 all: build test lint
 
@@ -78,6 +78,14 @@ bench-replay:
 	rm -rf bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache -mintracehit 100
+
+# bench-module vets and tests the frozen benchmark (bench/, a nested
+# module that the root's ./... patterns skip) against this tree's
+# packages, its 50-digest smoke test included: an exported-API change in
+# internal/exp or internal/dagtrace that breaks the benchmark fails here
+# instead of only when the benchmark runs.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # cluster gates the multi-machine serving subsystem: the determinism
 # suite (cluster-of-1 bit-identity, advance-order invariance, the pinned
@@ -173,4 +181,4 @@ fuzz:
 # check is the full pre-push gate: everything CI enforces that can run
 # offline (staticcheck and govulncheck need their pinned tools installed;
 # see ci.yml).
-check: build race lint
+check: build race lint bench-module

@@ -208,17 +208,12 @@ func (t *StreamTrace) buildJobs() {
 
 // OpenStream opens a framed trace file for windowed replay. windowBytes
 // bounds the bytes of decoded frames held resident (0 selects
-// DefaultWindowBytes; it is clamped up to one frame). Close releases the
-// file handle when replay is done.
-func OpenStream(path string, windowBytes int64) (*StreamTrace, error) {
-	return OpenStreamBudget(path, windowBytes, nil)
-}
-
-// OpenStreamBudget is OpenStream with the window additionally charging
-// its resident and leased bytes against a shared Budget, so the streams
-// of concurrently replaying grid cells share one memory high-water mark.
-// A nil budget behaves exactly like OpenStream.
-func OpenStreamBudget(path string, windowBytes int64, budget *Budget) (*StreamTrace, error) {
+// DefaultWindowBytes; it is clamped up to one frame). A non-nil budget is
+// a shared Budget the window additionally charges its resident and leased
+// bytes against, so the streams of concurrently replaying grid cells share
+// one memory high-water mark. Close releases the file handle when replay
+// is done.
+func OpenStream(path string, windowBytes int64, budget *Budget) (*StreamTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -228,7 +223,7 @@ func OpenStreamBudget(path string, windowBytes int64, budget *Budget) (*StreamTr
 		f.Close()
 		return nil, err
 	}
-	t, err := NewStreamBudget(f, fi.Size(), windowBytes, budget)
+	t, err := newStream(f, fi.Size(), windowBytes, budget)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -238,15 +233,14 @@ func OpenStreamBudget(path string, windowBytes int64, budget *Budget) (*StreamTr
 }
 
 // NewStream builds a StreamTrace over an arbitrary ReaderAt holding a
-// framed trace of the given total size. The metadata block is read and
-// verified here; frames are read on demand.
+// framed trace of the given total size, with no shared budget (see
+// OpenStream). The metadata block is read and verified here; frames are
+// read on demand.
 func NewStream(r io.ReaderAt, size, windowBytes int64) (*StreamTrace, error) {
-	return NewStreamBudget(r, size, windowBytes, nil)
+	return newStream(r, size, windowBytes, nil)
 }
 
-// NewStreamBudget is NewStream with a shared window Budget; see
-// OpenStreamBudget.
-func NewStreamBudget(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamTrace, error) {
+func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamTrace, error) {
 	var hdr [streamHeaderLen]byte
 	if size < streamHeaderLen+8 {
 		return nil, fmt.Errorf("dagtrace: framed trace truncated (%d bytes)", size)

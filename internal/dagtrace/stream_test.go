@@ -33,7 +33,7 @@ func writeFramed(t *testing.T, n int, frameSize, window int64) (*Trace, *StreamT
 	if err := WriteFramed(tr, path, frameSize); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStream(path, window)
+	st, err := OpenStream(path, window, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStreamDetectsFrameCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStream(path, 1024)
+	st2, err := OpenStream(path, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,13 +80,13 @@ type Recording struct {
 
 // Open returns a view that replays the recording: the shared resident
 // view itself, or a new stream over Path whose frame window holds
-// windowBytes and charges budget (see OpenStreamBudget). Close the view
+// windowBytes and charges budget (see OpenStream). Close the view
 // when its replay is done.
 func (r Recording) Open(windowBytes int64, budget *Budget) (*StreamTrace, error) {
 	if r.resident != nil {
 		return r.resident, nil
 	}
-	return OpenStreamBudget(r.Path, windowBytes, budget)
+	return OpenStream(r.Path, windowBytes, budget)
 }
 
 // WriteError is the typed failure of framing a recording to the cache's
@@ -285,7 +285,7 @@ func (c *StreamCache) adoptDisk(key string) (Recording, bool) {
 		return Recording{}, false
 	}
 	p := c.path(key)
-	st, err := OpenStream(p, 0)
+	st, err := OpenStream(p, 0, nil)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			fmt.Fprintf(os.Stderr, "dagtrace: evicting corrupt framed trace %s (key %q): %v\n", p, key, err)

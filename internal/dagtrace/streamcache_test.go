@@ -425,7 +425,7 @@ func TestBudgetSharedAccounting(t *testing.T) {
 	b := NewBudget(1 << 13) // 8KB across both streams: constant pressure
 	var sts []*StreamTrace
 	for i := 0; i < 2; i++ {
-		st, err := OpenStreamBudget(path, 1<<20, b)
+		st, err := OpenStream(path, 1<<20, b)
 		if err != nil {
 			t.Fatal(err)
 		}

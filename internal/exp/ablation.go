@@ -69,7 +69,7 @@ func (r *Runner) QueueContention() ([]FigRow, error) {
 		for _, sn := range []string{"sb", "sbd", "pdf"} {
 			cells = append(cells, Cell{
 				Label: tp.label, Scheduler: schedName(sn), Machine: m, LinksUsed: m.Links,
-				MakeK: r.P.RRMFactory(), MakeS: SchedulerFactories(sn)[0],
+				MakeK: r.P.RRMFactory(),
 			})
 		}
 	}
@@ -106,7 +106,7 @@ func (r *Runner) ChunkSensitivity() ([]FigRow, error) {
 			// The chunk size lives in the cost model, not the DAG: replaying one
 			// recording under each chunk still re-simulates every interleaving.
 			TraceID: "rrm",
-			MakeK:   r.P.RRMFactory(), MakeS: SchedulerFactories("ws")[0], Cost: cost,
+			MakeK:   r.P.RRMFactory(), Cost: cost,
 		})
 	}
 	ms, err := r.RunGrid(cells)

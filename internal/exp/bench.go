@@ -8,6 +8,7 @@ package exp
 // wall time).
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -247,7 +248,7 @@ func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamT
 	if err := dagtrace.WriteFramed(tr, path, 0); err != nil {
 		b.Fatal(err)
 	}
-	st, err := dagtrace.OpenStream(path, window)
+	st, err := dagtrace.OpenStream(path, window, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func BenchGridFullscale(b *testing.B) {
 		r := NewRunner(p, nullWriter{})
 		r.Workers = 2
 		r.Shards = 1
-		rep, err := r.FullGrid([]string{"Quicksort"}, []string{"sb", "sbd"}, []int{4, 1})
+		rep, err := r.FullGridRun(context.Background(), []string{"Quicksort"}, []string{"sb", "sbd"}, []int{4, 1}, GridRunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

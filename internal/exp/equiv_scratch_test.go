@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func TestScratchFastPathEquivalence(t *testing.T) {
 			run := func(sampler bool, listener bool) string {
 				sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 				kern := k.mk(sp, m, p.Seed)
-				cfg := sim.Config{Machine: m, Space: sp, Scheduler: SchedulerFactories(sc)[0](), Seed: p.Seed}
+				cfg := sim.Config{Machine: m, Space: sp, Scheduler: sched.New(sc), Seed: p.Seed}
 				if sampler {
 					cfg.Sampler = func(int64) {}
 					cfg.SampleEvery = 1 << 40 // armed (disables batching) but never fires... actually fires at 2^40; huge

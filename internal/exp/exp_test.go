@@ -2,7 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -172,17 +176,93 @@ func TestProfilesSane(t *testing.T) {
 
 // TestRecordFirst pins the dispatch policy RunGrid and FullGridRun share:
 // the first item of every key goes out ahead of the rest, and both parts
-// keep input order.
+// keep input order. It also pins the dispatcher that applies the policy:
+// every item runs exactly once, one worker runs the items in that order,
+// the per-key hook fires once per key after the key's last item, and a
+// canceled context leaves the undispatched items untouched.
 func TestRecordFirst(t *testing.T) {
 	keys := []string{"a", "a", "b", "a", "c", "b"}
-	got := recordFirst([]int{0, 1, 2, 3, 4, 5}, func(i int) string { return keys[i] })
+	perKey := map[string]int{"a": 3, "b": 2, "c": 1}
+	key := func(i int) string { return keys[i] }
+	items := []int{0, 1, 2, 3, 4, 5}
+	got := recordFirst(items, key)
 	want := []int{0, 2, 4, 1, 3, 5}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("recordFirst = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("recordFirst = %v, want %v", got, want)
+
+	for _, workers := range []int{1, 3} {
+		r := NewRunner(Quick(), io.Discard)
+		r.Workers = workers
+		var mu sync.Mutex
+		var order []int
+		runs := make([]int, len(keys))
+		done := map[string]int{}
+		lasts := map[string]int{}
+		r.dispatch(context.Background(), items, key,
+			func(i int) string {
+				mu.Lock()
+				defer mu.Unlock()
+				order = append(order, i)
+				runs[i]++
+				return ""
+			},
+			func(i int, last bool) {
+				k := keys[i]
+				done[k]++
+				if !last {
+					return
+				}
+				lasts[k]++
+				if done[k] != perKey[k] {
+					t.Errorf("workers=%d: key %s hook fired after %d of its %d items", workers, k, done[k], perKey[k])
+				}
+			})
+		for i, n := range runs {
+			if n != 1 {
+				t.Errorf("workers=%d: item %d ran %d times, want once", workers, i, n)
+			}
+		}
+		if workers == 1 && !slices.Equal(order, want) {
+			t.Errorf("one worker ran %v, want recordFirst order %v", order, want)
+		}
+		for k := range perKey {
+			if lasts[k] != 1 {
+				t.Errorf("workers=%d: key %s hook fired %d times, want once", workers, k, lasts[k])
+			}
 		}
 	}
+
+	// Cancel while the second item runs: with one worker, nothing after it
+	// may start, so neither started key (a, b) reaches its last item.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(Quick(), io.Discard)
+	r.Workers = 1
+	var ran []int
+	r.dispatch(ctx, items, key,
+		func(i int) string {
+			ran = append(ran, i)
+			if len(ran) == 2 {
+				cancel()
+			}
+			return ""
+		},
+		func(i int, last bool) {
+			if last {
+				t.Errorf("key %s reported its last item after a cancel", keys[i])
+			}
+		})
+	if !slices.Equal(ran, want[:2]) {
+		t.Errorf("canceled dispatch ran %v, want only %v", ran, want[:2])
+	}
+
+	// Canceled before dispatch: no item may run.
+	r.Workers = 3
+	r.dispatch(ctx, items, key,
+		func(i int) string {
+			t.Errorf("item %d ran under a context canceled before dispatch", i)
+			return ""
+		},
+		func(int, bool) {})
 }

@@ -70,28 +70,8 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 	for _, fc := range rep.Failures {
 		failed[fc.Cell] = true
 	}
-	grid := rep.Grid
-	cells := rep.Cells
-	if len(grid) == 0 {
-		// Reports predating the Grid field: reconstruct points from the
-		// completed cells.
-		for _, c := range rep.Cells {
-			if c != nil {
-				grid = append(grid, GridCell{c.Kernel, c.Scheduler, c.LinksUsed})
-			}
-		}
-		cells = nil
-		for _, c := range rep.Cells {
-			if c != nil {
-				cells = append(cells, c)
-			}
-		}
-	}
-	for i, g := range grid {
-		var c *FullCellReport
-		if i < len(cells) {
-			c = cells[i]
-		}
+	for i, g := range rep.Grid {
+		c := rep.Cells[i]
 		if c == nil {
 			status := "pending"
 			if failed[g] {

@@ -38,7 +38,7 @@ func (r *Runner) runSweep(label string, mk KernelFactory, schedNames []string, l
 		for _, sn := range schedNames {
 			cells = append(cells, Cell{
 				Label: label, Scheduler: sn, Machine: m, LinksUsed: lk,
-				MakeK: mk, MakeS: SchedulerFactories(sn)[0],
+				MakeK: mk,
 			})
 		}
 	}
@@ -133,7 +133,7 @@ func (r *Runner) Fig7() (map[string][]FigRow, error) {
 			for _, sn := range kernelSchedulers {
 				cells = append(cells, Cell{
 					Label: bench.name, Scheduler: sn, Machine: m, LinksUsed: m.Links,
-					MakeK: bench.mk, MakeS: SchedulerFactories(sn)[0],
+					MakeK: bench.mk,
 				})
 			}
 		}
@@ -191,7 +191,7 @@ func (r *Runner) figKernels(title string, linksUsed int) ([]FigRow, error) {
 		for _, sn := range kernelSchedulers {
 			cells = append(cells, Cell{
 				Label: bench.name, Scheduler: sn, Machine: m, LinksUsed: linksUsed,
-				MakeK: bench.mk, MakeS: SchedulerFactories(sn)[0],
+				MakeK: bench.mk,
 			})
 		}
 	}
@@ -275,8 +275,8 @@ func (r *Runner) Validate() (map[string][2]Metrics, error) {
 		mk   KernelFactory
 	}{{"RRM", r.P.RRMFactory()}, {"RRG", r.P.RRGFactory()}} {
 		cells := []Cell{
-			{Label: bench.name, Scheduler: "cilk", Machine: m, LinksUsed: m.Links, MakeK: bench.mk, MakeS: SchedulerFactories("cilk")[0]},
-			{Label: bench.name, Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: bench.mk, MakeS: SchedulerFactories("ws")[0]},
+			{Label: bench.name, Scheduler: "cilk", Machine: m, LinksUsed: m.Links, MakeK: bench.mk},
+			{Label: bench.name, Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: bench.mk},
 		}
 		ms, err := r.RunGrid(cells)
 		if err != nil {
@@ -315,8 +315,8 @@ type ModelCheck struct {
 func (r *Runner) Model() (ModelCheck, error) {
 	m := r.P.MachineHT()
 	cells := []Cell{
-		{Label: "RRM", Scheduler: "sb", Machine: m, LinksUsed: m.Links, MakeK: r.P.RRMFactory(), MakeS: SchedulerFactories("sb")[0]},
-		{Label: "RRM", Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: r.P.RRMFactory(), MakeS: SchedulerFactories("ws")[0]},
+		{Label: "RRM", Scheduler: "sb", Machine: m, LinksUsed: m.Links, MakeK: r.P.RRMFactory()},
+		{Label: "RRM", Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: r.P.RRMFactory()},
 	}
 	ms, err := r.RunGrid(cells)
 	if err != nil {

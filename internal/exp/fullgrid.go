@@ -6,12 +6,10 @@ package exp
 // replaying cells. A K-kernel, S-scheduler, B-bandwidth grid performs K
 // recordings (not K·S·B), so the grid amortizes the record and frame
 // stages, and its per-cell fingerprints are bit-identical to running
-// each cell alone through FullCellAt, invariant under -shards, worker
-// count and budget (pinned by TestFullGridEquivalence).
-//
-// FullGridRun is the supervised entry point (journal, resume, deadline,
-// retries, degraded mode — see supervisor.go); FullGrid is the
-// unsupervised wrapper the smaller experiments and older callers use.
+// each cell alone, invariant under -shards, worker count and budget
+// (pinned by TestFullGridEquivalence). FullGridRun runs it under the
+// supervisor (journal, resume, deadline, retries, degraded mode — see
+// supervisor.go) on the worker pool RunGrid uses too (dispatch).
 
 import (
 	"context"
@@ -20,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/dagtrace"
@@ -92,60 +88,36 @@ type FullGridReport struct {
 	CacheStats dagtrace.Stats
 }
 
-// FullGrid runs the kernels × schedNames × bands grid of full-scale
-// cells concurrently on r.Workers host goroutines. All cells of one
-// kernel share a single framed recording (through r.Traces when it has a
-// directory, else a grid-lifetime temp cache): the first cell to arrive
-// records it, everyone else blocks on the cache and replays the same
-// file. Every cell's decoder window draws on one
-// shared budget of r.GridBudget bytes, so grid peak decoder memory
-// tracks a single cell's rather than multiplying by the worker count.
-// Cells skip the unsharded full-machine replay (the cell experiment's
-// cross-check); their results come from the sharded per-socket replay,
-// which is where the full-scale numbers come from anyway.
-func (r *Runner) FullGrid(kernels, schedNames []string, bands []int) (*FullGridReport, error) {
-	return r.FullGridRun(context.Background(), kernels, schedNames, bands, GridRunOpts{})
-}
-
-// FullGridRun is FullGrid under a run supervisor: with a RunDir every
-// cell outcome is journaled crash-safely and the run resumes (Resume)
-// skipping cells whose journaled inputs-fingerprint still matches;
-// CellDeadline/CellRetries bound and retry misbehaving cells; cells the
-// shared budget cannot admit run serialized with a shrunken window.
-// Canceling ctx drains gracefully: running cells finish (unless
-// abandoned by their deadline), pending cells stay pending, and the
-// partial report comes back wrapped in ErrGridInterrupted.
+// FullGridRun runs the kernels × schedNames × bands grid of full-scale
+// cells concurrently on r.Workers host goroutines (no bands means all
+// links). All cells of one kernel share a single framed recording
+// (through r.Traces when it has a directory, else the run directory's or
+// a grid-lifetime temp cache): the first cell to arrive records it,
+// everyone else blocks on the cache and replays the same file. Every
+// cell's decoder window draws on one shared budget of r.GridBudget bytes,
+// so grid peak decoder memory tracks a single cell's rather than
+// multiplying by the worker count. Cells skip the unsharded full-machine
+// replay (the cell experiment's cross-check); their results come from the
+// sharded per-socket replay, which is where the full-scale numbers come
+// from anyway.
+//
+// The run is supervised: with a RunDir every cell outcome is journaled
+// crash-safely and the run resumes (Resume) skipping cells whose
+// journaled inputs-fingerprint still matches; CellDeadline/CellRetries
+// bound and retry misbehaving cells; cells the shared budget cannot
+// admit run serialized with a shrunken window. Canceling ctx drains
+// gracefully: running cells finish (unless abandoned by their deadline),
+// pending cells stay pending, and the partial report comes back wrapped
+// in ErrGridInterrupted. Without a RunDir, a failed cell fails the whole
+// grid: the report is nil and the error is the cell's.
 func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, bands []int, opts GridRunOpts) (*FullGridReport, error) {
 	m := r.P.MachineHT()
-	if len(kernels) == 0 || len(schedNames) == 0 {
-		return nil, fmt.Errorf("exp: full grid needs at least one kernel and one scheduler")
-	}
 	if len(bands) == 0 {
 		bands = []int{m.Links}
 	}
-	for _, k := range kernels {
-		if _, err := r.P.FullKernelFactory(k); err != nil {
-			return nil, err
-		}
-	}
-	for _, sn := range schedNames {
-		if sched.New(sn) == nil {
-			return nil, fmt.Errorf("exp: unknown scheduler %q (want one of %v)", sn, sched.Names())
-		}
-	}
-	for _, b := range bands {
-		if b < 1 || b > m.Links {
-			return nil, fmt.Errorf("exp: bandwidth %d out of range 1..%d links", b, m.Links)
-		}
-	}
-
-	cells := make([]GridCell, 0, len(kernels)*len(schedNames)*len(bands))
-	for _, k := range kernels {
-		for _, sn := range schedNames {
-			for _, b := range bands {
-				cells = append(cells, GridCell{Kernel: k, Scheduler: sn, LinksUsed: b})
-			}
-		}
+	cells, err := r.fullGridCells(kernels, schedNames, bands)
+	if err != nil {
+		return nil, err
 	}
 
 	// Journal: create fresh, or reopen and reduce for resume. The
@@ -185,7 +157,6 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 				fmt.Fprintf(r.Out, "# journal: dropped %d damaged tail byte(s) left by a crash mid-append\n", journal.Dropped)
 			}
 		} else {
-			var err error
 			if journal, err = runlog.Create(opts.RunDir, man); err != nil {
 				return nil, err
 			}
@@ -199,7 +170,6 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	case opts.RunDir != "":
 		// Recordings live inside the run directory, so a resumed or
 		// retried process adopts them from disk instead of re-recording.
-		var err error
 		if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces"), 0); err != nil {
 			return nil, err
 		}
@@ -214,10 +184,7 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	before := cache.Stats()
 	budgetBytes := r.GridBudget
 	if budgetBytes <= 0 {
-		budgetBytes = r.ReplayWindow
-		if budgetBytes < dagtrace.DefaultWindowBytes {
-			budgetBytes = dagtrace.DefaultWindowBytes
-		}
+		budgetBytes = max(r.ReplayWindow, dagtrace.DefaultWindowBytes)
 	}
 	budget := dagtrace.NewBudget(budgetBytes)
 	window := r.ReplayWindow
@@ -225,17 +192,9 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		window = dagtrace.DefaultWindowBytes
 	}
 
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
 	rep := &FullGridReport{
 		Profile: r.P.Name, Machine: m.Name, Shards: r.Shards,
-		Window: r.ReplayWindow, Workers: workers,
+		Window: r.ReplayWindow, Workers: r.workers(len(cells)),
 		Grid:        cells,
 		Cells:       make([]*FullCellReport, len(cells)),
 		BudgetBytes: budgetBytes,
@@ -277,50 +236,21 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	errs := make([]error, len(cells))
 	//schedlint:ignore nondeterminism host-side grid wall-clock for the report; simulated results never read it
 	t0 := time.Now()
-	var wg sync.WaitGroup
-	// outMu serializes verbose progress lines (io.Writer implementations
-	// are not safe for concurrent use).
-	var outMu sync.Mutex
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//schedlint:ignore nondeterminism cell fan-out parallelism; each cell is a pure function of its inputs and results land at fixed indices
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					// Canceled while this cell sat in the dispatch channel:
-					// leave it pending for the resume, don't start it.
-					continue
-				}
-				c := cells[i]
-				rep.Cells[i], errs[i] = sup.runCell(c, keys[i], priorAtt[i])
-				if opts.OnCellDone != nil {
-					sup.hookMu.Lock()
-					opts.OnCellDone(c, rep.Cells[i], errs[i])
-					sup.hookMu.Unlock()
-				}
-				if r.Verbose && errs[i] == nil {
-					outMu.Lock()
-					fmt.Fprintf(r.Out, "# done %-16s %-4s bw=%d/%d: sharded=%.1fs shared=%v\n",
-						c.Kernel, c.Scheduler, c.LinksUsed, m.Links,
-						rep.Cells[i].ShardedSec, rep.Cells[i].RecordShared)
-					outMu.Unlock()
-				}
+	r.dispatch(ctx, pending,
+		func(i int) string { return cells[i].Kernel },
+		func(i int) string {
+			c := cells[i]
+			if rep.Cells[i], errs[i] = sup.runCell(c, keys[i], priorAtt[i]); errs[i] != nil {
+				return ""
 			}
-		}()
-	}
-dispatch:
-	for _, i := range recordFirst(pending, func(i int) string { return cells[i].Kernel }) {
-		//schedlint:ignore nondeterminism dispatch racing cancellation; an undispatched cell is journal-pending either way
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
+			return fmt.Sprintf("# done %-16s %-4s bw=%d/%d: sharded=%.1fs shared=%v\n",
+				c.Kernel, c.Scheduler, c.LinksUsed, m.Links, rep.Cells[i].ShardedSec, rep.Cells[i].RecordShared)
+		},
+		func(i int, _ bool) {
+			if opts.OnCellDone != nil {
+				opts.OnCellDone(cells[i], rep.Cells[i], errs[i])
+			}
+		})
 	//schedlint:ignore nondeterminism host-side grid wall-clock for the report
 	rep.GridSec = time.Since(t0).Seconds()
 
@@ -397,19 +327,14 @@ dispatch:
 
 	switch {
 	case rep.Partial:
-		done := 0
-		for _, c := range rep.Cells {
-			if c != nil {
-				done++
-			}
-		}
+		// Every finished cell counts as a recording or as a shared cell.
 		return rep, fmt.Errorf("exp: %w (%d/%d cells done; resume with the same run directory)",
-			ErrGridInterrupted, done, len(cells))
+			ErrGridInterrupted, rep.Recordings+rep.SharedCells, len(cells))
 	case rep.Failed > 0:
 		f := rep.Failures[0]
 		if journal == nil {
-			// Unsupervised callers (FullGrid) keep the historical contract:
-			// a failing cell fails the whole grid with its error.
+			// Without a journal there is nothing to resume: a failing cell
+			// fails the whole grid with its error.
 			return nil, fmt.Errorf("exp: grid cell %s/%s bw=%d: %s",
 				f.Cell.Kernel, f.Cell.Scheduler, f.Cell.LinksUsed, f.Error)
 		}
@@ -417,6 +342,41 @@ dispatch:
 			ErrGridCellsFailed, rep.Failed, f.Cell.Kernel, f.Cell.Scheduler, f.Cell.LinksUsed, f.Error)
 	}
 	return rep, nil
+}
+
+// fullGridCells validates a kernels × schedNames × bands grid — known
+// kernels and schedulers, bands within the machine's links — and lists
+// its points in input order. FullGridRun and FullCell validate through it,
+// so fullCell runs only valid cells.
+func (r *Runner) fullGridCells(kernels, schedNames []string, bands []int) ([]GridCell, error) {
+	if len(kernels) == 0 || len(schedNames) == 0 {
+		return nil, fmt.Errorf("exp: full grid needs at least one kernel and one scheduler")
+	}
+	for _, k := range kernels {
+		if _, err := r.P.FullKernelFactory(k); err != nil {
+			return nil, err
+		}
+	}
+	for _, sn := range schedNames {
+		if sched.New(sn) == nil {
+			return nil, fmt.Errorf("exp: unknown scheduler %q (want one of %v)", sn, sched.Names())
+		}
+	}
+	links := r.P.MachineHT().Links
+	for _, b := range bands {
+		if b < 1 || b > links {
+			return nil, fmt.Errorf("exp: bandwidth %d out of range 1..%d links", b, links)
+		}
+	}
+	cells := make([]GridCell, 0, len(kernels)*len(schedNames)*len(bands))
+	for _, k := range kernels {
+		for _, sn := range schedNames {
+			for _, b := range bands {
+				cells = append(cells, GridCell{Kernel: k, Scheduler: sn, LinksUsed: b})
+			}
+		}
+	}
+	return cells, nil
 }
 
 // Print renders per-cell reports, a Fig. 8/Fig. 9-style table per
@@ -460,50 +420,12 @@ func (rep *FullGridReport) Print(w io.Writer) {
 // uninterrupted run, so the tables depend only on simulated results —
 // never on host timings, attempt counts or resume provenance.
 func (rep *FullGridReport) printTables(w io.Writer) {
-	var kernels, scheds []string
-	var bands []int
-	kseen := map[string]bool{}
-	sseen := map[string]bool{}
-	bseen := map[int]bool{}
-	byCell := map[GridCell]*FullCellReport{}
+	kernels := distinct(rep.Grid, func(g GridCell) string { return g.Kernel })
+	scheds := distinct(rep.Grid, func(g GridCell) string { return g.Scheduler })
+	bands := distinct(rep.Grid, func(g GridCell) int { return g.LinksUsed })
+	byCell := make(map[GridCell]*FullCellReport, len(rep.Grid))
 	for i, g := range rep.Grid {
-		if !kseen[g.Kernel] {
-			kseen[g.Kernel] = true
-			kernels = append(kernels, g.Kernel)
-		}
-		if !sseen[g.Scheduler] {
-			sseen[g.Scheduler] = true
-			scheds = append(scheds, g.Scheduler)
-		}
-		if !bseen[g.LinksUsed] {
-			bseen[g.LinksUsed] = true
-			bands = append(bands, g.LinksUsed)
-		}
-		if i < len(rep.Cells) && rep.Cells[i] != nil {
-			byCell[g] = rep.Cells[i]
-		}
-	}
-	// Older reports (and tests) may carry only Cells; fall back to the
-	// completed cells themselves for the axes.
-	if len(rep.Grid) == 0 {
-		for _, c := range rep.Cells {
-			if c == nil {
-				continue
-			}
-			if !kseen[c.Kernel] {
-				kseen[c.Kernel] = true
-				kernels = append(kernels, c.Kernel)
-			}
-			if !sseen[c.Scheduler] {
-				sseen[c.Scheduler] = true
-				scheds = append(scheds, c.Scheduler)
-			}
-			if !bseen[c.LinksUsed] {
-				bseen[c.LinksUsed] = true
-				bands = append(bands, c.LinksUsed)
-			}
-			byCell[GridCell{c.Kernel, c.Scheduler, c.LinksUsed}] = c
-		}
+		byCell[g] = rep.Cells[i]
 	}
 	for _, b := range bands {
 		fmt.Fprintf(w, "\n# table links=%d (sharded wall Mcycles | L3 misses)\n", b)
@@ -525,4 +447,18 @@ func (rep *FullGridReport) printTables(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
+}
+
+// distinct returns the values of axis over the grid points, each once, in
+// first-seen order.
+func distinct[T comparable](grid []GridCell, axis func(GridCell) T) []T {
+	var out []T
+	seen := make(map[T]bool)
+	for _, g := range grid {
+		if v := axis(g); !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -17,7 +18,7 @@ type gridRefKey struct {
 // TestFullGridEquivalence is the tentpole determinism pin: a grid run
 // off one shared recording, concurrently, under a shared decoder budget,
 // must produce per-cell fingerprints and simulated clocks bit-identical
-// to running each cell alone through FullCellAt — at every worker count,
+// to running each cell alone through fullCell — at every worker count,
 // shard count and budget size tried. It also asserts the record-once
 // contract (exactly one recording on a cold cache, zero on a warm one)
 // and the RecordShared stage-marker discipline.
@@ -45,12 +46,12 @@ func TestFullGridEquivalence(t *testing.T) {
 			r.ReplayWindow = 1 << 22
 			r.Shards = 1
 			r.Traces = refCache
-			rep, err := r.FullCellAt("Quicksort", sn, b)
+			rep, err := r.fullCell("Quicksort", sn, fullCellOpts{linksUsed: b, cache: refCache, unsharded: true})
 			if err != nil {
-				t.Fatalf("FullCellAt(%s,%d): %v", sn, b, err)
+				t.Fatalf("fullCell(%s,%d): %v", sn, b, err)
 			}
 			if rep.Fingerprint == "" || rep.ShardedWall <= 0 {
-				t.Fatalf("FullCellAt(%s,%d): incomplete report %+v", sn, b, rep)
+				t.Fatalf("fullCell(%s,%d): incomplete report %+v", sn, b, rep)
 			}
 			refFP[gridRefKey{sn, b}] = rep.Fingerprint
 			refWall[gridRefKey{sn, b}] = rep.ShardedWall
@@ -82,7 +83,7 @@ func TestFullGridEquivalence(t *testing.T) {
 		r.Shards = cfg.shards
 		r.GridBudget = cfg.budget
 		r.Traces = cache
-		rep, err := r.FullGrid(kernels, scheds, bands)
+		rep, err := r.FullGridRun(context.Background(), kernels, scheds, bands, GridRunOpts{})
 		if err != nil {
 			t.Fatalf("grid %d (workers=%d): %v", i, cfg.workers, err)
 		}
@@ -130,19 +131,19 @@ func TestFullGridEquivalence(t *testing.T) {
 // schedulers and out-of-range bandwidths fail before any cell runs.
 func TestFullGridRejects(t *testing.T) {
 	r := NewRunner(Quick(), io.Discard)
-	if _, err := r.FullGrid(nil, []string{"sb"}, nil); err == nil {
+	if _, err := r.FullGridRun(context.Background(), nil, []string{"sb"}, nil, GridRunOpts{}); err == nil {
 		t.Error("empty kernel list accepted")
 	}
-	if _, err := r.FullGrid([]string{"NoSuchKernel"}, []string{"sb"}, nil); err == nil {
+	if _, err := r.FullGridRun(context.Background(), []string{"NoSuchKernel"}, []string{"sb"}, nil, GridRunOpts{}); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	if _, err := r.FullGrid([]string{"Quicksort"}, []string{"nope"}, nil); err == nil {
+	if _, err := r.FullGridRun(context.Background(), []string{"Quicksort"}, []string{"nope"}, nil, GridRunOpts{}); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
-	if _, err := r.FullGrid([]string{"Quicksort"}, []string{"sb"}, []int{99}); err == nil {
+	if _, err := r.FullGridRun(context.Background(), []string{"Quicksort"}, []string{"sb"}, []int{99}, GridRunOpts{}); err == nil {
 		t.Error("out-of-range bandwidth accepted")
 	}
-	if _, err := r.fullCell("Quicksort", "sb", fullCellOpts{linksUsed: -1}); err == nil {
+	if _, err := r.FullGridRun(context.Background(), []string{"Quicksort"}, []string{"sb"}, []int{-1}, GridRunOpts{}); err == nil {
 		t.Error("negative linksUsed accepted")
 	}
 }

@@ -15,10 +15,7 @@ import (
 
 	"repro/internal/dagtrace"
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/sched"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 // FullScale returns the experiment profile at cache divisor div: div=64
@@ -195,31 +192,23 @@ func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
 // r.Traces has a directory the recording resolves through it — reused if
 // already there — instead of a private temp file.
 func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
-	return r.FullCellAt(kernel, schedName, 0)
+	if _, err := r.fullGridCells([]string{kernel}, []string{schedName}, nil); err != nil {
+		return nil, err
+	}
+	return r.fullCell(kernel, schedName, fullCellOpts{cache: r.diskTraces(), unsharded: true})
 }
 
-// FullCellAt is FullCell at a bandwidth setting: linksUsed of the
-// machine's DRAM links in use (0 = all). It is the sequential reference
-// the grid equivalence tests compare against.
-func (r *Runner) FullCellAt(kernel, schedName string, linksUsed int) (*FullCellReport, error) {
-	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, cache: r.diskTraces(), unsharded: true})
-}
-
+// fullCell runs one full-scale cell, validated by fullGridCells, with the
+// stages and sharing discipline of o.
 func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellReport, error) {
 	mk, err := r.P.FullKernelFactory(kernel)
 	if err != nil {
 		return nil, err
 	}
-	if sched.New(schedName) == nil {
-		return nil, fmt.Errorf("exp: unknown scheduler %q (want one of %v)", schedName, sched.Names())
-	}
 	m := r.P.MachineHT()
-	links := o.linksUsed
-	if links == 0 {
-		links = m.Links
-	}
-	if links < 1 || links > m.Links {
-		return nil, fmt.Errorf("exp: LinksUsed %d out of range 1..%d", o.linksUsed, m.Links)
+	c := Cell{Label: kernel, Scheduler: schedName, Machine: m, LinksUsed: o.linksUsed, MakeK: mk}
+	if c.LinksUsed == 0 {
+		c.LinksUsed = m.Links
 	}
 	seed := r.P.Seed
 	window := o.window
@@ -228,7 +217,7 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	}
 	rep := &FullCellReport{
 		Kernel: kernel, Scheduler: schedName, Machine: m.Name,
-		LinksUsed: links, Shards: r.Shards, Window: window, Degraded: o.degraded,
+		LinksUsed: c.LinksUsed, Shards: r.Shards, Window: window, Degraded: o.degraded,
 	}
 
 	// Stage 1: resolve the framed recording through the shared grid cache
@@ -236,39 +225,18 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	// private one.
 	cache := o.cache
 	if cache == nil {
-		c, cleanup, err := privateTraces("fullscale-")
+		private, cleanup, err := privateTraces("fullscale-")
 		if err != nil {
 			return nil, err
 		}
 		defer cleanup()
-		cache = c
+		cache = private
 	}
-	key := r.framedKey(kernel, m)
-	rec, record, err := cache.GetOrReserve(key)
+	rec, err := r.record(cache, r.framedKey(kernel, m), c, seed)
 	if err != nil {
-		return nil, fmt.Errorf("exp: full-scale shared record: %w", err)
+		return nil, fmt.Errorf("exp: full-scale record: %w", err)
 	}
-	if record {
-		//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
-		t0 := time.Now()
-		tr, err := r.recordKernel(mk, m, seed)
-		if err != nil {
-			err = fmt.Errorf("exp: full-scale record: %w", err)
-			cache.Fail(key, err)
-			return nil, err
-		}
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		rep.RecordSec = time.Since(t0).Seconds()
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		t0 = time.Now()
-		if rec, err = cache.Fill(key, tr); err != nil {
-			return nil, fmt.Errorf("exp: full-scale frame: %w", err)
-		}
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		rep.WriteSec = time.Since(t0).Seconds()
-	} else {
-		rep.RecordShared = true
-	}
+	rep.RecordShared, rep.RecordSec, rep.WriteSec = rec.shared, rec.recordSec, rec.writeSec
 	if fi, err := os.Stat(rec.Path); err == nil {
 		rep.TraceBytes = fi.Size()
 	}
@@ -294,14 +262,8 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	if o.unsharded {
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		t0 := time.Now()
-		rsp := mem.NewSpacePaged(m.Links, links, r.P.PageSize())
-		res, err := sim.Run(sim.Config{
-			Machine: m, Space: rsp, Scheduler: sched.New(schedName), Seed: seed,
-		}, st.Root())
+		res, err := r.simulate(c, seed, st)
 		if err != nil {
-			return nil, fmt.Errorf("exp: full-scale replay: %w", err)
-		}
-		if err := st.CheckResult(res); err != nil {
 			return nil, fmt.Errorf("exp: full-scale replay: %w", err)
 		}
 		//schedlint:ignore nondeterminism host-side stage timing for the report
@@ -324,11 +286,11 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	t0 := time.Now()
 	sres, err := shard.Replay(shard.Config{
 		Machine:   m,
-		MakeSched: func() sched.Scheduler { return sched.New(schedName) },
+		MakeSched: c.scheduler,
 		Seed:      seed,
 		Shards:    r.Shards,
 		PageSize:  r.P.PageSize(),
-		LinksUsed: links,
+		LinksUsed: c.LinksUsed,
 	}, roots)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale sharded replay: %w", err)

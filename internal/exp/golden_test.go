@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dagtrace"
 	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -83,7 +84,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				res, err := sim.Run(sim.Config{
 					Machine:   m,
 					Space:     sp,
-					Scheduler: SchedulerFactories(sc)[0](),
+					Scheduler: sched.New(sc),
 					Seed:      p.Seed,
 				}, kern.Root())
 				if err != nil {
@@ -153,7 +154,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		kern := k(sp, m, p.Seed)
 		res, err := sim.Run(sim.Config{
-			Machine: m, Space: sp, Scheduler: SchedulerFactories(sc)[0](), Seed: p.Seed, Listener: l,
+			Machine: m, Space: sp, Scheduler: sched.New(sc), Seed: p.Seed, Listener: l,
 		}, kern.Root())
 		if err != nil {
 			t.Fatalf("live %s: %v", sc, err)
@@ -167,7 +168,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 		t.Helper()
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		res, err := sim.Run(sim.Config{
-			Machine: m, Space: sp, Scheduler: SchedulerFactories(sc)[0](), Seed: p.Seed, Listener: l,
+			Machine: m, Space: sp, Scheduler: sched.New(sc), Seed: p.Seed, Listener: l,
 		}, st.Root())
 		if err != nil {
 			t.Fatalf("replay %s: %v", sc, err)

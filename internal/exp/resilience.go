@@ -10,6 +10,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -111,7 +112,7 @@ func ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
 		res, err := sim.Run(sim.Config{
 			Machine:   cfg.Machine,
 			Space:     sp,
-			Scheduler: SchedulerFactories(sc)[0](),
+			Scheduler: sched.New(sc),
 			Seed:      cfg.Seed,
 			Listener:  lat,
 			Faults:    plan,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func runRRM(t *testing.T, sc string, plan *fault.Plan) *sim.Result {
 	res, err := sim.Run(sim.Config{
 		Machine:   m,
 		Space:     sp,
-		Scheduler: SchedulerFactories(sc)[0](),
+		Scheduler: sched.New(sc),
 		Seed:      p.Seed,
 		Faults:    plan,
 	}, kern.Root())

@@ -1,11 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dagtrace"
 	"repro/internal/kernels"
@@ -30,7 +30,10 @@ type Cell struct {
 	Machine   *machine.Desc
 	LinksUsed int // 1..Machine.Links: the bandwidth knob
 	MakeK     KernelFactory
-	MakeS     SchedFactory
+	// MakeS builds the cell's scheduler; nil means sched.New(Scheduler).
+	// Sweeps over a scheduler parameter (Fig. 10's σ, the µ ablation) set
+	// it.
+	MakeS SchedFactory
 	// Cost overrides the default cost model (zero value = defaults);
 	// used by the ablation experiments.
 	Cost sched.CostModel
@@ -40,6 +43,15 @@ type Cell struct {
 	// Label for display; setting one TraceID across those cells lets them
 	// share a single recording. Empty means Label identifies the kernel.
 	TraceID string
+}
+
+// scheduler builds the cell's scheduler: MakeS, or sched.New(Scheduler)
+// when MakeS is nil.
+func (c Cell) scheduler() sched.Scheduler {
+	if c.MakeS != nil {
+		return c.MakeS()
+	}
+	return sched.New(c.Scheduler)
 }
 
 // Metrics aggregates one cell's repetitions. Times are in seconds at the
@@ -70,7 +82,7 @@ type Runner struct {
 	// seed) once and replays the capture in every other cell sharing it —
 	// scheduler, bandwidth and cost sweeps re-simulate the identical DAG
 	// without re-running kernel closures. nil runs every RunGrid cell
-	// live. The full-scale paths (FullCell, FullGrid) share recordings
+	// live. The full-scale paths (FullCell, FullGridRun) share recordings
 	// through it only when it has a directory, because their recordings
 	// must be files; otherwise they use a cache of their own.
 	Traces *dagtrace.StreamCache
@@ -81,7 +93,7 @@ type Runner struct {
 	// ReplayWindow bounds the decoder-resident bytes of streamed replays
 	// (FullCell); 0 means dagtrace.DefaultWindowBytes.
 	ReplayWindow int64
-	// GridBudget is the FullGrid token bucket over decoder-resident window
+	// GridBudget is the FullGridRun token bucket over decoder-resident window
 	// bytes, shared by every concurrent cell's stream; 0 means
 	// max(ReplayWindow, dagtrace.DefaultWindowBytes) — concurrent cells
 	// share one cell's memory high-water mark instead of multiplying it.
@@ -139,57 +151,113 @@ func (r *Runner) RunCell(c Cell) (Metrics, error) {
 // replays never queue behind them), and a group's traces are evicted as
 // soon as its last cell completes.
 func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
 	out := make([]Metrics, len(cells))
 	errs := make([]error, len(cells))
-	groups := r.groupCounters(cells)
-	var wg sync.WaitGroup
-	// outMu serializes verbose progress lines: cell workers complete
-	// concurrently and io.Writer implementations are not safe for
-	// concurrent use.
-	var outMu sync.Mutex
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//schedlint:ignore nondeterminism cell fan-out parallelism; each cell is a pure function of its seed and results land at fixed indices
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = r.RunCell(cells[i])
-				if groups != nil && atomic.AddInt32(groups[i], -1) == 0 {
-					r.dropTraces(cells[i])
-				}
-				if r.Verbose && errs[i] == nil {
-					outMu.Lock()
-					fmt.Fprintf(r.Out, "# done %-16s %-8s bw=%d/%d: time=%.4gs L3=%.4g\n",
-						cells[i].Label, cells[i].Scheduler, cells[i].LinksUsed, cells[i].Machine.Links,
-						out[i].TimeSec(), out[i].L3Misses.Mean)
-					outMu.Unlock()
-				}
-			}
-		}()
-	}
 	all := make([]int, len(cells))
 	for i := range all {
 		all[i] = i
 	}
-	for _, i := range recordFirst(all, func(i int) string { return r.traceKey(cells[i], r.P.Seed) }) {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	r.dispatch(context.Background(), all,
+		func(i int) string { return r.traceKey(cells[i], r.P.Seed) },
+		func(i int) string {
+			if out[i], errs[i] = r.RunCell(cells[i]); errs[i] != nil {
+				return ""
+			}
+			return fmt.Sprintf("# done %-16s %-8s bw=%d/%d: time=%.4gs L3=%.4g\n",
+				cells[i].Label, cells[i].Scheduler, cells[i].LinksUsed, cells[i].Machine.Links,
+				out[i].TimeSec(), out[i].L3Misses.Mean)
+		},
+		func(i int, last bool) {
+			if last && r.Traces != nil {
+				r.dropTraces(cells[i])
+			}
+		})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// dispatch is the grid engine's one worker pool, shared by RunGrid and
+// FullGridRun. It runs run(i) for every item on r.workers(len(items)) host
+// goroutines, sending the first item of every key ahead of the rest
+// (recordFirst), and returns once every item has finished or been
+// skipped: once ctx is canceled, items not yet started are left
+// untouched. After each item, one item at a time, dispatch prints the
+// progress line run returned (when r.Verbose and the line is not empty),
+// then calls done(i, last), where last reports that i was the last of its
+// key's items to finish. done runs under the output lock, so its calls are
+// serialized; it must not block.
+func (r *Runner) dispatch(ctx context.Context, items []int, key func(int) string, run func(int) string, done func(i int, last bool)) {
+	left := make(map[string]int, len(items))
+	for _, i := range items {
+		left[key(i)]++
+	}
+	var wg sync.WaitGroup
+	// mu serializes progress lines and done calls: items finish
+	// concurrently and io.Writer implementations are not safe for
+	// concurrent use.
+	var mu sync.Mutex
+	idx := make(chan int)
+	for w := r.workers(len(items)); w > 0; w-- {
+		wg.Add(1)
+		//schedlint:ignore nondeterminism cell fan-out parallelism; each cell is a pure function of its inputs and results land at fixed indices
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if ctx.Err() != nil {
+					// Canceled: drain the rest untouched (a journaled grid
+					// keeps them pending).
+					continue
+				}
+				line := run(i)
+				mu.Lock()
+				if r.Verbose && line != "" {
+					fmt.Fprint(r.Out, line)
+				}
+				k := key(i)
+				left[k]--
+				done(i, left[k] == 0)
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, i := range recordFirst(items, key) {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// workers returns how many cell workers a grid of n cells runs on:
+// r.Workers, or GOMAXPROCS when that is 0, and never more than n.
+func (r *Runner) workers(n int) int {
+	w := r.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
+}
+
+// recordFirst orders the items so the first item of every recording key
+// is dispatched ahead of the rest, each part in input order: recordings
+// start immediately, and cells that replay them never occupy workers only
+// to block on the cache behind unrelated record work.
+func recordFirst(items []int, key func(int) string) []int {
+	seen := make(map[string]bool, len(items))
+	order := make([]int, 0, len(items))
+	var rest []int
+	for _, i := range items {
+		if k := key(i); seen[k] {
+			rest = append(rest, i)
+		} else {
+			seen[k] = true
+			order = append(order, i)
+		}
+	}
+	return append(order, rest...)
 }
 
 // --- benchmark factories at the profile's scale ------------------------------
@@ -247,14 +315,4 @@ func (p Profile) MatMulFactory() KernelFactory {
 	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewMatMul(sp, kernels.MatMulConfig{N: p.MatmulN, Base: p.MatmulBase, Seed: seed})
 	}
-}
-
-// SchedulerFactories returns constructors for the named schedulers.
-func SchedulerFactories(names ...string) []SchedFactory {
-	out := make([]SchedFactory, len(names))
-	for i, n := range names {
-		n := n
-		out[i] = func() sched.Scheduler { return sched.New(n) }
-	}
-	return out
 }

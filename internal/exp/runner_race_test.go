@@ -2,15 +2,17 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 // TestRunGridVerboseConcurrent exercises the verbose progress printing
-// with several concurrent cell workers sharing one output writer. Run
-// under -race (as CI does) this is a regression test for the data race
-// where workers called fmt.Fprintf on the shared Runner.Out without
-// synchronization.
+// with several concurrent cell workers sharing one output writer, first
+// through RunGrid and then through a two-worker FullGridRun, which prints
+// through the same dispatcher. Run under -race (as CI does) this is a
+// regression test for the data race where workers called fmt.Fprintf on
+// the shared Runner.Out without synchronization.
 func TestRunGridVerboseConcurrent(t *testing.T) {
 	p := Quick()
 	p.Reps = 1
@@ -24,7 +26,6 @@ func TestRunGridVerboseConcurrent(t *testing.T) {
 			Machine:   m,
 			LinksUsed: m.Links,
 			MakeK:     p.RRMFactory(),
-			MakeS:     SchedulerFactories(sc)[0],
 		})
 	}
 	var buf bytes.Buffer
@@ -36,5 +37,14 @@ func TestRunGridVerboseConcurrent(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "# done"); got != len(cells) {
 		t.Errorf("want %d verbose progress lines, got %d:\n%s", len(cells), got, buf.String())
+	}
+
+	r.Workers = 2
+	rep, err := r.FullGridRun(context.Background(), []string{"RRM"}, []string{"ws", "sb"}, nil, GridRunOpts{})
+	if err != nil {
+		t.Fatalf("FullGridRun: %v", err)
+	}
+	if got, want := strings.Count(buf.String(), "# done"), len(cells)+len(rep.Cells); got != want {
+		t.Errorf("want %d verbose progress lines after FullGridRun, got %d:\n%s", want, got, buf.String())
 	}
 }

@@ -42,7 +42,7 @@ import (
 )
 
 // GridRunOpts configures the supervised grid run. The zero value runs
-// the grid exactly like FullGrid: no journal, no deadline, no retries.
+// the grid unsupervised: no journal, no deadline, no retries.
 type GridRunOpts struct {
 	// RunDir is the run's journal directory (manifest + cell records +
 	// the framed-trace cache when r.Traces has no directory). Empty
@@ -147,9 +147,6 @@ type gridSupervisor struct {
 	// liveAttempts counts the ones still running.
 	abandoned    sync.WaitGroup
 	liveAttempts atomic.Int64
-	// journalMu serializes journal appends with OnCellDone callbacks so
-	// test hooks observe a consistent order.
-	hookMu sync.Mutex
 
 	retries     atomic.Int64
 	quarantines atomic.Int64

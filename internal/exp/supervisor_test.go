@@ -109,7 +109,7 @@ func TestFullGridResumeEquivalence(t *testing.T) {
 	}
 	rRef := newGridRunner(io.Discard)
 	rRef.Traces = refCache
-	ref, err := rRef.FullGrid(kernels, scheds, bands)
+	ref, err := rRef.FullGridRun(context.Background(), kernels, scheds, bands, GridRunOpts{})
 	if err != nil {
 		t.Fatalf("reference grid: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 	r.Workers = 2
 	r.GridBudget = 1
 	r.Traces = cache
-	rep, err := r.FullGrid([]string{"Quicksort"}, []string{"sb", "sbd"}, []int{1})
+	rep, err := r.FullGridRun(context.Background(), []string{"Quicksort"}, []string{"sb", "sbd"}, []int{1}, GridRunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 	ref := newGridRunner(io.Discard)
 	ref.Traces = cache
 	for _, c := range rep.Cells {
-		want, err := ref.FullCellAt(c.Kernel, c.Scheduler, c.LinksUsed)
+		want, err := ref.fullCell(c.Kernel, c.Scheduler, fullCellOpts{linksUsed: c.LinksUsed, cache: cache, unsharded: true})
 		if err != nil {
 			t.Fatal(err)
 		}

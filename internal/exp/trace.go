@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/dagtrace"
-	"repro/internal/machine"
+	"repro/internal/job"
+	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -44,140 +46,105 @@ func (r *Runner) traceKey(c Cell, seed uint64) string {
 // included), live otherwise.
 func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 	if r.Traces == nil {
-		return r.liveRep(c, seed)
+		return r.simulate(c, seed, nil)
 	}
-	key := r.traceKey(c, seed)
-	rec, record, err := r.Traces.GetOrReserve(key)
-	if record {
-		rec, err = r.recordRep(c, seed, key)
-	}
+	rec, err := r.record(r.Traces, r.traceKey(c, seed), c, seed)
 	if err != nil {
 		// Recording was rejected (ErrUnsupported: futures) or failed — run
 		// live and untraced; a real simulation error will reproduce here.
-		return r.liveRep(c, seed)
+		return r.simulate(c, seed, nil)
 	}
 	st, err := rec.Open(0, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	return r.replayRep(c, seed, st)
+	return r.simulate(c, seed, st)
 }
 
-// recordRep records the cell's computation and publishes the outcome
-// under key. Every path fills or fails the reservation, so cache waiters
-// can never block on a recording that died.
-func (r *Runner) recordRep(c Cell, seed uint64, key string) (dagtrace.Recording, error) {
-	tr, err := r.recordKernel(c.MakeK, c.Machine, seed)
-	if err != nil {
-		r.Traces.Fail(key, err)
-		return dagtrace.Recording{}, err
-	}
-	// A failed write reaches the key's waiters, which then run live, as
-	// this cell does.
-	return r.Traces.Fill(key, tr)
+// recorded is the outcome of resolving a cell's recording through a cache.
+type recorded struct {
+	dagtrace.Recording
+	// shared reports that the recording was published by another caller
+	// (or adopted from a previous process) rather than recorded here;
+	// recordSec and writeSec, the host seconds of recording it and of
+	// publishing it with Fill, are then zero.
+	shared              bool
+	recordSec, writeSec float64
 }
 
-// recordKernel constructs the kernel and records its computation without
-// simulating it (dagtrace.Record), then verifies the computed output as a
-// live run would. Addresses do not depend on the link count, so the
-// recording serves every bandwidth setting.
-func (r *Runner) recordKernel(mk KernelFactory, m *machine.Desc, seed uint64) (*dagtrace.Trace, error) {
-	sp := mem.NewSpacePaged(m.Links, m.Links, r.P.PageSize())
-	k := mk(sp, m, seed)
-	tr, err := dagtrace.Record(k.Root(), m.Block())
-	if err != nil {
-		return nil, err
+// record resolves the recording of c's computation under key in cache. The
+// caller that holds the key's reservation records it here without
+// simulating it (dagtrace.Record), verifies the computed output as a live
+// run would, and publishes it with Fill, or with Fail on error, so the
+// key's waiters never block on a recording that died; everyone else gets
+// the published recording or its failure. Addresses do not depend on the
+// link count, so the recording serves every bandwidth setting.
+func (r *Runner) record(cache *dagtrace.StreamCache, key string, c Cell, seed uint64) (recorded, error) {
+	rec, reserved, err := cache.GetOrReserve(key)
+	if !reserved {
+		return recorded{Recording: rec, shared: true}, err
 	}
-	if err := k.Verify(); err != nil {
-		return nil, fmt.Errorf("output verification failed: %w", err)
-	}
-	return tr, nil
-}
-
-// liveRep constructs the kernel and executes its closures under the cell's
-// scheduler, verifying the computed output afterwards.
-func (r *Runner) liveRep(c Cell, seed uint64) (*sim.Result, error) {
-	sp := mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize())
+	//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
+	t0 := time.Now()
+	sp := mem.NewSpacePaged(c.Machine.Links, c.Machine.Links, r.P.PageSize())
 	k := c.MakeK(sp, c.Machine, seed)
-	res, err := sim.Run(sim.Config{
-		Machine:   c.Machine,
-		Space:     sp,
-		Scheduler: c.MakeS(),
-		Cost:      c.Cost,
-		Seed:      seed,
-	}, k.Root())
+	tr, err := dagtrace.Record(k.Root(), c.Machine.Block())
+	if err == nil {
+		if err = k.Verify(); err != nil {
+			err = fmt.Errorf("output verification failed: %w", err)
+		}
+	}
 	if err != nil {
-		return nil, err
+		cache.Fail(key, err)
+		return recorded{}, err
 	}
-	if err := k.Verify(); err != nil {
-		return nil, fmt.Errorf("output verification failed: %w", err)
-	}
-	return res, nil
+	//schedlint:ignore nondeterminism host-side stage timing for the report
+	out := recorded{recordSec: time.Since(t0).Seconds()}
+	//schedlint:ignore nondeterminism host-side stage timing for the report
+	t0 = time.Now()
+	// Fill publishes a write failure to the key's waiters as well.
+	out.Recording, err = cache.Fill(key, tr)
+	//schedlint:ignore nondeterminism host-side stage timing for the report
+	out.writeSec = time.Since(t0).Seconds()
+	return out, err
 }
 
-// replayRep re-executes a recorded computation under the cell's scheduler,
-// cost model and bandwidth. Kernel.Verify is skipped — a replay moves no
-// program data to verify — and the trace's structural check (task, strand
-// and access counts against the live recording) takes its place.
-func (r *Runner) replayRep(c Cell, seed uint64, st *dagtrace.StreamTrace) (*sim.Result, error) {
+// simulate runs one repetition of cell c under its scheduler, cost model
+// and bandwidth: a replay of st when st is set, else live — the kernel
+// constructed and its closures executed, its output verified afterwards. A
+// replay moves no program data to verify, so the trace's structural check
+// (task, strand and access counts against the recording) takes the place
+// of Kernel.Verify.
+func (r *Runner) simulate(c Cell, seed uint64, st *dagtrace.StreamTrace) (*sim.Result, error) {
 	sp := mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize())
+	var k kernels.Kernel
+	var root job.Job
+	if st != nil {
+		root = st.Root()
+	} else {
+		k = c.MakeK(sp, c.Machine, seed)
+		root = k.Root()
+	}
 	res, err := sim.Run(sim.Config{
 		Machine:   c.Machine,
 		Space:     sp,
-		Scheduler: c.MakeS(),
+		Scheduler: c.scheduler(),
 		Cost:      c.Cost,
 		Seed:      seed,
-	}, st.Root())
+	}, root)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.CheckResult(res); err != nil {
+	if st != nil {
+		err = st.CheckResult(res)
+	} else if err = k.Verify(); err != nil {
+		err = fmt.Errorf("output verification failed: %w", err)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// recordFirst orders the items so the first item of every recording key
-// is dispatched ahead of the rest, each part in input order: recordings
-// start immediately, and cells that replay them never occupy workers only
-// to block on the cache behind unrelated record work.
-func recordFirst(items []int, key func(int) string) []int {
-	seen := make(map[string]bool, len(items))
-	order := make([]int, 0, len(items))
-	var rest []int
-	for _, i := range items {
-		if k := key(i); seen[k] {
-			rest = append(rest, i)
-		} else {
-			seen[k] = true
-			order = append(order, i)
-		}
-	}
-	return append(order, rest...)
-}
-
-// groupCounters maps each cell to a shared countdown of its trace group's
-// unfinished cells, so RunGrid can evict a group's traces the moment its
-// last cell completes (bounding grid memory to the groups in flight).
-// Returns nil without a cache.
-func (r *Runner) groupCounters(cells []Cell) []*int32 {
-	if r.Traces == nil {
-		return nil
-	}
-	byKey := make(map[string]*int32, len(cells))
-	counters := make([]*int32, len(cells))
-	for i := range cells {
-		g := r.traceKey(cells[i], r.P.Seed)
-		ctr := byKey[g]
-		if ctr == nil {
-			ctr = new(int32)
-			byKey[g] = ctr
-		}
-		*ctr++
-		counters[i] = ctr
-	}
-	return counters
 }
 
 // dropTraces evicts every repetition key of c's group from the cache's

@@ -145,7 +145,7 @@ func TestShardStreamedReplay(t *testing.T) {
 	if err := dagtrace.WriteFramed(tr, path, 512); err != nil {
 		t.Fatal(err)
 	}
-	st, err := dagtrace.OpenStream(path, 4096)
+	st, err := dagtrace.OpenStream(path, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
