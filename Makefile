@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-vettool bench bench-compare bench-replay bench-module cluster fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
+.PHONY: all build test race lint lint-vettool bench bench-compare bench-replay bench-module cluster examples fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
 
 all: build test lint
 
@@ -95,6 +95,20 @@ cluster:
 	$(GO) test -race -count=2 -run 'TestCluster|TestAffinityLocality|TestGoldenCluster' ./internal/cluster/ ./internal/exp/
 	$(GO) run ./cmd/schedbench -profile quick -experiment cluster
 
+# examples builds every program under examples/ and runs each one under a
+# 300 s timeout: an example that no longer builds, exits non-zero or hangs
+# fails the target. examples/pipeline is the one program that forks futures
+# through the live engine. Each run's output lands in bin/example_<name>.log.
+examples:
+	@mkdir -p bin/examples
+	$(GO) build -o bin/examples/ ./examples/...
+	@for ex in bin/examples/*; do \
+		n=`basename $$ex`; \
+		timeout 300 $$ex > bin/example_$$n.log 2>&1 \
+			|| { echo "examples: $$n failed"; cat bin/example_$$n.log; exit 1; }; \
+		echo "examples: $$n ok"; \
+	done
+
 # fullscale-smoke proves shard-count invariance through the CLI exactly
 # the way the CI job does: one ×4-scale grid cell streamed and sharded at
 # -shards 1 and -shards 2 must print identical fingerprint= lines.
@@ -181,4 +195,4 @@ fuzz:
 # check is the full pre-push gate: everything CI enforces that can run
 # offline (staticcheck and govulncheck need their pinned tools installed;
 # see ci.yml).
-check: build race lint bench-module
+check: build race lint bench-module examples

@@ -237,7 +237,7 @@ func main() {
 	case *noTrace:
 		r.Traces = nil
 	case *traceDir != "":
-		tc, err := dagtrace.NewStreamCache(*traceDir, 0)
+		tc, err := dagtrace.NewStreamCache(*traceDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
 			os.Exit(1)

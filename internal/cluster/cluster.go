@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/serve"
 )
 
@@ -55,16 +54,8 @@ type Config struct {
 	Scale *ScalePolicy
 	// Seed drives tenant draws and per-machine scheduler randomness.
 	Seed uint64
-	// Cost overrides the scheduler cost model (zero value = defaults).
-	Cost sched.CostModel
 	// LinksUsed restricts DRAM links per machine; 0 = all.
 	LinksUsed int
-	// PageSize sets the placement granularity; 0 = proportional.
-	PageSize int64
-	// MaxStrands aborts runaway machines; 0 = no limit.
-	MaxStrands uint64
-	// SkipVerify skips per-job output verification after the run.
-	SkipVerify bool
 }
 
 // coordinator is the cluster front door: it owns the arrival stream, the
@@ -443,11 +434,9 @@ func (c *coordinator) finish() (*Report, error) {
 			return nil, fmt.Errorf("cluster: machine %d: %w", m.id, m.err)
 		}
 	}
-	if !c.cfg.SkipVerify {
-		for _, m := range c.ms {
-			if err := m.srv.Verify(m.schedName); err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", m.id, err)
-			}
+	for _, m := range c.ms {
+		if err := m.srv.Verify(m.schedName); err != nil {
+			return nil, fmt.Errorf("cluster: machine %d: %w", m.id, err)
 		}
 	}
 	return c.assemble(), nil

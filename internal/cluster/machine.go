@@ -226,9 +226,7 @@ func newMachineState(cfg *Config, id int, tenants int) (*machineState, error) {
 		Arrivals:  ms.feed,
 		Admission: adm,
 		Seed:      cfg.Seed + uint64(id)*clusterSeedStep,
-		Cost:      cfg.Cost,
 		LinksUsed: cfg.LinksUsed,
-		PageSize:  cfg.PageSize,
 		Dispatch:  ms.dispatch(cfg),
 		OnDropped: func(rec *serve.JobRecord) {
 			ms.src.drops = append(ms.src.drops, drop{mach: id, tag: rec.Tag})
@@ -270,12 +268,10 @@ func (ms *machineState) dispatch(cfg *Config) serve.Dispatcher {
 // machine's state only in the complementary window.
 func (ms *machineState) start(cfg *Config) {
 	simCfg := sim.Config{
-		Machine:    cfg.Machine,
-		Space:      ms.srv.Space(),
-		Scheduler:  ms.sc,
-		Cost:       cfg.Cost,
-		Seed:       cfg.Seed + uint64(ms.id)*clusterSeedStep,
-		MaxStrands: cfg.MaxStrands,
+		Machine:   cfg.Machine,
+		Space:     ms.srv.Space(),
+		Scheduler: ms.sc,
+		Seed:      cfg.Seed + uint64(ms.id)*clusterSeedStep,
 	}
 	src := ms.src
 	go func() { //schedlint:ignore nondeterminism lockstep co-simulation: engines share no state and synchronize with the coordinator only at virtual-time barriers, so host interleaving cannot reach simulated state

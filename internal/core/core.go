@@ -120,49 +120,99 @@ func Benchmarks() []string {
 	return []string{"rrm", "rrg", "quicksort", "samplesort", "awaresamplesort", "quadtree", "matmul", "wset"}
 }
 
-// NewKernel constructs a named benchmark in sp, sized by o, for machine m
-// (the aware samplesort reads its L3 size from m).
-func NewKernel(name string, sp *mem.Space, m *machine.Desc, o BenchOpts) (kernels.Kernel, error) {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	switch strings.ToLower(name) {
-	case "rrm":
-		n := defaultN(o.N, 160_000)
-		return kernels.NewRRM(sp, kernels.RRMConfig{N: n, Base: o.Cutoff, Seed: seed}), nil
-	case "rrg":
-		n := defaultN(o.N, 160_000)
-		return kernels.NewRRG(sp, kernels.RRGConfig{N: n, Base: o.Cutoff, Seed: seed}), nil
-	case "quicksort", "qsort":
-		n := defaultN(o.N, 600_000)
-		return kernels.NewQuicksort(sp, kernels.QuicksortConfig{N: n, SerialCutoff: o.Cutoff, Seed: seed}), nil
-	case "samplesort", "ssort":
-		n := defaultN(o.N, 600_000)
-		return kernels.NewSamplesort(sp, kernels.SamplesortConfig{N: n, Cutoff: o.Cutoff, Seed: seed}), nil
-	case "awaresamplesort", "awsort":
-		n := defaultN(o.N, 600_000)
-		return kernels.NewAwareSamplesort(sp, kernels.AwareSamplesortConfig{
-			N: n, L3Bytes: m.Levels[1].Size, SerialCutoff: o.Cutoff, Seed: seed,
-		}), nil
-	case "quadtree", "quad-tree":
-		n := defaultN(o.N, 400_000)
-		return kernels.NewQuadtree(sp, kernels.QuadtreeConfig{N: n, Cutoff: o.Cutoff, Seed: seed}), nil
-	case "matmul":
-		n := defaultN(o.N, 256)
-		return kernels.NewMatMul(sp, kernels.MatMulConfig{N: n, Seed: seed}), nil
-	case "wset":
-		n := defaultN(o.N, 100_000)
-		return kernels.NewWSet(sp, kernels.WSetConfig{N: n, Grain: o.Cutoff, Seed: seed}), nil
-	}
-	return nil, fmt.Errorf("core: unknown benchmark %q (have %s)", name, strings.Join(Benchmarks(), ", "))
+// bench is one named benchmark: its input size when BenchOpts.N is 0, an
+// optional check of a size that is not just non-negative, and its
+// constructor, which gets the effective size and seed in o.
+type bench struct {
+	defaultN int
+	check    func(n int) error
+	build    func(sp *mem.Space, m *machine.Desc, o BenchOpts) kernels.Kernel
 }
 
-func defaultN(n, d int) int {
-	if n > 0 {
-		return n
+// benches holds every benchmark NewKernel builds, keyed by canonical name.
+var benches = map[string]bench{
+	"rrm": {defaultN: 160_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewRRM(sp, kernels.RRMConfig{N: o.N, Base: o.Cutoff, Seed: o.Seed})
+	}},
+	"rrg": {defaultN: 160_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewRRG(sp, kernels.RRGConfig{N: o.N, Base: o.Cutoff, Seed: o.Seed})
+	}},
+	"quicksort": {defaultN: 600_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewQuicksort(sp, kernels.QuicksortConfig{N: o.N, SerialCutoff: o.Cutoff, Seed: o.Seed})
+	}},
+	"samplesort": {defaultN: 600_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewSamplesort(sp, kernels.SamplesortConfig{N: o.N, Cutoff: o.Cutoff, Seed: o.Seed})
+	}},
+	"awaresamplesort": {defaultN: 600_000, build: func(sp *mem.Space, m *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewAwareSamplesort(sp, kernels.AwareSamplesortConfig{
+			N: o.N, L3Bytes: m.Levels[1].Size, SerialCutoff: o.Cutoff, Seed: o.Seed,
+		})
+	}},
+	"quadtree": {defaultN: 400_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewQuadtree(sp, kernels.QuadtreeConfig{N: o.N, Cutoff: o.Cutoff, Seed: o.Seed})
+	}},
+	"matmul": {
+		defaultN: 256,
+		check:    func(n int) error { return kernels.MatMulConfig{N: n}.Check() },
+		build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+			return kernels.NewMatMul(sp, kernels.MatMulConfig{N: o.N, Seed: o.Seed})
+		},
+	},
+	"wset": {defaultN: 100_000, build: func(sp *mem.Space, _ *machine.Desc, o BenchOpts) kernels.Kernel {
+		return kernels.NewWSet(sp, kernels.WSetConfig{N: o.N, Grain: o.Cutoff, Seed: o.Seed})
+	}},
+}
+
+// aliases maps the short benchmark names NewKernel also accepts.
+var aliases = map[string]string{"qsort": "quicksort", "ssort": "samplesort", "awsort": "awaresamplesort", "quad-tree": "quadtree"}
+
+// CheckBench reports whether NewKernel accepts the named benchmark at input
+// size n (0 = the benchmark's default) without building it: the name must
+// be known (case-insensitive, aliases included), n must be non-negative,
+// and a MatMul dimension must be a power of two its base case divides.
+func CheckBench(name string, n int) error {
+	_, _, err := resolve(name, n)
+	return err
+}
+
+// resolve validates a benchmark name and size and returns the benchmark
+// and the effective size.
+func resolve(name string, n int) (bench, int, error) {
+	b := strings.ToLower(name)
+	if a, ok := aliases[b]; ok {
+		b = a
 	}
-	return d
+	bm, ok := benches[b]
+	if !ok {
+		return bench{}, 0, fmt.Errorf("core: unknown benchmark %q (have %s)", name, strings.Join(Benchmarks(), ", "))
+	}
+	if n < 0 {
+		return bench{}, 0, fmt.Errorf("core: benchmark %s size %d is negative", b, n)
+	}
+	if n == 0 {
+		n = bm.defaultN
+	}
+	if bm.check != nil {
+		if err := bm.check(n); err != nil {
+			return bench{}, 0, fmt.Errorf("core: %w", err)
+		}
+	}
+	return bm, n, nil
+}
+
+// NewKernel constructs a named benchmark in sp, sized by o, for machine m
+// (the aware samplesort reads its L3 size from m). A name or size that
+// CheckBench rejects is an error.
+func NewKernel(name string, sp *mem.Space, m *machine.Desc, o BenchOpts) (kernels.Kernel, error) {
+	bm, n, err := resolve(name, o.N)
+	if err != nil {
+		return nil, err
+	}
+	o.N = n
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return bm.build(sp, m, o), nil
 }
 
 // RunKernel builds the named benchmark, runs it under the named scheduler,

@@ -32,6 +32,22 @@ func TestRunKernelAllBenchmarks(t *testing.T) {
 	}
 }
 
+// TestBenchmarksListTheTable: Benchmarks names every entry of the table
+// NewKernel builds from, once each.
+func TestBenchmarksListTheTable(t *testing.T) {
+	names := Benchmarks()
+	seen := map[string]bool{}
+	for _, b := range names {
+		if _, ok := benches[b]; !ok || seen[b] {
+			t.Errorf("Benchmarks lists %q: in table %v, repeated %v", b, ok, seen[b])
+		}
+		seen[b] = true
+	}
+	if len(seen) != len(benches) {
+		t.Errorf("Benchmarks lists %d names, the table has %d", len(seen), len(benches))
+	}
+}
+
 func TestRunKernelWithTraceValidation(t *testing.T) {
 	s := testSession()
 	s.Trace = true
@@ -54,6 +70,44 @@ func TestRunKernelUnknownNames(t *testing.T) {
 	}
 	if _, err := (&Session{}).RunKernel("ws", "rrm", BenchOpts{}); err == nil {
 		t.Error("nil machine not rejected")
+	}
+}
+
+// TestCheckBenchRejectsBadSizes: a name or size NewKernel cannot build
+// is an error from CheckBench and from NewKernel alike, before anything
+// is allocated — never a constructor panic or a silent default.
+func TestCheckBenchRejectsBadSizes(t *testing.T) {
+	m := testSession().Machine
+	for _, tc := range []struct {
+		name string
+		n    int
+		ok   bool
+	}{
+		{"rrm", 0, true},
+		{"RRM", 2000, true},
+		{"qsort", 1000, true},
+		{"matmul", 0, true},
+		{"matmul", 64, true},
+		{"matmul", 100, false}, // not a power of two
+		{"matmul", 16, false},  // the default base 32 does not divide it
+		{"rrm", -5, false},
+		{"wset", -1, false},
+		{"nope", 1000, false},
+	} {
+		err := CheckBench(tc.name, tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckBench(%q, %d) = %v, want ok=%v", tc.name, tc.n, err, tc.ok)
+		}
+		if tc.ok {
+			continue
+		}
+		sp := SpaceFor(m, 0, 0)
+		if k, err := NewKernel(tc.name, sp, m, BenchOpts{N: tc.n}); err == nil || k != nil {
+			t.Errorf("NewKernel(%q, %d) = %v, %v; want an error", tc.name, tc.n, k, err)
+		}
+		if fp := sp.Footprint(); fp != 0 {
+			t.Errorf("NewKernel(%q, %d) allocated %d bytes before failing", tc.name, tc.n, fp)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dagtrace
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/job"
@@ -142,23 +143,37 @@ func TestRecordMatchesLiveRecording(t *testing.T) {
 	}
 }
 
-// TestRecordFailsOnBadStrands: a strand that panics, and a strand that
-// forks twice, end a sequential recording with an error instead of
-// crashing the caller.
+// TestRecordFailsOnBadStrands: a strand that panics or misuses a fork
+// primitive ends a sequential recording with a strand error — never
+// ErrUnsupported, never a crash of the caller — and fails a live run the
+// same way: both executors enforce job's one set of fork rules.
 func TestRecordFailsOnBadStrands(t *testing.T) {
 	leaf := job.FuncJob(func(ctx job.Ctx) { ctx.Work(1) })
-	for name, root := range map[string]job.Job{
-		"panic": job.FuncJob(func(ctx job.Ctx) {
-			ctx.Fork(nil, leaf, job.FuncJob(func(job.Ctx) { panic("kernel bug") }))
-		}),
-		"double fork": job.FuncJob(func(ctx job.Ctx) {
+	m := machine.Flat(2, 1<<14)
+	for _, tc := range []struct {
+		name, want string
+		bad        job.FuncJob
+	}{
+		{"panic", "kernel bug", func(job.Ctx) { panic("kernel bug") }},
+		{"double fork", "job: fork primitive called twice", func(ctx job.Ctx) {
 			ctx.Fork(nil, leaf)
 			ctx.Fork(nil, leaf)
-		}),
+		}},
+		{"fork without children", "job: Fork with no children", func(ctx job.Ctx) { ctx.Fork(leaf) }},
+		{"future without body", "job: ForkFuture requires", func(ctx job.Ctx) { ctx.ForkFuture(nil, job.NewFuture(), nil) }},
+		{"await nil future", "job: ForkAwait with nil future", func(ctx job.Ctx) { ctx.ForkAwait(leaf, []*job.Future{nil}) }},
+		{"await without continuation", "job: ForkAwait requires a continuation", func(ctx job.Ctx) { ctx.ForkAwait(nil, nil, leaf) }},
 	} {
-		tr, err := Record(root, 64)
-		if err == nil || tr != nil {
-			t.Errorf("%s: Record = %v, %v; want an error", name, tr, err)
+		// The bad strand runs as a child task beside a good one.
+		root := job.FuncJob(func(ctx job.Ctx) { ctx.Fork(nil, leaf, tc.bad) })
+		tr, err := Record(root, m.Block())
+		if err == nil || tr != nil || errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Record = %v, %v; want a strand error mentioning %q", tc.name, tr, err, tc.want)
+		}
+		sp := mem.NewSpace(m.Links, m.Links)
+		_, err = sim.Run(sim.Config{Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 1}, root)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: sim.Run = %v; want a strand error mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -22,6 +22,31 @@ func runPiece(t *testing.T, p Piece, m *machine.Desc, schedName string, seed uin
 	return res
 }
 
+// TestPartitionPiecesReplayOnBothStrandPaths: a piece replays to the same
+// result whether the engine interprets its scripts inline or runs them on
+// worker goroutines (forced here by a recording listener) — including
+// spine strands whose every child was cut, which fork an empty block.
+func TestPartitionPiecesReplayOnBothStrandPaths(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	p, err := PartitionStream(Resident(recordSeq(t, m)), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pc := range p.Pieces {
+		inline := runPiece(t, pc, m, "ws", 7)
+		sp := mem.NewSpace(m.Links, m.Links)
+		goroutine, err := sim.Run(sim.Config{
+			Machine: m, Space: sp, Scheduler: sched.New("ws"), Seed: 7, Listener: NewRecorder(),
+		}, pc.Root)
+		if err != nil {
+			t.Fatalf("piece %d on worker goroutines: %v", i, err)
+		}
+		if inline.Fingerprint() != goroutine.Fingerprint() {
+			t.Errorf("piece %d: inline and goroutine replays differ", i)
+		}
+	}
+}
+
 // TestPartitionConservation is the correctness core of sharded replay:
 // pieces are disjoint and exhaustive, so the per-piece task, strand and
 // access counts must sum exactly to the recorded totals, for every piece

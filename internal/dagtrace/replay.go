@@ -74,14 +74,13 @@ func (j *streamJob) Size(int64) int64 { return j.t.nodes[j.n].taskSize }
 func (j *streamJob) StrandSize(int64) int64 { return j.t.nodes[j.n].strandSize }
 
 // runScripted is the goroutine-path body of a replayed strand: take the
-// script, replay it, hand it back, then perform the terminal fork.
+// script, replay it, hand it back, then perform the terminal fork
+// (job.ForkScript, as the engine's inline path does).
 func runScripted(ctx job.Ctx, j job.StreamScripted) {
 	ops, lo, hi := j.Script()
 	replayOps(ctx, ops, lo, hi)
 	j.ReleaseScript(ops)
-	if cont, kids := j.ScriptFork(); cont != nil || len(kids) > 0 {
-		ctx.Fork(cont, kids...)
-	}
+	job.ForkScript(ctx, j)
 }
 
 // replayOps is the replay inner loop: decode the strand's op stream and

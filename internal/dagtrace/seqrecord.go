@@ -14,8 +14,9 @@ import (
 // run would send its sim.TraceListener drive one Recorder, so Finish
 // cross-checks the structure exactly as it does for a live recording.
 // block is the machine's cache-line size, against which the task and
-// strand space annotations resolve (job.SizeOf, job.StrandSizeOf, with the
-// engine's strand-to-task fallback).
+// strand space annotations resolve. The program-model rules — the fork
+// discipline, task and strand initialization, record recycling — are
+// job's, shared with the engine.
 //
 // At a fork every child task is spawned in fork order, as the engine does;
 // each child then runs to completion in that order, and the continuation
@@ -26,8 +27,8 @@ import (
 // one.
 //
 // A program that forks futures fails with ErrUnsupported. A strand that
-// panics — a second terminal fork in one strand included — fails with an
-// error carrying the panic value.
+// panics — a misused fork primitive included — fails with an error
+// carrying the panic value.
 func Record(root job.Job, block int64) (tr *Trace, err error) {
 	q := &seqRecorder{rec: NewRecorder(), block: block}
 	q.ctx.q = q
@@ -42,7 +43,7 @@ func Record(root job.Job, block int64) (tr *Trace, err error) {
 }
 
 // seqRecorder is the state of one sequential recording. Task and strand
-// records are recycled through free lists as the engine's pools recycle
+// records are recycled through job.Pools as the engine's pools recycle
 // them, which the Recorder allows by being sim.PoolSafe: it keeps IDs,
 // never the records.
 type seqRecorder struct {
@@ -60,9 +61,9 @@ type seqRecorder struct {
 	// unrecycled until the next strand starts.
 	last *job.Strand
 
-	taskFree   freeList[job.Task]
-	strandFree freeList[job.Strand]
-	pairFree   freeList[job.ForPair]
+	taskPool   job.Pool[job.Task]
+	strandPool job.Pool[job.Strand]
+	pairPool   job.Pool[job.ForPair]
 }
 
 // runTask runs the task of its first strand s to completion: its strands
@@ -72,69 +73,53 @@ func (q *seqRecorder) runTask(s *job.Strand) {
 	t := s.Task
 	for {
 		f := q.runStrand(s)
-		if q.rec.err != nil || !f.called {
+		if q.rec.err != nil || !f.Called {
 			break
 		}
 		base := len(q.pending)
-		for _, cj := range f.children {
+		for _, cj := range f.Children {
 			q.pending = append(q.pending, q.spawn(q.newTask(t, cj), cj, job.TaskStart, s))
 		}
-		q.strandFree.put(s)
-		for i := base; i < base+len(f.children) && q.rec.err == nil; i++ {
+		q.strandPool.Put(s)
+		for i := base; i < base+len(f.Children) && q.rec.err == nil; i++ {
 			q.runTask(q.pending[i])
 		}
 		q.pending = q.pending[:base]
-		if q.rec.err != nil || f.cont == nil {
+		if q.rec.err != nil || f.Cont == nil {
 			break
 		}
-		s = q.spawn(t, f.cont, job.Continuation, q.last)
+		s = q.spawn(t, f.Cont, job.Continuation, q.last)
 	}
 	q.rec.TaskEnded(t, 0)
-	if pr, ok := t.Job.(job.PairRecycler); ok {
-		if p := pr.TakeChildPair(); p != nil {
-			q.pairFree.put(p)
-		}
-	}
-	q.taskFree.put(t)
+	job.RecyclePair(&q.pairPool, t)
+	q.taskPool.Put(t)
 }
 
 // runStrand executes one strand and reports its end and terminal fork.
-func (q *seqRecorder) runStrand(s *job.Strand) seqFork {
+func (q *seqRecorder) runStrand(s *job.Strand) job.ForkRecord {
 	if q.last != nil {
-		q.strandFree.put(q.last)
+		q.strandPool.Put(q.last)
 		q.last = nil
 	}
 	q.rec.StrandStarted(s)
 	c := &q.ctx
-	c.cur, c.fork = s, seqFork{}
+	c.cur = s
 	s.Job.Run(c)
-	f := c.fork
+	f := c.fork.Take()
 	q.rec.StrandEnded(s)
-	q.rec.StrandForked(s, f.cont != nil, len(f.children), f.futures)
-	if !f.called {
+	q.rec.StrandForked(s, f.Cont != nil, len(f.Children), f.Futures())
+	if !f.Called {
 		q.last = s
 	}
 	return f
 }
 
 // newTask returns a task record for job j forked by parent (nil for the
-// root), sized as the engine sizes it.
+// root).
 func (q *seqRecorder) newTask(parent *job.Task, j job.Job) *job.Task {
 	q.tasks++
-	depth := 0
-	if parent != nil {
-		depth = parent.Depth + 1
-	}
-	t := q.taskFree.get()
-	*t = job.Task{
-		ID:          q.tasks,
-		Parent:      parent,
-		Depth:       depth,
-		Job:         j,
-		SizeBytes:   job.SizeOf(j, q.block),
-		AnchorLevel: -1,
-		AnchorNode:  -1,
-	}
+	t := q.taskPool.Get()
+	t.Init(q.tasks, parent, j, q.block)
 	return t
 }
 
@@ -142,31 +127,19 @@ func (q *seqRecorder) newTask(parent *job.Task, j job.Job) *job.Task {
 // by is the strand whose completion made it runnable.
 func (q *seqRecorder) spawn(t *job.Task, j job.Job, kind job.Kind, by *job.Strand) *job.Strand {
 	q.strands++
-	size := job.StrandSizeOf(j, q.block)
-	if size < 0 {
-		size = t.SizeBytes
-	}
-	s := q.strandFree.get()
-	*s = job.Strand{ID: q.strands, Task: t, Job: j, Kind: kind, SizeBytes: size, Proc: -1, SpawnedBy: by}
+	s := q.strandPool.Get()
+	s.Init(q.strands, t, j, kind, q.block, 0, by)
 	q.rec.StrandSpawned(s)
 	return s
 }
 
-// seqFork is the terminal fork of the running strand.
-type seqFork struct {
-	called   bool
-	futures  bool
-	cont     job.Job
-	children []job.Job
-}
-
 // seqCtx is the job.Ctx of a sequential recording: accesses and positive
 // work charges go straight to the recorder, and the terminal fork is kept
-// for runTask. It enforces the engine's fork discipline.
+// for runTask.
 type seqCtx struct {
 	q    *seqRecorder
 	cur  *job.Strand
-	fork seqFork
+	fork job.ForkRecord
 	rng  xrand.Source
 }
 
@@ -181,63 +154,25 @@ func (c *seqCtx) Work(cycles int64) {
 }
 
 // Fork implements job.Ctx.
-func (c *seqCtx) Fork(cont job.Job, children ...job.Job) {
-	c.terminal()
-	if len(children) == 0 {
-		panic("dagtrace: Fork with no children")
-	}
-	c.fork = seqFork{called: true, cont: cont, children: children}
-}
+func (c *seqCtx) Fork(cont job.Job, children ...job.Job) { c.fork.Fork(cont, children) }
 
 // ForkFuture implements job.Ctx. The recorder rejects the fork, so the
 // future body never runs.
-func (c *seqCtx) ForkFuture(cont job.Job, _ *job.Future, _ job.Job) {
-	c.terminal()
-	c.fork = seqFork{called: true, futures: true, cont: cont}
+func (c *seqCtx) ForkFuture(cont job.Job, f *job.Future, body job.Job) {
+	c.fork.ForkFuture(cont, f, body)
 }
 
 // ForkAwait implements job.Ctx. Awaiting no future is a plain fork.
 func (c *seqCtx) ForkAwait(cont job.Job, futures []*job.Future, children ...job.Job) {
-	c.terminal()
-	if cont == nil {
-		panic("dagtrace: ForkAwait requires a continuation")
-	}
-	c.fork = seqFork{called: true, futures: len(futures) > 0, cont: cont, children: children}
-}
-
-func (c *seqCtx) terminal() {
-	if c.fork.called {
-		panic("dagtrace: fork primitive called twice in one strand (must be terminal)")
-	}
+	c.fork.ForkAwait(cont, futures, children)
 }
 
 // AllocForPair implements job.ForPairAllocator: parallel-for fork
 // contexts are recycled when their splitting task ends, as in the engine.
-func (c *seqCtx) AllocForPair() *job.ForPair { return c.q.pairFree.get() }
+func (c *seqCtx) AllocForPair() *job.ForPair { return c.q.pairPool.Get() }
 
 // Worker implements job.Ctx: a sequential recording runs on one core.
 func (c *seqCtx) Worker() int { return 0 }
 
 // RNG implements job.Ctx.
 func (c *seqCtx) RNG() *xrand.Source { return &c.rng }
-
-// freeList recycles records of one type. put zeroes a record, so a
-// reference kept past its release shows up as a loud bug rather than
-// silent state bleed.
-type freeList[T any] []*T
-
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		x := (*l)[n-1]
-		(*l)[n-1] = nil
-		*l = (*l)[:n-1]
-		return x
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	*l = append(*l, x)
-}

@@ -58,8 +58,10 @@ func (s Stats) HitRate() float64 {
 
 // StreamCache is a single-flight cache of recordings.
 type StreamCache struct {
-	dir       string // "" keeps recordings resident
-	frameSize int64  // 0 = DefaultFrameSize
+	dir string // "" keeps recordings resident
+	// frameSize is the frame size of the files the cache writes; 0 (the
+	// default) selects DefaultFrameSize. Only tests set it.
+	frameSize int64
 
 	// writeFn frames a trace to disk; tests inject failing writers to
 	// exercise the disk-full / I/O-error paths. nil means WriteFramed.
@@ -115,14 +117,14 @@ type streamEntry struct {
 
 // NewStreamCache returns a cache storing recordings as DGTS files under
 // dir, creating it as needed, or keeping them resident when dir is
-// empty. frameSize 0 selects DefaultFrameSize for the files it writes.
-func NewStreamCache(dir string, frameSize int64) (*StreamCache, error) {
+// empty. The files it writes use DefaultFrameSize.
+func NewStreamCache(dir string) (*StreamCache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("dagtrace: stream cache: %w", err)
 		}
 	}
-	return &StreamCache{dir: dir, frameSize: frameSize, entries: make(map[string]*streamEntry)}, nil
+	return &StreamCache{dir: dir, entries: make(map[string]*streamEntry)}, nil
 }
 
 // Dir returns the cache's directory; empty when recordings stay resident.

@@ -37,10 +37,11 @@ func recordTestTrace(t *testing.T, n int) *Trace {
 // concurrent callers for one key, exactly one records; every other
 // caller blocks until the file lands and replays the same path.
 func TestStreamCacheSingleFlight(t *testing.T) {
-	c, err := NewStreamCache(t.TempDir(), 1<<12)
+	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.frameSize = 1 << 12
 	tr := recordTestTrace(t, 1<<10)
 	const callers = 8
 	var (
@@ -101,7 +102,7 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 // and releases the key; and Quarantine evicts a resident entry like a
 // file-backed one.
 func TestStreamCacheResident(t *testing.T) {
-	c, err := NewStreamCache("", 0)
+	c, err := NewStreamCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +195,11 @@ func TestStreamCacheResident(t *testing.T) {
 // of re-recording.
 func TestStreamCacheAdoptsDisk(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewStreamCache(dir, 1<<12)
+	c1, err := NewStreamCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1.frameSize = 1 << 12
 	tr := recordTestTrace(t, 1<<10)
 	if _, record, _ := c1.GetOrReserve("k"); !record {
 		t.Fatal("cold cache did not ask for a recording")
@@ -207,10 +209,11 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := NewStreamCache(dir, 1<<12)
+	c2, err := NewStreamCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.frameSize = 1 << 12
 	r2, record, err := c2.GetOrReserve("k")
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +230,11 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 // file: it is removed, counted, and the key falls back to re-recording.
 func TestStreamCacheEvictsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewStreamCache(dir, 1<<12)
+	c, err := NewStreamCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.frameSize = 1 << 12
 	p := c.path("k")
 	if err := os.WriteFile(p, []byte("not a framed trace"), 0o644); err != nil {
 		t.Fatal(err)
@@ -253,7 +257,7 @@ func TestStreamCacheEvictsCorrupt(t *testing.T) {
 // TestStreamCacheFail checks that a failed recording unblocks waiters
 // with the recorder's error rather than deadlocking them.
 func TestStreamCacheFail(t *testing.T) {
-	c, err := NewStreamCache(t.TempDir(), 0)
+	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +299,11 @@ func TestStreamCacheFail(t *testing.T) {
 // and the single-flight reservation is released so the key re-records —
 // and succeeds — once the writer recovers.
 func TestStreamCacheFillWriteError(t *testing.T) {
-	c, err := NewStreamCache(t.TempDir(), 1<<12)
+	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.frameSize = 1 << 12
 	diskFull := errors.New("no space left on device")
 	c.writeFn = func(t *Trace, path string, frameSize int64) error {
 		// Simulate a torn write: bytes land, then the device fills.
@@ -356,10 +361,11 @@ func TestStreamCacheFillWriteError(t *testing.T) {
 // counted, and the next GetOrReserve records from scratch; an in-flight
 // recording and an absent key are both refused.
 func TestStreamCacheQuarantine(t *testing.T) {
-	c, err := NewStreamCache(t.TempDir(), 1<<12)
+	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.frameSize = 1 << 12
 	if c.Quarantine("nothing") {
 		t.Fatal("quarantined a key that was never recorded")
 	}

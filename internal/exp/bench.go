@@ -200,7 +200,7 @@ func BenchTraceRecord(b *testing.B) {
 func BenchReplayFig8(b *testing.B) {
 	p := Quick()
 	p.Reps = 1
-	cache, err := dagtrace.NewStreamCache(b.TempDir(), 0)
+	cache, err := dagtrace.NewStreamCache(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

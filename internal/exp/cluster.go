@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/csv"
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -201,26 +199,17 @@ func orDash(s string) string {
 // cell with the aggregate metrics, then one row per tenant with that
 // tenant's slice. Latencies in simulated seconds.
 func WriteClusterCSV(path string, m *machine.Desc, points []ClusterPoint) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	header := []string{
+	records := [][]string{{
 		"routing", "scale", "tenant_mix", "scope", "machines",
 		"arrivals", "quota_shed", "routed", "completed", "dropped", "timed_out",
 		"latency_p50_s", "latency_p95_s", "latency_p99_s", "latency_mean_s",
 		"throughput_per_sec", "wall_s", "l3_misses", "dram_accesses",
 		"scale_ups", "scale_downs",
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
+	}}
 	sec := func(cycles float64) string { return fmtF(cycles / (m.ClockGHz * 1e9)) }
 	for _, p := range points {
 		r := p.Report
-		fleet := []string{
+		records = append(records, []string{
 			p.Routing, p.Scale, p.Tenants, "fleet", strconv.Itoa(r.Machines),
 			strconv.Itoa(r.Arrivals), strconv.Itoa(r.QuotaShed), strconv.Itoa(r.Routed),
 			strconv.Itoa(r.Completed), strconv.Itoa(r.Dropped), strconv.Itoa(r.TimedOut),
@@ -228,24 +217,17 @@ func WriteClusterCSV(path string, m *machine.Desc, points []ClusterPoint) error 
 			fmtF(r.ThroughputPerSec), sec(float64(r.WallCycles)),
 			strconv.FormatInt(r.L3Misses, 10), strconv.FormatInt(r.DRAMAccesses, 10),
 			strconv.Itoa(r.ScaleUps), strconv.Itoa(r.ScaleDowns),
-		}
-		if err := w.Write(fleet); err != nil {
-			return err
-		}
+		})
 		for i := range r.Tenants {
 			tn := &r.Tenants[i]
-			row := []string{
+			records = append(records, []string{
 				p.Routing, p.Scale, p.Tenants, "tenant:" + tn.Name, strconv.Itoa(r.Machines),
 				strconv.Itoa(tn.Arrivals), strconv.Itoa(tn.Shed), strconv.Itoa(tn.Arrivals - tn.Shed),
 				strconv.Itoa(tn.Completed), "", "",
 				sec(tn.Latency.P50), sec(tn.Latency.P95), sec(tn.Latency.P99), sec(tn.Latency.Mean),
 				"", "", "", "", "", "",
-			}
-			if err := w.Write(row); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	w.Flush()
-	return w.Error()
+	return writeCSV(path, records)
 }

@@ -7,37 +7,41 @@ import (
 	"strconv"
 )
 
-// WriteCSV exports figure rows (one per grid cell, trimmed-mean metrics
-// plus spread) for external plotting.
-func WriteCSV(path string, rows []FigRow) error {
+// writeCSV writes records, header first, to a new file at path. It
+// reports the first error of creating, writing, flushing or closing the
+// file, so a CSV that did not reach the disk never reads as written.
+func writeCSV(path string, records [][]string) error {
 	f, err := os.Create(path)
+	if err == nil {
+		err = csv.NewWriter(f).WriteAll(records)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	header := []string{
+	return nil
+}
+
+// WriteCSV exports figure rows (one per grid cell, trimmed-mean metrics
+// plus spread) for external plotting.
+func WriteCSV(path string, rows []FigRow) error {
+	records := [][]string{{
 		"group", "scheduler",
 		"active_s", "overhead_s", "empty_s", "total_s", "wall_s",
 		"l3_misses", "l3_misses_std", "dram_stall_cycles", "reps",
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
-		rec := []string{
+		records = append(records, []string{
 			r.Group, r.Scheduler,
 			fmtF(r.M.ActiveSec.Mean), fmtF(r.M.OverSec.Mean), fmtF(r.M.EmptySec.Mean),
 			fmtF(r.M.TimeSec()), fmtF(r.M.WallSec.Mean),
 			fmtF(r.M.L3Misses.Mean), fmtF(r.M.L3Misses.Std), fmtF(r.M.DRAMStall.Mean),
 			strconv.Itoa(r.M.L3Misses.N),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	w.Flush()
-	return w.Error()
+	return writeCSV(path, records)
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
@@ -50,22 +54,13 @@ func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
 // The status column distinguishes done/resumed cells from the pending
 // and failed rows of a partial run, whose metric fields are empty.
 func WriteFullGridCSV(path string, rep *FullGridReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	header := []string{
+	records := [][]string{{
 		"kernel", "scheduler", "links", "status", "shards",
 		"sharded_wall_cycles", "l3_misses", "dram_stall_cycles",
 		"tasks", "strands", "op_bytes", "file_bytes",
 		"record_shared", "record_s", "write_s", "sharded_s",
 		"peak_window_bytes", "fingerprint",
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
+	}}
 	failed := make(map[GridCell]bool, len(rep.Failures))
 	for _, fc := range rep.Failures {
 		failed[fc.Cell] = true
@@ -77,20 +72,17 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 			if failed[g] {
 				status = "failed"
 			}
-			rec := []string{
+			records = append(records, []string{
 				g.Kernel, g.Scheduler, strconv.Itoa(g.LinksUsed), status,
 				"", "", "", "", "", "", "", "", "", "", "", "", "", "",
-			}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
+			})
 			continue
 		}
 		status := "done"
 		if c.Resumed {
 			status = "resumed"
 		}
-		rec := []string{
+		records = append(records, []string{
 			c.Kernel, c.Scheduler, strconv.Itoa(c.LinksUsed), status, strconv.Itoa(c.Shards),
 			strconv.FormatInt(c.ShardedWall, 10), strconv.FormatInt(c.L3Misses, 10),
 			strconv.FormatInt(c.StallCycles, 10),
@@ -98,11 +90,7 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 			strconv.FormatInt(c.OpBytes, 10), strconv.FormatInt(c.TraceBytes, 10),
 			strconv.FormatBool(c.RecordShared), fmtF(c.RecordSec), fmtF(c.WriteSec), fmtF(c.ShardedSec),
 			strconv.FormatInt(c.PeakWindowB, 10), c.Fingerprint,
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	w.Flush()
-	return w.Error()
+	return writeCSV(path, records)
 }

@@ -170,7 +170,7 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	case opts.RunDir != "":
 		// Recordings live inside the run directory, so a resumed or
 		// retried process adopts them from disk instead of re-recording.
-		if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces"), 0); err != nil {
+		if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces")); err != nil {
 			return nil, err
 		}
 	default:

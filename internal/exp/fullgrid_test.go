@@ -33,7 +33,7 @@ func TestFullGridEquivalence(t *testing.T) {
 	// Sequential references: each cell alone, sharing one framed cache so
 	// the reference pass records once too (the recording is canonical —
 	// FullRecordSched — so sharing cannot change it).
-	refCache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	refCache, err := dagtrace.NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFullGridEquivalence(t *testing.T) {
 		{2, 1, 1 << 20}, // budget far under one window: constant eviction pressure
 		{runtime.GOMAXPROCS(0), 2, 0},
 	} {
-		cache, err := dagtrace.NewStreamCache(gridDir, 0)
+		cache, err := dagtrace.NewStreamCache(gridDir)
 		if err != nil {
 			t.Fatal(err)
 		}

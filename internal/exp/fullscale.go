@@ -174,7 +174,7 @@ func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := dagtrace.NewStreamCache(dir, 0)
+	c, err := dagtrace.NewStreamCache(dir)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err

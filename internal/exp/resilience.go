@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/csv"
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/fault"
@@ -186,24 +184,15 @@ func ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
 
 // WriteResilienceCSV exports the grid for external plotting.
 func WriteResilienceCSV(path string, points []ResiliencePoint) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	header := []string{
+	records := [][]string{{
 		"scheduler", "scenario", "intensity",
 		"wall_cycles", "base_wall_cycles", "slowdown",
 		"p99_strand_cycles", "base_p99_strand_cycles",
 		"l3_misses", "base_l3_misses", "miss_inflation",
 		"migrations", "fault_events",
-	}
-	if err := w.Write(header); err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
+	}}
 	for _, p := range points {
-		rec := []string{
+		records = append(records, []string{
 			p.Scheduler, p.Scenario, strconv.Itoa(p.Intensity),
 			strconv.FormatInt(p.WallCycles, 10),
 			strconv.FormatInt(p.BaseWallCycles, 10),
@@ -215,13 +204,9 @@ func WriteResilienceCSV(path string, points []ResiliencePoint) error {
 			fmtF(p.MissInflation),
 			strconv.FormatInt(p.Migrations, 10),
 			strconv.Itoa(p.FaultEvents),
-		}
-		if err := w.Write(rec); err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
+		})
 	}
-	w.Flush()
-	return w.Error()
+	return writeCSV(path, records)
 }
 
 // Resilience runs the resilience sweep on the runner's profile — RRM, the

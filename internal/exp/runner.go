@@ -103,7 +103,7 @@ type Runner struct {
 // NewRunner returns a Runner writing tables to out, with a resident
 // (directory-less) trace cache enabled.
 func NewRunner(p Profile, out io.Writer) *Runner {
-	traces, _ := dagtrace.NewStreamCache("", 0) // only creating a directory can fail
+	traces, _ := dagtrace.NewStreamCache("") // only creating a directory can fail
 	return &Runner{P: p, Out: out, Traces: traces}
 }
 

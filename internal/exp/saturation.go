@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/csv"
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/machine"
@@ -108,23 +106,14 @@ func SaturationSweep(cfg SaturationConfig) ([]SaturationPoint, error) {
 // WriteSaturationCSV exports sweep points for external plotting, latencies
 // in simulated seconds.
 func WriteSaturationCSV(path string, points []SaturationPoint) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	header := []string{
+	records := [][]string{{
 		"scheduler", "rate_per_sec", "arrivals", "admitted", "dropped", "completed", "still_queued",
 		"latency_p50_s", "latency_p95_s", "latency_p99_s", "latency_mean_s",
 		"queue_delay_p99_s", "service_p50_s", "throughput_per_sec", "wall_s",
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
+	}}
 	for _, p := range points {
 		r := p.Report
-		rec := []string{
+		records = append(records, []string{
 			p.Scheduler, fmtF(p.RatePerSec),
 			strconv.Itoa(r.Arrivals), strconv.Itoa(r.Admitted), strconv.Itoa(r.Dropped),
 			strconv.Itoa(r.Completed), strconv.Itoa(r.StillQueued),
@@ -132,11 +121,7 @@ func WriteSaturationCSV(path string, points []SaturationPoint) error {
 			fmtF(r.Seconds(r.Latency.P99)), fmtF(r.Seconds(r.Latency.Mean)),
 			fmtF(r.Seconds(r.QueueDelay.P99)), fmtF(r.Seconds(r.Service.P50)),
 			fmtF(r.ThroughputPerSec), fmtF(r.Result.WallSeconds()),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	w.Flush()
-	return w.Error()
+	return writeCSV(path, records)
 }

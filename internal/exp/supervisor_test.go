@@ -103,7 +103,7 @@ func TestFullGridResumeEquivalence(t *testing.T) {
 	// Reference: the same grid uninterrupted, adopting the recordings the
 	// journaled run already framed (adoption cannot change results — the
 	// file is content-addressed by the computation key).
-	refCache, err := dagtrace.NewStreamCache(filepath.Join(runDir, "traces"), 0)
+	refCache, err := dagtrace.NewStreamCache(filepath.Join(runDir, "traces"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDegradedWindowEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cell pipeline")
 	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	cache, err := dagtrace.NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid pipeline")
 	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	cache, err := dagtrace.NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

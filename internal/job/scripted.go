@@ -36,3 +36,17 @@ type StreamScripted interface {
 	// slice not obtained from Script on the same job is a bug.
 	ReleaseScript(ops []byte)
 }
+
+// ForkScript ends scripted strand j through ctx with its recorded terminal
+// fork: Fork when it has children, ForkAwait with no futures when it has
+// only a continuation (the empty block joins at once and releases it), and
+// nothing when it has neither. Every executor of a scripted strand — the
+// engine's inline interpreter and Run on any Ctx — ends it here.
+func ForkScript(ctx Ctx, j Scripted) {
+	switch cont, kids := j.ScriptFork(); {
+	case len(kids) > 0:
+		ctx.Fork(cont, kids...)
+	case cont != nil:
+		ctx.ForkAwait(cont, nil)
+	}
+}

@@ -16,8 +16,6 @@ type AwareSamplesort struct {
 	A, Buf mem.F64
 	// L3Bytes is the cache size the buckets are sized for.
 	L3Bytes int64
-	// Fill is the fraction of L3 a bucket should fill (default 0.5).
-	Fill float64
 	// Chunk is the distribution block size.
 	Chunk int
 	qsParams
@@ -30,7 +28,6 @@ type AwareSamplesort struct {
 type AwareSamplesortConfig struct {
 	N       int
 	L3Bytes int64 // required: the machine's L3 size
-	Fill    float64
 	Chunk   int
 	// Quicksort thresholds for the per-bucket sorts.
 	SerialCutoff, PartCutoff int
@@ -41,9 +38,6 @@ type AwareSamplesortConfig struct {
 func NewAwareSamplesort(sp *mem.Space, cfg AwareSamplesortConfig) *AwareSamplesort {
 	if cfg.N <= 0 || cfg.L3Bytes <= 0 {
 		panic("kernels: AwareSamplesort requires N > 0 and L3Bytes > 0")
-	}
-	if cfg.Fill == 0 {
-		cfg.Fill = 0.5
 	}
 	if cfg.Chunk == 0 {
 		cfg.Chunk = 1024
@@ -58,11 +52,10 @@ func NewAwareSamplesort(sp *mem.Space, cfg AwareSamplesortConfig) *AwareSampleso
 		A:        sp.NewF64("awsort.A", cfg.N),
 		Buf:      sp.NewF64("awsort.buf", cfg.N),
 		L3Bytes:  cfg.L3Bytes,
-		Fill:     cfg.Fill,
 		Chunk:    cfg.Chunk,
 		qsParams: qsParams{SerialCutoff: cfg.SerialCutoff, PartCutoff: cfg.PartCutoff, Chunk: cfg.Chunk},
 	}
-	target := int(cfg.Fill * float64(cfg.L3Bytes) / 8)
+	target := int(awFill * float64(cfg.L3Bytes) / 8)
 	if target < 1 {
 		target = 1
 	}
@@ -107,6 +100,9 @@ func (a *awJob) Size(int64) int64             { return a.k.A.Bytes() * 2 }
 func (a *awJob) StrandSize(block int64) int64 { return block }
 
 const awOversample = 8
+
+// awFill is the fraction of L3 a bucket is sized to fill.
+const awFill = 0.5
 
 func (a *awJob) Run(ctx job.Ctx) {
 	k := a.k

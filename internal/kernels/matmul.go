@@ -85,20 +85,31 @@ type MatMulConfig struct {
 	N    int // matrix dimension; must be a power of two
 	Base int // default 32; must divide N
 	Seed uint64
-	// SkipVerify skips building the O(N³) reference product (large runs).
-	SkipVerify bool
 }
 
-// NewMatMul allocates and fills A and B with random values and zeroes C.
-func NewMatMul(sp *mem.Space, cfg MatMulConfig) *MatMul {
+// Check reports whether NewMatMul accepts cfg: N must be a positive power
+// of two that the base case divides, the base being 32 when Base is 0.
+func (cfg MatMulConfig) Check() error { return cfg.normalize() }
+
+// normalize fills cfg's defaults and validates it.
+func (cfg *MatMulConfig) normalize() error {
 	if cfg.N <= 0 || cfg.N&(cfg.N-1) != 0 {
-		panic(fmt.Sprintf("kernels: MatMul dimension %d must be a positive power of two", cfg.N))
+		return fmt.Errorf("kernels: MatMul dimension %d must be a positive power of two", cfg.N)
 	}
 	if cfg.Base == 0 {
 		cfg.Base = 32
 	}
 	if cfg.N%cfg.Base != 0 {
-		panic(fmt.Sprintf("kernels: MatMul base %d must divide N=%d", cfg.Base, cfg.N))
+		return fmt.Errorf("kernels: MatMul base %d must divide N=%d", cfg.Base, cfg.N)
+	}
+	return nil
+}
+
+// NewMatMul allocates and fills A and B with random values and zeroes C.
+// It panics on a cfg that Check rejects.
+func NewMatMul(sp *mem.Space, cfg MatMulConfig) *MatMul {
+	if err := cfg.normalize(); err != nil {
+		panic(err.Error())
 	}
 	k := &MatMul{
 		A:    NewMat(sp, "matmul.A", cfg.N),
@@ -109,9 +120,7 @@ func NewMatMul(sp *mem.Space, cfg MatMulConfig) *MatMul {
 	}
 	fillRandom(k.A.data, cfg.Seed)
 	fillRandom(k.B.data, cfg.Seed+1)
-	if !cfg.SkipVerify {
-		k.ref = hostMultiply(k.A, k.B)
-	}
+	k.ref = hostMultiply(k.A, k.B)
 	return k
 }
 
@@ -147,9 +156,6 @@ func (k *MatMul) Root() job.Job {
 
 // Verify implements Kernel.
 func (k *MatMul) Verify() error {
-	if k.ref == nil {
-		return nil // verification disabled for this instance
-	}
 	for i := 0; i < k.n; i++ {
 		for j := 0; j < k.n; j++ {
 			got, want := k.C.At(i, j), k.ref[i*k.n+j]

@@ -23,40 +23,18 @@ type Samplesort struct {
 	Counts mem.I64
 	// Cutoff is the size below which a serial sort is used.
 	Cutoff int
-	// Oversample is the number of regular samples taken per subarray.
-	Oversample int
-	// ProbeSkipCounts disables simulation of count-matrix accesses (the
-	// arithmetic still happens). Diagnostic knob for attributing cache
-	// misses to the element streams versus the count-matrix traffic.
-	ProbeSkipCounts bool
 
 	wantSum, wantSq float64
 }
 
-// cntRead reads a count-matrix entry, simulating the access unless the
-// diagnostic skip flag is set.
-func (s *ssJob) cntRead(ctx job.Ctx, i int) int64 {
-	if s.k.ProbeSkipCounts {
-		return s.cnt.Data[i]
-	}
-	return s.cnt.Read(ctx, i)
-}
-
-// cntWrite writes a count-matrix entry under the same rule.
-func (s *ssJob) cntWrite(ctx job.Ctx, i int, v int64) {
-	if s.k.ProbeSkipCounts {
-		s.cnt.Data[i] = v
-		return
-	}
-	s.cnt.Write(ctx, i, v)
-}
+// ssOversample is the number of regular samples taken per subarray.
+const ssOversample = 4
 
 // SamplesortConfig parameterizes NewSamplesort.
 type SamplesortConfig struct {
-	N          int
-	Cutoff     int // default 2048
-	Oversample int // default 4
-	Seed       uint64
+	N      int
+	Cutoff int // default 2048
+	Seed   uint64
 }
 
 // NewSamplesort allocates and fills a Samplesort instance in sp.
@@ -67,15 +45,11 @@ func NewSamplesort(sp *mem.Space, cfg SamplesortConfig) *Samplesort {
 	if cfg.Cutoff == 0 {
 		cfg.Cutoff = 2048
 	}
-	if cfg.Oversample == 0 {
-		cfg.Oversample = 4
-	}
 	k := &Samplesort{
-		A:          sp.NewF64("ssort.A", cfg.N),
-		Buf:        sp.NewF64("ssort.buf", cfg.N),
-		Counts:     sp.NewI64("ssort.counts", cfg.N),
-		Cutoff:     cfg.Cutoff,
-		Oversample: cfg.Oversample,
+		A:      sp.NewF64("ssort.A", cfg.N),
+		Buf:    sp.NewF64("ssort.buf", cfg.N),
+		Counts: sp.NewI64("ssort.counts", cfg.N),
+		Cutoff: cfg.Cutoff,
 	}
 	fillRandom(k.A.Data, cfg.Seed)
 	k.wantSum, k.wantSq = checksum(k.A.Data)
@@ -195,7 +169,7 @@ type ssSamplePhase struct {
 func (ph *ssSamplePhase) Run(ctx job.Ctx) {
 	s, st := ph.s, ph.st
 	m := s.a.Len()
-	over := s.k.Oversample
+	over := ssOversample
 	sample := make([]float64, 0, st.p*over)
 	for i := 0; i < st.p; i++ {
 		lo, hi := st.subBounds(i, m)
@@ -226,16 +200,16 @@ func (ph *ssSamplePhase) Run(ctx job.Ctx) {
 			for x := lo; x < hi; x++ {
 				v := s.a.Read(c2, x)
 				for b < len(st.splitters) && v >= st.splitters[b] {
-					s.cntWrite(c2, row+b, cnt)
+					s.cnt.Write(c2, row+b, cnt)
 					cnt = 0
 					b++
 				}
 				cnt++
 				c2.Work(workPerElem)
 			}
-			s.cntWrite(c2, row+b, cnt)
+			s.cnt.Write(c2, row+b, cnt)
 			for b++; b < st.p; b++ {
-				s.cntWrite(c2, row+b, 0)
+				s.cnt.Write(c2, row+b, 0)
 			}
 		})
 	ctx.Fork(&ssOffsetPhase{s: s, st: st}, count)
@@ -280,7 +254,7 @@ func (ph *ssOffsetPhase) Run(ctx job.Ctx) {
 		sums := make([]int64, b1-b0)
 		for i := i0; i < i1; i++ {
 			for b := b0; b < b1; b++ {
-				sums[b-b0] += s.cntRead(c2, i*p+b)
+				sums[b-b0] += s.cnt.Read(c2, i*p+b)
 			}
 			c2.Work(int64(b1 - b0))
 		}
@@ -331,8 +305,8 @@ func (ph *ssCombinePhase) Run(ctx job.Ctx) {
 		copy(cur, colBase[tI][b0:b1])
 		for i := i0; i < i1; i++ {
 			for b := b0; b < b1; b++ {
-				c := s.cntRead(c2, i*p+b)
-				s.cntWrite(c2, i*p+b, cur[b-b0]) // exclusive prefix
+				c := s.cnt.Read(c2, i*p+b)
+				s.cnt.Write(c2, i*p+b, cur[b-b0]) // exclusive prefix
 				cur[b-b0] += c
 			}
 			c2.Work(int64(b1 - b0))
@@ -365,12 +339,12 @@ func (ph *ssScatterPhase) Run(ctx job.Ctx) {
 			lo, hi := st.subBounds(i, m)
 			b := 0
 			// Cursor = bucket base + this subarray's prefix within bucket.
-			cursor := st.bucketOff[0] + int(s.cntRead(c2, i*st.p))
+			cursor := st.bucketOff[0] + int(s.cnt.Read(c2, i*st.p))
 			for x := lo; x < hi; x++ {
 				v := s.a.Read(c2, x)
 				for b < len(st.splitters) && v >= st.splitters[b] {
 					b++
-					cursor = st.bucketOff[b] + int(s.cntRead(c2, i*st.p+b))
+					cursor = st.bucketOff[b] + int(s.cnt.Read(c2, i*st.p+b))
 				}
 				s.b.Write(c2, cursor, v)
 				cursor++

@@ -18,7 +18,8 @@ import (
 type WSet struct {
 	Data mem.F64 // the working set (shared or private), read-only
 	Out  mem.F64 // one checksum slot per leaf, written once each
-	// Reads is the total number of random reads; Grain of them per leaf.
+	// Reads is the total number of random reads, twice the dataset's
+	// length; Grain of them per leaf.
 	Reads int
 	Grain int
 	Seed  uint64
@@ -27,7 +28,6 @@ type WSet struct {
 // WSetConfig parameterizes NewWSet; zero fields take defaults.
 type WSetConfig struct {
 	N     int // dataset elements (required unless Data is provided)
-	Reads int // total random reads, default 2*N
 	Grain int // reads per leaf, default 512
 	Seed  uint64
 	// Data, if non-nil, is an existing dataset to scan instead of
@@ -52,10 +52,7 @@ func NewWSet(sp *mem.Space, cfg WSetConfig) *WSet {
 		k.Data = sp.NewF64("wset.data", cfg.N)
 		fillRandom(k.Data.Data, cfg.Seed)
 	}
-	if cfg.Reads <= 0 {
-		cfg.Reads = 2 * k.Data.Len()
-	}
-	k.Reads = cfg.Reads
+	k.Reads = 2 * k.Data.Len()
 	k.Out = sp.NewF64("wset.out", k.leaves())
 	return k
 }

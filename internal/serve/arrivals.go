@@ -81,30 +81,20 @@ type Mix struct {
 	total   int
 }
 
-// NewMix builds a mix, validating kernel names against the built-in
-// benchmarks and requiring positive weights.
+// NewMix builds a mix, checking every kernel name and size the way
+// core.NewKernel will (core.CheckBench) and requiring positive weights, so
+// a bad entry fails here instead of mid-run.
 func NewMix(entries ...MixEntry) (*Mix, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("serve: empty workload mix")
 	}
-	known := core.Benchmarks()
 	m := &Mix{}
 	for _, e := range entries {
-		ok := false
-		for _, k := range known {
-			if e.Kernel == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown kernel %q in mix (have %s)", e.Kernel, strings.Join(known, ", "))
+		if err := core.CheckBench(e.Kernel, e.N); err != nil {
+			return nil, fmt.Errorf("serve: mix entry %s:%d: %w", e.Kernel, e.N, err)
 		}
 		if e.Weight <= 0 {
 			return nil, fmt.Errorf("serve: mix entry %s has non-positive weight %d", e.Kernel, e.Weight)
-		}
-		if e.N < 0 {
-			return nil, fmt.Errorf("serve: mix entry %s has negative size %d", e.Kernel, e.N)
 		}
 		m.entries = append(m.entries, e)
 		m.total += e.Weight

@@ -275,9 +275,23 @@ func TestParseMix(t *testing.T) {
 	if got := m.String(); !strings.Contains(got, "rrm:2000") || !strings.Contains(got, "quicksort:3000:2") {
 		t.Errorf("round-trip lost entries: %q", got)
 	}
-	for _, bad := range []string{"", "nope:100", "rrm:x", "rrm:100:0", "rrm"} {
+	for _, bad := range []string{"", "nope:100", "rrm:x", "rrm:100:0", "rrm", "rrm:-5", "matmul:100"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) should fail", bad)
+		}
+	}
+}
+
+// TestNewMixChecksLikeNewKernel: NewMix accepts every name and size
+// core.NewKernel builds, aliases included, and rejects the sizes it
+// cannot build before any job runs.
+func TestNewMixChecksLikeNewKernel(t *testing.T) {
+	if _, err := NewMix(MixEntry{Kernel: "qsort", N: 1000, Weight: 1}, MixEntry{Kernel: "matmul", N: 64, Weight: 1}); err != nil {
+		t.Errorf("NewMix rejected kernels core.NewKernel builds: %v", err)
+	}
+	for _, e := range []MixEntry{{Kernel: "matmul", N: 100, Weight: 1}, {Kernel: "rrm", N: -5, Weight: 1}} {
+		if _, err := NewMix(e); err == nil {
+			t.Errorf("NewMix(%+v) should fail", e)
 		}
 	}
 }

@@ -164,9 +164,8 @@ type engine struct {
 	nextStrandID uint64
 	// curSpawner is the strand whose completion is currently being
 	// processed; new strands record it as their dependency source.
-	curSpawner   *job.Strand
-	totalStrands uint64
-	liveStrands  int
+	curSpawner  *job.Strand
+	liveStrands int
 	// liveRoots counts injected root tasks that have not yet completed;
 	// src is the injection source driving this run.
 	liveRoots int
@@ -180,7 +179,7 @@ type engine struct {
 	// sampling caches "Sampler armed" so the hot paths test one bool.
 	sampling bool
 	// nextClock/nextID are the heap-order key of the earliest worker left
-	// in the heap when the current worker was popped; wctx.pause compares
+	// in the heap when the current worker was popped; batchable compares
 	// against them to detect boundaries where the engine would re-pop the
 	// same worker immediately. Fixed while strand code runs.
 	nextClock int64
@@ -209,15 +208,13 @@ type engine struct {
 	// itself drops every reference to a non-root strand at the end of its
 	// finishStrand and to a non-root, non-future task once its parent's
 	// bookkeeping is updated (futures are excluded because job.Future keeps
-	// its bound task forever).
-	pool       bool
-	strandPool []*job.Strand
-	taskPool   []*job.Task
-	// pairPool recycles parallel-for fork contexts (job.ForPair). Pairs
+	// its bound task forever). Parallel-for fork contexts (job.ForPair)
 	// are reclaimed at the splitting task's end — both children live
-	// inside the pair and have completed by then — under the same
-	// listener-safety rule as task/strand pooling.
-	pairPool []*job.ForPair
+	// inside the pair and have completed by then — under the same rule.
+	pool       bool
+	taskPool   job.Pool[job.Task]
+	strandPool job.Pool[job.Strand]
+	pairPool   job.Pool[job.ForPair]
 
 	err error
 }
@@ -359,122 +356,23 @@ func (e *engine) callTaskEnd(t *job.Task, w *worker) {
 
 // --- task/strand lifecycle ------------------------------------------------
 
-// poolSlab is the refill granularity of the task/strand/fork-pair pools:
-// a pool miss allocates one slab and hands out its objects individually.
-const poolSlab = 64
-
 func (e *engine) newTask(parent *job.Task, j job.Job) *job.Task {
 	e.nextTaskID++
-	depth := 0
-	if parent != nil {
-		depth = parent.Depth + 1
-	}
-	var t *job.Task
-	if len(e.taskPool) == 0 && e.pool {
-		// Refill the pool a slab at a time: one backing allocation hands
-		// out poolSlab objects, so steady-state task churn costs O(peak
-		// live / slab) allocations instead of one per pool miss.
-		slab := make([]job.Task, poolSlab)
-		for i := range slab {
-			e.taskPool = append(e.taskPool, &slab[i])
-		}
-	}
-	if n := len(e.taskPool); n > 0 {
-		t = e.taskPool[n-1]
-		e.taskPool[n-1] = nil
-		e.taskPool = e.taskPool[:n-1]
-	} else {
-		t = new(job.Task)
-	}
-	*t = job.Task{
-		ID:          e.nextTaskID,
-		Parent:      parent,
-		Depth:       depth,
-		Job:         j,
-		SizeBytes:   job.SizeOf(j, e.m.Block()),
-		AnchorLevel: -1,
-		AnchorNode:  -1,
-	}
+	t := e.taskPool.Get()
+	t.Init(e.nextTaskID, parent, j, e.m.Block())
 	return t
-}
-
-// freeTask recycles an ended task. Callers guarantee nothing holds a
-// reference anymore: pooling is off when a Listener is set, root tasks and
-// future-bound tasks are never freed, and the engine's own last reads of
-// the task precede the free. Zeroing here (not at reuse) turns any missed
-// reference into an immediate, loud bug instead of silent state bleed.
-func (e *engine) freeTask(t *job.Task) {
-	*t = job.Task{}
-	e.taskPool = append(e.taskPool, t)
-}
-
-// freeStrand recycles a finished non-root strand (see freeTask on safety).
-func (e *engine) freeStrand(s *job.Strand) {
-	*s = job.Strand{}
-	e.strandPool = append(e.strandPool, s)
-}
-
-// allocForPair implements job.ForPairAllocator for wctx: parallel-for
-// splits draw fork contexts from the engine pool instead of the heap.
-func (e *engine) allocForPair() *job.ForPair {
-	if len(e.pairPool) == 0 && e.pool {
-		slab := make([]job.ForPair, poolSlab)
-		for i := range slab {
-			e.pairPool = append(e.pairPool, &slab[i])
-		}
-	}
-	if n := len(e.pairPool); n > 0 {
-		p := e.pairPool[n-1]
-		e.pairPool[n-1] = nil
-		e.pairPool = e.pairPool[:n-1]
-		return p
-	}
-	return new(job.ForPair)
-}
-
-// freeForPair recycles a surrendered fork pair (see freeTask on zeroing).
-func (e *engine) freeForPair(p *job.ForPair) {
-	*p = job.ForPair{}
-	e.pairPool = append(e.pairPool, p)
 }
 
 func (e *engine) newStrand(t *job.Task, j job.Job, kind job.Kind, now int64) *job.Strand {
 	e.nextStrandID++
-	e.totalStrands++
-	size := job.StrandSizeOf(j, e.m.Block())
-	if size < 0 {
-		size = t.SizeBytes // paper's default: strand inherits task size
-	}
-	var s *job.Strand
-	if len(e.strandPool) == 0 && e.pool {
-		slab := make([]job.Strand, poolSlab)
-		for i := range slab {
-			e.strandPool = append(e.strandPool, &slab[i])
-		}
-	}
-	if n := len(e.strandPool); n > 0 {
-		s = e.strandPool[n-1]
-		e.strandPool[n-1] = nil
-		e.strandPool = e.strandPool[:n-1]
-	} else {
-		s = new(job.Strand)
-	}
-	*s = job.Strand{
-		ID:        e.nextStrandID,
-		Task:      t,
-		Job:       j,
-		Kind:      kind,
-		SizeBytes: size,
-		Spawn:     now,
-		Proc:      -1,
-		SpawnedBy: e.curSpawner,
-	}
+	s := e.strandPool.Get()
+	s.Init(e.nextStrandID, t, j, kind, e.m.Block(), now, e.curSpawner)
 	return s
 }
 
 // spawn registers a new strand with the scheduler on behalf of w.
 func (e *engine) spawn(s *job.Strand, w *worker) {
-	if e.cfg.MaxStrands > 0 && e.totalStrands > e.cfg.MaxStrands {
+	if e.cfg.MaxStrands > 0 && e.nextStrandID > e.cfg.MaxStrands {
 		panic(fmt.Sprintf("sim: strand budget %d exceeded (runaway program?)", e.cfg.MaxStrands))
 	}
 	if l := e.cfg.Listener; l != nil {
@@ -493,9 +391,9 @@ func (e *engine) finishStrand(w *worker) {
 		l.StrandEnded(s)
 	}
 	e.callDone(s, w)
-	rec := w.takeFork()
+	rec := w.fork.Take()
 	if e.rec != nil {
-		e.rec.StrandForked(s, rec.cont != nil, len(rec.children), rec.futureHandle != nil || len(rec.awaits) > 0)
+		e.rec.StrandForked(s, rec.Cont != nil, len(rec.Children), rec.Futures())
 	}
 	w.cur = nil
 	e.liveStrands--
@@ -506,30 +404,30 @@ func (e *engine) finishStrand(w *worker) {
 	// excluded (rootRec retains the first one; keeping the rule coarse but
 	// obviously safe costs one strand per root).
 	poolStrand := e.pool && t.Parent != nil
-	if !rec.called {
+	if !rec.Called {
 		// Strand ended without forking: the task's strand sequence is over.
 		t.FinalDone = true
 		e.maybeFinish(t, w)
 		if poolStrand {
-			e.freeStrand(s)
+			e.strandPool.Put(s)
 		}
 		return
 	}
-	t.Cont = rec.cont
-	t.BlockPending = len(rec.children)
-	t.ChildPending += len(rec.children)
-	for _, cj := range rec.children {
+	t.Cont = rec.Cont
+	t.BlockPending = len(rec.Children)
+	t.ChildPending += len(rec.Children)
+	for _, cj := range rec.Children {
 		ct := e.newTask(t, cj)
 		e.spawn(e.newStrand(ct, cj, job.TaskStart, w.clock), w)
 	}
-	if rec.futureHandle != nil {
-		ft := e.newTask(t, rec.futureBody)
-		ft.Handle = rec.futureHandle
-		rec.futureHandle.Bind(ft)
+	if rec.Future != nil {
+		ft := e.newTask(t, rec.Body)
+		ft.Handle = rec.Future
+		rec.Future.Bind(ft)
 		t.ChildPending++ // gates task completion, not the continuation
-		e.spawn(e.newStrand(ft, rec.futureBody, job.TaskStart, w.clock), w)
+		e.spawn(e.newStrand(ft, rec.Body, job.TaskStart, w.clock), w)
 	}
-	for _, f := range rec.awaits {
+	for _, f := range rec.Awaits {
 		if f.AddWaiter(t) {
 			t.BlockPending++
 		}
@@ -541,7 +439,7 @@ func (e *engine) finishStrand(w *worker) {
 		e.maybeFinish(t, w)
 	}
 	if poolStrand {
-		e.freeStrand(s)
+		e.strandPool.Put(s)
 	}
 }
 
@@ -569,14 +467,7 @@ func (e *engine) maybeFinish(t *job.Task, w *worker) {
 		}
 		e.callTaskEnd(t, w)
 		if e.pool {
-			// A parallel-for task that split owns the ForPair holding its two
-			// (now completed) children; reclaim it under the same
-			// listener-safety rule as task/strand pooling.
-			if pr, ok := t.Job.(job.PairRecycler); ok {
-				if p := pr.TakeChildPair(); p != nil {
-					e.freeForPair(p)
-				}
-			}
+			job.RecyclePair(&e.pairPool, t)
 		}
 		if t.Handle != nil {
 			for _, waiter := range t.Handle.Complete() {
@@ -607,7 +498,7 @@ func (e *engine) maybeFinish(t *job.Task, w *worker) {
 				// done: the engine holds no more references to t. (Future
 				// tasks stay out: job.Future retains its bound task so
 				// Get after completion keeps working.)
-				e.freeTask(t)
+				e.taskPool.Put(t)
 			}
 			t = p
 			continue
@@ -777,7 +668,7 @@ func (e *engine) run(src Source) (res *Result, err error) {
 
 // drainIdle replays the idle polls that fine-grained chunking would have
 // interleaved with a batched strand. While the finished strand ran through
-// virtual chunk boundaries (see wctx.pause), the other workers sat in the
+// batched chunk boundaries (see batchable), the other workers sat in the
 // heap untouched; any of them ordering before (w.virtualPop, w.id) — the
 // pop the engine would have performed for the strand's final chunk — would,
 // under fine-grained execution, have polled the scheduler (and failed: this
@@ -846,19 +737,14 @@ func (e *engine) step(w *worker) {
 			l.StrandStarted(s)
 		}
 		w.cur = s
-		w.begin(e)
+		w.chunkLeft = e.cost.ChunkCycles
 		e.beginInline(w, s.Job)
 	}
 	if w.script != nil {
 		if !e.runInline(w) {
 			return // real chunk boundary; resumes when earliest again
 		}
-		if ss, ok := w.sjob.(job.StreamScripted); ok {
-			// The script bytes were leased from a bounded decode window
-			// (streamed trace); hand them back now that the strand is done.
-			ss.ReleaseScript(w.script)
-		}
-		w.script, w.sjob = nil, nil
+		w.endInline()
 		e.drainIdle(w)
 		e.finishStrand(w)
 		return

@@ -7,11 +7,10 @@ package sim
 // state transitions are identical to the goroutine path — runs of work
 // ops and innermost-cache hits execute inside cachesim.RunScript (which
 // replicates Access's innermost-hit state change per op), accesses that
-// miss the innermost cache take the ordinary Hierarchy.Access walk, and the
-// chunk-budget
-// decision of wctx.pause is replicated term for term — so results stay
-// bit-identical; only the host-side channel handoff, goroutine switches
-// and per-op call overhead disappear.
+// miss the innermost cache take the ordinary Hierarchy.Access walk, and
+// every chunk boundary is decided by the same engine.batchable predicate
+// wctx.pause asks — so results stay bit-identical; only the host-side
+// channel handoff, goroutine switches and per-op call overhead disappear.
 
 import (
 	"repro/internal/job"
@@ -44,8 +43,8 @@ func (e *engine) beginInline(w *worker, j job.Job) {
 
 // runInline advances w's scripted strand until its next real chunk yield
 // (returns false; resume state saved in w) or until the strand's ops are
-// exhausted (returns true after staging the terminal fork, so the caller
-// finishes the strand exactly like a yieldDone).
+// exhausted (returns true; the caller then ends the strand with endInline
+// and finishes it exactly like a yieldDone).
 //
 // Equivalence with the goroutine path, op by op:
 //
@@ -56,7 +55,8 @@ func (e *engine) beginInline(w *worker, j job.Job) {
 //     op on which wctx.spend would have observed chunkLeft <= 0;
 //   - an innermost-missing access takes h.Access, like the general path of
 //     wctx.Access;
-//   - the chunk decision replicates wctx.pause: a virtual (fast-path)
+//   - the budget is checked once per step, after the miss access, and the
+//     boundary is decided by engine.batchable as in wctx.pause: a batched
 //     boundary records the pop and continues with a fresh budget; a real
 //     boundary saves the decode position where pause would have parked
 //     the goroutine, and the reset of chunkLeft that pause performs after
@@ -87,70 +87,56 @@ func (e *engine) runInline(w *worker) bool {
 		clock += spent
 		active += spent
 		chunkLeft -= spent
-		if chunkLeft <= 0 {
-			if !e.sampling && clock < e.nextFault &&
-				(e.liveStrands == 1 ||
-					clock < e.nextClock || (clock == e.nextClock && w.id < e.nextID)) {
-				if t, pending := e.src.Pending(); !pending || t > clock {
-					w.virtualPop = clock
-					chunkLeft = e.cost.ChunkCycles
-					continue
+		if miss {
+			// Innermost miss (RunScript stops on one only with budget
+			// left): decode the access and take the general walk.
+			var v uint64
+			var vshift uint
+			for {
+				b := ops[ip]
+				ip++
+				v |= uint64(b&0x7f) << vshift
+				if b < 0x80 {
+					break
 				}
+				vshift += 7
 			}
-			w.sip, w.sprev = ip, prev
-			w.clock = clock
-			w.timers[BucketActive] += active
-			w.chunkLeft = chunkLeft
-			return false
+			u := v >> opcode.TagBits
+			prev += int64(u>>1) ^ -int64(u&1)
+			cost, _ := h.Access(leaf, clock, mem.Addr(prev), v&opcode.TagMask == opcode.Write)
+			clock += cost
+			active += cost
+			chunkLeft -= cost
 		}
-		if !miss {
-			continue // stream ended; the loop condition exits
+		if chunkLeft > 0 {
+			continue // budget left: the stream ended or the miss is done
 		}
-		// Innermost miss: decode the access and take the general walk.
-		var v uint64
-		var vshift uint
-		for {
-			b := ops[ip]
-			ip++
-			v |= uint64(b&0x7f) << vshift
-			if b < 0x80 {
-				break
-			}
-			vshift += 7
+		if e.batchable(w, clock) {
+			w.virtualPop = clock
+			chunkLeft = e.cost.ChunkCycles
+			continue
 		}
-		u := v >> opcode.TagBits
-		prev += int64(u>>1) ^ -int64(u&1)
-		cost, _ := h.Access(leaf, clock, mem.Addr(prev), v&opcode.TagMask == opcode.Write)
-		clock += cost
-		active += cost
-		chunkLeft -= cost
-		if chunkLeft <= 0 {
-			if !e.sampling && clock < e.nextFault &&
-				(e.liveStrands == 1 ||
-					clock < e.nextClock || (clock == e.nextClock && w.id < e.nextID)) {
-				if t, pending := e.src.Pending(); !pending || t > clock {
-					w.virtualPop = clock
-					chunkLeft = e.cost.ChunkCycles
-					continue
-				}
-			}
-			w.sip, w.sprev = ip, prev
-			w.clock = clock
-			w.timers[BucketActive] += active
-			w.chunkLeft = chunkLeft
-			return false
-		}
+		w.sip, w.sprev = ip, prev
+		w.clock = clock
+		w.timers[BucketActive] += active
+		w.chunkLeft = chunkLeft
+		return false
 	}
 	w.clock = clock
 	w.timers[BucketActive] += active
 	w.chunkLeft = chunkLeft
-	// Strand complete: stage the terminal fork the goroutine path would
-	// have recorded through wctx.Fork, then let the caller finish it. A
-	// cont with no children (a partitioned spine strand whose child
-	// subtrees were split off) still forks: the empty parallel block joins
-	// immediately and releases the continuation.
-	if cont, kids := w.sjob.ScriptFork(); len(kids) > 0 || cont != nil {
-		w.fork = forkRec{called: true, cont: cont, children: kids}
-	}
 	return true
+}
+
+// endInline finishes w's scripted strand once runInline has exhausted its
+// ops, the way runScripted ends it on the goroutine path: the recorded
+// terminal fork goes through the worker's ctx (job.ForkScript), and script
+// bytes leased from a streamed trace's decode window go back. Like
+// beginInline it runs once per strand, not per op.
+func (w *worker) endInline() {
+	job.ForkScript(&w.ctx, w.sjob)
+	if ss, ok := w.sjob.(job.StreamScripted); ok {
+		ss.ReleaseScript(w.script)
+	}
+	w.script, w.sjob = nil, nil
 }

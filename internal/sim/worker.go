@@ -62,7 +62,7 @@ type worker struct {
 
 	// virtualPop is the simulated time at which the engine (actually or
 	// virtually) last popped this worker to run its current chunk. When a
-	// chunk boundary is batched away (see wctx.pause), the pop that
+	// chunk boundary is batched away (see engine.batchable), the pop that
 	// fine-grained execution would have performed is recorded here so the
 	// engine can later replay the idle polls that ordered before it.
 	virtualPop int64
@@ -79,17 +79,7 @@ type worker struct {
 	sprev  int64
 
 	// Terminal-fork record for the current strand.
-	fork forkRec
-}
-
-// forkRec captures the terminal Fork/ForkFuture/ForkAwait of one strand.
-type forkRec struct {
-	called       bool
-	cont         job.Job
-	children     []job.Job
-	awaits       []*job.Future
-	futureHandle *job.Future
-	futureBody   job.Job
+	fork job.ForkRecord
 }
 
 // loop is the worker goroutine body: wait for a strand, run it, report.
@@ -118,12 +108,6 @@ func (w *worker) runStrand(e *engine) (msg yieldMsg) {
 	return yieldMsg{kind: yieldDone}
 }
 
-// begin prepares the worker to execute w.cur from its start.
-func (w *worker) begin(e *engine) {
-	w.chunkLeft = e.cost.ChunkCycles
-	w.fork = forkRec{}
-}
-
 // runChunk resumes the worker until its next yield and returns the yield.
 // Called on the engine goroutine.
 //
@@ -133,51 +117,54 @@ func (w *worker) runChunk() yieldMsg {
 	return <-w.yield
 }
 
-// takeFork consumes the terminal-fork record of the finished strand.
-func (w *worker) takeFork() forkRec {
-	rec := w.fork
-	w.fork = forkRec{}
-	return rec
-}
-
 // wctx implements job.Ctx for one strand execution on one worker.
 type wctx struct {
 	w *worker
 	e *engine
 }
 
-// pause hands control back to the engine between chunks. If the engine has
-// shut down (resume closed), unwind the strand via workerStopped.
+// batchable reports whether worker w's chunk boundary at simulated time
+// clock can be batched away: skipped — no yield to the engine, only
+// w.virtualPop recording the pop the engine would have performed —
+// because it is provably unobservable. Both strand paths ask it: wctx.pause
+// on the worker goroutine and runInline on the engine's.
 //
-// Fast path (chunk batching): a chunk boundary may be skipped — no
-// channel round-trip, just w.virtualPop recording the pop the engine
-// would have performed — whenever the boundary is provably unobservable.
 // No sampler may be armed, no fault event and no injection due at or
-// before w.clock (otherwise the engine must interpose), and one of:
+// before clock (otherwise the engine must interpose), and one of:
 //
-//   - this worker runs the only live strand: every event the baseline
-//     engine would interleave before this strand's next real boundary is
-//     a failed idle poll, and engine.drainIdle replays exactly those (in
-//     heap order) before the strand's fork publishes; or
-//   - this worker still orders strictly before every other worker in the
-//     heap: the baseline engine would push and immediately re-pop it,
-//     touching nothing — drainIdle then has nothing to replay.
+//   - w runs the only live strand: every event the baseline engine would
+//     interleave before this strand's next real boundary is a failed idle
+//     poll, and engine.drainIdle replays exactly those (in heap order)
+//     before the strand's fork publishes; or
+//   - w still orders strictly before every other worker in the heap: the
+//     baseline engine would push and immediately re-pop it, touching
+//     nothing — drainIdle then has nothing to replay.
 //
 // Every term of the condition only changes through engine actions, and
 // the engine is parked while strand code runs, so the decision cannot be
 // invalidated between boundaries.
 //
 //schedlint:hotpath
+func (e *engine) batchable(w *worker, clock int64) bool {
+	if !e.sampling && clock < e.nextFault &&
+		(e.liveStrands == 1 || clock < e.nextClock || (clock == e.nextClock && w.id < e.nextID)) {
+		t, pending := e.src.Pending()
+		return !pending || t > clock
+	}
+	return false
+}
+
+// pause hands control back to the engine between chunks, unless the
+// boundary is batchable. If the engine has shut down (resume closed),
+// unwind the strand via workerStopped.
+//
+//schedlint:hotpath
 func (c *wctx) pause() {
 	w, e := c.w, c.e
-	if !e.sampling && w.clock < e.nextFault &&
-		(e.liveStrands == 1 ||
-			w.clock < e.nextClock || (w.clock == e.nextClock && w.id < e.nextID)) {
-		if t, pending := e.src.Pending(); !pending || t > w.clock {
-			w.virtualPop = w.clock
-			w.chunkLeft = e.cost.ChunkCycles
-			return
-		}
+	if e.batchable(w, w.clock) {
+		w.virtualPop = w.clock
+		w.chunkLeft = e.cost.ChunkCycles
+		return
 	}
 	w.yield <- yieldMsg{kind: yieldChunk}
 	if _, ok := <-w.resume; !ok {
@@ -232,49 +219,23 @@ func (c *wctx) Work(cycles int64) {
 }
 
 // Fork implements job.Ctx: record the strand's terminal fork.
-func (c *wctx) Fork(cont job.Job, children ...job.Job) {
-	c.terminal()
-	if len(children) == 0 {
-		panic("sim: Fork with no children")
-	}
-	c.w.fork = forkRec{called: true, cont: cont, children: children}
-}
+func (c *wctx) Fork(cont job.Job, children ...job.Job) { c.w.fork.Fork(cont, children) }
 
 // ForkFuture implements job.Ctx.
 func (c *wctx) ForkFuture(cont job.Job, f *job.Future, body job.Job) {
-	c.terminal()
-	if f == nil || body == nil {
-		panic("sim: ForkFuture requires a future handle and a body")
-	}
-	c.w.fork = forkRec{called: true, cont: cont, futureHandle: f, futureBody: body}
+	c.w.fork.ForkFuture(cont, f, body)
 }
 
 // ForkAwait implements job.Ctx.
 func (c *wctx) ForkAwait(cont job.Job, futures []*job.Future, children ...job.Job) {
-	c.terminal()
-	if cont == nil {
-		panic("sim: ForkAwait requires a continuation")
-	}
-	for _, f := range futures {
-		if f == nil {
-			panic("sim: ForkAwait with nil future")
-		}
-	}
-	c.w.fork = forkRec{called: true, cont: cont, children: children, awaits: futures}
-}
-
-// terminal enforces the one-terminal-call-per-strand discipline.
-func (c *wctx) terminal() {
-	if c.w.fork.called {
-		panic("sim: fork primitive called twice in one strand (must be terminal)")
-	}
+	c.w.fork.ForkAwait(cont, futures, children)
 }
 
 // AllocForPair implements job.ForPairAllocator: parallel-for fork
 // contexts come from the engine's pair pool. Safe off the engine
 // goroutine for the usual baton-pass reason — the engine is parked while
 // strand code runs.
-func (c *wctx) AllocForPair() *job.ForPair { return c.e.allocForPair() }
+func (c *wctx) AllocForPair() *job.ForPair { return c.e.pairPool.Get() }
 
 // Worker implements job.Ctx.
 func (c *wctx) Worker() int { return c.w.id }
