@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-vettool bench bench-compare bench-replay bench-module cluster examples fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
+.PHONY: all build test race fmt-check lint lint-vettool bench bench-compare bench-replay bench-module cluster examples fullscale-smoke fullgrid-smoke fullgrid-resume-smoke fuzz check
 
 all: build test lint
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fmt-check fails, listing the files, when gofmt would reformat any Go
+# file git tracks; untracked build directories such as .bench_build/ are
+# not scanned.
+fmt-check:
+	@files=`gofmt -l $$(git ls-files '*.go')`; \
+	if [ -n "$$files" ]; then echo "gofmt: these files need formatting:"; echo "$$files"; exit 1; fi
 
 # lint runs the repository's own static-analysis suite (see internal/lint
 # and DESIGN.md §6). A finding is a build failure; allowlist intentional
@@ -195,4 +202,4 @@ fuzz:
 # check is the full pre-push gate: everything CI enforces that can run
 # offline (staticcheck and govulncheck need their pinned tools installed;
 # see ci.yml).
-check: build race lint bench-module examples
+check: build fmt-check race lint bench-module examples

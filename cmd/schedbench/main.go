@@ -40,6 +40,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -413,8 +414,8 @@ func splitCSV(s string) []string {
 func parseBands(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitCSV(s) {
-		var b int
-		if _, err := fmt.Sscanf(f, "%d", &b); err != nil {
+		b, err := strconv.Atoi(f)
+		if err != nil {
 			return nil, fmt.Errorf("-bands: %q is not a link count", f)
 		}
 		out = append(out, b)

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/job"
@@ -244,8 +245,8 @@ func (s *Session) RunKernel(schedName, benchName string, o BenchOpts) (*RunResul
 }
 
 // MachineByName resolves a machine preset: "xeon7560", "xeon7560ht",
-// "4x<n>" (n cores per socket), "4x<n>ht", or "flat<n>". scale divides all
-// cache sizes (1 = full size).
+// "4x<n>" (1 <= n <= 8 cores per socket), "4x<n>ht", or "flat<n>" (n >= 1
+// cores). scale divides all cache sizes (1 = full size).
 func MachineByName(name string, scale int64) (*machine.Desc, error) {
 	var d *machine.Desc
 	switch n := strings.ToLower(name); {
@@ -257,15 +258,15 @@ func MachineByName(name string, scale int64) (*machine.Desc, error) {
 		rest := strings.TrimPrefix(n, "4x")
 		ht := strings.HasSuffix(rest, "ht")
 		rest = strings.TrimSuffix(rest, "ht")
-		var cps int
-		if _, err := fmt.Sscanf(rest, "%d", &cps); err != nil {
-			return nil, fmt.Errorf("core: bad topology %q", name)
+		cps, err := strconv.Atoi(rest)
+		if err != nil || cps < 1 || cps > 8 {
+			return nil, fmt.Errorf("core: bad topology %q (want 4x<n>[ht], 1 <= n <= 8 cores per socket)", name)
 		}
 		d = machine.XeonVariant(cps, ht)
 	case strings.HasPrefix(n, "flat"):
-		var cores int
-		if _, err := fmt.Sscanf(strings.TrimPrefix(n, "flat"), "%d", &cores); err != nil {
-			return nil, fmt.Errorf("core: bad flat machine %q", name)
+		cores, err := strconv.Atoi(strings.TrimPrefix(n, "flat"))
+		if err != nil || cores < 1 {
+			return nil, fmt.Errorf("core: bad flat machine %q (want flat<n>, n >= 1 cores)", name)
 		}
 		d = machine.Flat(cores, 24<<20)
 	default:

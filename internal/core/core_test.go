@@ -145,11 +145,14 @@ func TestMachineByName(t *testing.T) {
 			t.Errorf("%s: cores = %d, want %d", c.name, d.NumCores(), c.cores)
 		}
 	}
-	if _, err := MachineByName("bogus", 1); err == nil {
-		t.Error("bogus machine accepted")
-	}
-	if _, err := MachineByName("4xzz", 1); err == nil {
-		t.Error("bad topology accepted")
+	// Each number is parsed whole and range-checked: trailing input and
+	// out-of-range core counts are errors, never a silently different
+	// machine or a panic inside the preset.
+	for _, bad := range []string{"bogus", "4xzz", "4x0", "4x9", "4x-1", "4x", "4x2abc", "4x2.5", "4x2 ", "4xht",
+		"flat0", "flat-2", "flat", "flat16x", "flat1.5"} {
+		if d, err := MachineByName(bad, 1); err == nil {
+			t.Errorf("MachineByName(%q) accepted as %s", bad, d.Name)
+		}
 	}
 	scaled, err := MachineByName("xeon", 16)
 	if err != nil {

@@ -123,17 +123,14 @@ func (r *Runner) Fig7() (map[string][]FigRow, error) {
 		{"4 x 8", 8, false}, {"4x8x2(HT)", 8, true},
 	}
 	out := make(map[string][]FigRow)
-	for _, bench := range []struct {
-		name string
-		mk   KernelFactory
-	}{{"RRM", r.P.RRMFactory()}, {"RRG", r.P.RRGFactory()}} {
+	for _, bench := range microKernels {
 		var cells []Cell
 		for _, tp := range topos {
 			m := r.P.MachineVariant(tp.cps, tp.ht)
 			for _, sn := range kernelSchedulers {
 				cells = append(cells, Cell{
 					Label: bench.name, Scheduler: sn, Machine: m, LinksUsed: m.Links,
-					MakeK: bench.mk,
+					MakeK: r.P.factory(bench.name),
 				})
 			}
 		}
@@ -166,32 +163,15 @@ func (r *Runner) Fig7() (map[string][]FigRow, error) {
 	return out, nil
 }
 
-// kernelLineup returns the Fig. 8/9 benchmarks in the paper's order.
-func (r *Runner) kernelLineup() []struct {
-	name string
-	mk   KernelFactory
-} {
-	return []struct {
-		name string
-		mk   KernelFactory
-	}{
-		{"Quicksort", r.P.QuicksortFactory()},
-		{"Samplesort", r.P.SamplesortFactory()},
-		{"AwareSamplesort", r.P.AwareSamplesortFactory()},
-		{"Quad-Tree", r.P.QuadtreeFactory()},
-		{"MatMul", r.P.MatMulFactory()},
-	}
-}
-
 // figKernels runs the five algorithmic kernels at the given bandwidth.
 func (r *Runner) figKernels(title string, linksUsed int) ([]FigRow, error) {
 	m := r.P.MachineHT()
 	var cells []Cell
-	for _, bench := range r.kernelLineup() {
+	for _, bench := range algorithmicKernels {
 		for _, sn := range kernelSchedulers {
 			cells = append(cells, Cell{
 				Label: bench.name, Scheduler: sn, Machine: m, LinksUsed: linksUsed,
-				MakeK: bench.mk,
+				MakeK: r.P.factory(bench.name),
 			})
 		}
 	}
@@ -270,13 +250,11 @@ func (r *Runner) Fig10() ([]FigRow, error) {
 func (r *Runner) Validate() (map[string][2]Metrics, error) {
 	out := make(map[string][2]Metrics)
 	m := r.P.MachineHT()
-	for _, bench := range []struct {
-		name string
-		mk   KernelFactory
-	}{{"RRM", r.P.RRMFactory()}, {"RRG", r.P.RRGFactory()}} {
+	for _, bench := range microKernels {
+		mk := r.P.factory(bench.name)
 		cells := []Cell{
-			{Label: bench.name, Scheduler: "cilk", Machine: m, LinksUsed: m.Links, MakeK: bench.mk},
-			{Label: bench.name, Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: bench.mk},
+			{Label: bench.name, Scheduler: "cilk", Machine: m, LinksUsed: m.Links, MakeK: mk},
+			{Label: bench.name, Scheduler: "ws", Machine: m, LinksUsed: m.Links, MakeK: mk},
 		}
 		ms, err := r.RunGrid(cells)
 		if err != nil {
@@ -287,11 +265,11 @@ func (r *Runner) Validate() (map[string][2]Metrics, error) {
 	fmt.Fprintf(r.Out, "\nFramework validation: WS vs CilkPlus profile\n")
 	tw := tabwriter.NewWriter(r.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\tCilkPlus(s)\tWS(s)\tdelta\tCilk L3(M)\tWS L3(M)")
-	for _, name := range []string{"RRM", "RRG"} {
-		pair := out[name]
+	for _, bench := range microKernels {
+		pair := out[bench.name]
 		delta := stats.PercentChange(pair[0].TimeSec(), pair[1].TimeSec())
 		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%+.1f%%\t%.3f\t%.3f\n",
-			name, pair[0].TimeSec(), pair[1].TimeSec(), delta,
+			bench.name, pair[0].TimeSec(), pair[1].TimeSec(), delta,
 			pair[0].M3(), pair[1].M3())
 	}
 	tw.Flush()

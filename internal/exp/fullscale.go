@@ -55,28 +55,6 @@ func FullScale(div int64) Profile {
 	return p
 }
 
-// FullKernelFactory resolves a kernel name (the Fig. 8 lineup plus RRM
-// and RRG) to its factory at the profile's scale.
-func (p Profile) FullKernelFactory(name string) (KernelFactory, error) {
-	switch name {
-	case "RRM":
-		return p.RRMFactory(), nil
-	case "RRG":
-		return p.RRGFactory(), nil
-	case "Quicksort":
-		return p.QuicksortFactory(), nil
-	case "Samplesort":
-		return p.SamplesortFactory(), nil
-	case "AwareSamplesort":
-		return p.AwareSamplesortFactory(), nil
-	case "Quad-Tree":
-		return p.QuadtreeFactory(), nil
-	case "MatMul":
-		return p.MatMulFactory(), nil
-	}
-	return nil, fmt.Errorf("exp: unknown kernel %q (want RRM, RRG, Quicksort, Samplesort, AwareSamplesort, Quad-Tree or MatMul)", name)
-}
-
 // FullRecordSched is the scheduler full-scale recordings were once made
 // under, live. Recording is now sequential and schedule-free
 // (dagtrace.Record), so it no longer fixes a file's layout; the name

@@ -99,6 +99,51 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// goldenTraces pins the sequential recording of every quick-profile
+// kernel by its trace fingerprint: task and strand sizes, fork shape, the
+// split of work into strands and every access with its address and order.
+// These DAGs are what every schedule runs, so a kernel refactor that moves
+// any of them fails here even where no scheduler golden covers the kernel.
+var goldenTraces = []struct{ kernel, fingerprint string }{
+	{"RRM", "61253287317be2c72e31ec06e92be9faf6b59d7651e6ce4de8575f63e844582e"},
+	{"RRG", "189481e7f617f72732cb9eb2ad86cb9f4aee70af1339d59062c1861dcad51f91"},
+	{"Quicksort", "e0de74932f6482be20bb8ea006c93fe03ba0c10e8e1a7c3a204ab15b45a2379f"},
+	{"Samplesort", "f8b5b1135120a47cb9f2b227349c282f31a41516f7f3298bce6aa1bcee69ee60"},
+	{"AwareSamplesort", "ae135beed868678af32557b53ea7708a8d6d85e019280c22c7dc67b3cdf81215"},
+	{"Quad-Tree", "5c45ae6132cd25f54c66b578f7b640c2613169640d0b98d553cffb9914a1476e"},
+	{"MatMul", "89f7682d9747bf707e5534e4e0f93e26b6bd26e7c4213d69bf87febb4199e0de"},
+}
+
+// TestGoldenTraces records each quick-profile kernel the way Runner.record
+// does and requires its trace fingerprint to match the pinned value.
+func TestGoldenTraces(t *testing.T) {
+	p := Quick()
+	m := p.MachineHT()
+	for _, g := range goldenTraces {
+		t.Run(g.kernel, func(t *testing.T) {
+			mk, err := p.FullKernelFactory(g.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := mk(mem.NewSpacePaged(m.Links, m.Links, p.PageSize()), m, p.Seed)
+			tr, err := dagtrace.Record(k.Root(), m.Block())
+			if err != nil {
+				t.Fatalf("record: %v", err)
+			}
+			if err := k.Verify(); err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			got, err := dagtrace.Resident(tr).Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != g.fingerprint {
+				t.Errorf("%s trace fingerprint %s != golden %s: the kernel's DAG changed", g.kernel, got, g.fingerprint)
+			}
+		})
+	}
+}
+
 // TestLiveReplayEquivalence is the soundness gate for record-once/
 // replay-everywhere: for every kernel in the quick profile, record the
 // computation sequentially with dagtrace.Record — the recorder every

@@ -262,57 +262,84 @@ func recordFirst(items []int, key func(int) string) []int {
 
 // --- benchmark factories at the profile's scale ------------------------------
 
-// RRMFactory builds the Fig. 5 RRM instance.
-func (p Profile) RRMFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+// kernelTable builds the seven benchmarks at a profile's scale, in the
+// paper's order: the micro-benchmarks RRM and RRG (Figs. 5–7), then the
+// Fig. 8/9 lineup of algorithmic kernels.
+var kernelTable = []struct {
+	name  string
+	build func(p Profile, sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel
+}{
+	{"RRM", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewRRM(sp, kernels.RRMConfig{N: p.RRMN, Base: p.RRBase, Grain: p.RRGrain, Seed: seed})
-	}
-}
-
-// RRGFactory builds the Fig. 6 RRG instance.
-func (p Profile) RRGFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+	}},
+	{"RRG", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewRRG(sp, kernels.RRGConfig{N: p.RRGN, Base: p.RRBase, Grain: p.RRGrain, Seed: seed})
-	}
-}
-
-// QuicksortFactory builds the Fig. 8/9 quicksort instance.
-func (p Profile) QuicksortFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+	}},
+	{"Quicksort", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewQuicksort(sp, kernels.QuicksortConfig{
 			N: p.SortN, SerialCutoff: p.SerialCutoff, PartCutoff: p.PartCutoff, Chunk: p.Chunk, Seed: seed,
 		})
-	}
-}
-
-// SamplesortFactory builds the Fig. 8/9 samplesort instance.
-func (p Profile) SamplesortFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+	}},
+	{"Samplesort", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewSamplesort(sp, kernels.SamplesortConfig{N: p.SortN, Cutoff: p.SerialCutoff, Seed: seed})
-	}
-}
-
-// AwareSamplesortFactory builds the Fig. 8/9 aware samplesort; it reads
-// the L3 size off the machine (it is the cache-aware algorithm).
-func (p Profile) AwareSamplesortFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+	}},
+	// The cache-aware algorithm reads the L3 size off the machine.
+	{"AwareSamplesort", func(p Profile, sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
 		return kernels.NewAwareSamplesort(sp, kernels.AwareSamplesortConfig{
 			N: p.SortN, L3Bytes: m.Levels[1].Size, Chunk: p.Chunk,
 			SerialCutoff: p.SerialCutoff, PartCutoff: p.PartCutoff, Seed: seed,
 		})
-	}
+	}},
+	{"Quad-Tree", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
+		return kernels.NewQuadtree(sp, kernels.QuadtreeConfig{N: p.QuadN, Cutoff: p.QuadCutoff, Chunk: p.Chunk, Seed: seed})
+	}},
+	{"MatMul", func(p Profile, sp *mem.Space, _ *machine.Desc, seed uint64) kernels.Kernel {
+		return kernels.NewMatMul(sp, kernels.MatMulConfig{N: p.MatmulN, Base: p.MatmulBase, Seed: seed})
+	}},
 }
+
+// microKernels (Figs. 5–7) and algorithmicKernels (Figs. 8/9) split
+// kernelTable.
+var microKernels, algorithmicKernels = kernelTable[:2], kernelTable[2:]
+
+// FullKernelFactory resolves a kernel name (the Fig. 8 lineup plus RRM
+// and RRG) to its factory at the profile's scale.
+func (p Profile) FullKernelFactory(name string) (KernelFactory, error) {
+	for _, k := range kernelTable {
+		if k.name == name {
+			build := k.build
+			return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel { return build(p, sp, m, seed) }, nil
+		}
+	}
+	return nil, fmt.Errorf("exp: unknown kernel %q (want RRM, RRG, Quicksort, Samplesort, AwareSamplesort, Quad-Tree or MatMul)", name)
+}
+
+// factory is FullKernelFactory for a name kernelTable holds.
+func (p Profile) factory(name string) KernelFactory {
+	mk, err := p.FullKernelFactory(name)
+	if err != nil {
+		panic(err)
+	}
+	return mk
+}
+
+// RRMFactory builds the Fig. 5 RRM instance.
+func (p Profile) RRMFactory() KernelFactory { return p.factory("RRM") }
+
+// RRGFactory builds the Fig. 6 RRG instance.
+func (p Profile) RRGFactory() KernelFactory { return p.factory("RRG") }
+
+// QuicksortFactory builds the Fig. 8/9 quicksort instance.
+func (p Profile) QuicksortFactory() KernelFactory { return p.factory("Quicksort") }
+
+// SamplesortFactory builds the Fig. 8/9 samplesort instance.
+func (p Profile) SamplesortFactory() KernelFactory { return p.factory("Samplesort") }
+
+// AwareSamplesortFactory builds the Fig. 8/9 aware samplesort.
+func (p Profile) AwareSamplesortFactory() KernelFactory { return p.factory("AwareSamplesort") }
 
 // QuadtreeFactory builds the Fig. 8/9/10 quad-tree instance.
-func (p Profile) QuadtreeFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
-		return kernels.NewQuadtree(sp, kernels.QuadtreeConfig{N: p.QuadN, Cutoff: p.QuadCutoff, Chunk: p.Chunk, Seed: seed})
-	}
-}
+func (p Profile) QuadtreeFactory() KernelFactory { return p.factory("Quad-Tree") }
 
 // MatMulFactory builds the Fig. 8/9 matrix multiplication instance.
-func (p Profile) MatMulFactory() KernelFactory {
-	return func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
-		return kernels.NewMatMul(sp, kernels.MatMulConfig{N: p.MatmulN, Base: p.MatmulBase, Seed: seed})
-	}
-}
+func (p Profile) MatMulFactory() KernelFactory { return p.factory("MatMul") }

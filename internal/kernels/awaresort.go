@@ -120,16 +120,25 @@ func (a *awJob) Run(ctx job.Ctx) {
 	for j := 1; j < k.buckets; j++ {
 		splitters[j-1] = sample[j*s/k.buckets]
 	}
-	chunks := (n + k.Chunk - 1) / k.Chunk
-	st := &awState{splitters: splitters, counts: make([][]int64, chunks)}
-	ctx.Fork(&awScatterPhase{k: k, st: st}, a.countJob(st))
-}
-
-// awState is the distribution bookkeeping (host-side control state).
-type awState struct {
-	splitters []float64
-	counts    [][]int64 // per chunk, per bucket
-	bucketOff []int
+	distribution[float64]{
+		n: n, chunk: k.Chunk, buckets: k.buckets,
+		// Work 4 per element is the binary search over the resident
+		// splitters; the prefix pass walks every chunk's bucket row.
+		elemBytes: 8, elemWork: 4, chunkWork: int64(k.buckets),
+		read: k.A.Read, write: k.Buf.Write,
+		bucket: func(v float64) int { return bucketOf(v, splitters) },
+	}.fork(ctx, func(ctx job.Ctx, off []int) {
+		// Sort each bucket with parallel quicksort, then copy back.
+		children := make([]job.Job, 0, k.buckets)
+		for b := 0; b < k.buckets; b++ {
+			lo, hi := off[b], off[b+1]
+			if hi-lo < 2 {
+				continue
+			}
+			children = append(children, &qsJob{p: &k.qsParams, a: k.Buf.Sub(lo, hi), b: k.A.Sub(lo, hi)})
+		}
+		forkThen(ctx, children, []job.Job{copyJob(k.Buf, k.A, k.Chunk)})
+	})
 }
 
 // bucketOf locates v's bucket by binary search over the splitters.
@@ -145,121 +154,3 @@ func bucketOf(v float64, splitters []float64) int {
 	}
 	return lo
 }
-
-func (a *awJob) countJob(st *awState) job.Job {
-	k := a.k
-	n := k.A.Len()
-	chunks := len(st.counts)
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(k.Chunk) * 8 }
-	return job.For(0, chunks, 1, size, func(ctx job.Ctx, c int) {
-		lo := c * k.Chunk
-		hi := lo + k.Chunk
-		if hi > n {
-			hi = n
-		}
-		cnt := make([]int64, k.buckets)
-		for i := lo; i < hi; i++ {
-			v := k.A.Read(ctx, i)
-			cnt[bucketOf(v, st.splitters)]++
-			ctx.Work(4) // binary search over resident splitters
-		}
-		st.counts[c] = cnt
-	})
-}
-
-// awScatterPhase computes cursors and forks the distribution pass.
-type awScatterPhase struct {
-	k  *AwareSamplesort
-	st *awState
-}
-
-func (ph *awScatterPhase) Size(int64) int64             { return ph.k.A.Bytes() * 2 }
-func (ph *awScatterPhase) StrandSize(block int64) int64 { return block }
-
-func (ph *awScatterPhase) Run(ctx job.Ctx) {
-	k, st := ph.k, ph.st
-	n := k.A.Len()
-	chunks := len(st.counts)
-	// Bucket totals and offsets.
-	totals := make([]int64, k.buckets)
-	for _, row := range st.counts {
-		for b, c := range row {
-			totals[b] += c
-		}
-	}
-	st.bucketOff = make([]int, k.buckets+1)
-	for b := 0; b < k.buckets; b++ {
-		st.bucketOff[b+1] = st.bucketOff[b] + int(totals[b])
-	}
-	// Per-chunk cursors.
-	cursors := make([][]int64, chunks)
-	run := make([]int64, k.buckets)
-	for b := range run {
-		run[b] = int64(st.bucketOff[b])
-	}
-	for c := 0; c < chunks; c++ {
-		cur := make([]int64, k.buckets)
-		copy(cur, run)
-		cursors[c] = cur
-		for b, v := range st.counts[c] {
-			run[b] += v
-		}
-	}
-	ctx.Work(int64(chunks * k.buckets))
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(k.Chunk) * 16 }
-	scatter := job.For(0, chunks, 1, size, func(c2 job.Ctx, c int) {
-		lo := c * k.Chunk
-		hi := lo + k.Chunk
-		if hi > n {
-			hi = n
-		}
-		cur := cursors[c]
-		for i := lo; i < hi; i++ {
-			v := k.A.Read(c2, i)
-			b := bucketOf(v, st.splitters)
-			k.Buf.Write(c2, int(cur[b]), v)
-			cur[b]++
-			c2.Work(4)
-		}
-	})
-	ctx.Fork(&awBucketPhase{k: k, st: st}, scatter)
-}
-
-// awBucketPhase sorts each bucket with parallel quicksort, then copies the
-// result back.
-type awBucketPhase struct {
-	k  *AwareSamplesort
-	st *awState
-}
-
-func (ph *awBucketPhase) Size(int64) int64             { return ph.k.A.Bytes() * 2 }
-func (ph *awBucketPhase) StrandSize(block int64) int64 { return block }
-
-func (ph *awBucketPhase) Run(ctx job.Ctx) {
-	k, st := ph.k, ph.st
-	children := make([]job.Job, 0, k.buckets)
-	for b := 0; b < k.buckets; b++ {
-		lo, hi := st.bucketOff[b], st.bucketOff[b+1]
-		if hi-lo < 2 {
-			continue
-		}
-		children = append(children, &qsJob{p: &k.qsParams, a: k.Buf.Sub(lo, hi), b: k.A.Sub(lo, hi)})
-	}
-	copyBack := copyJob(k.Buf, k.A, k.Chunk)
-	if len(children) == 0 {
-		ctx.Fork(nil, copyBack)
-		return
-	}
-	ctx.Fork(&awCopyPhase{k: k, copy: copyBack}, children...)
-}
-
-// awCopyPhase runs the final copy back to A.
-type awCopyPhase struct {
-	k    *AwareSamplesort
-	copy job.Job
-}
-
-func (ph *awCopyPhase) Size(int64) int64             { return ph.k.A.Bytes() * 2 }
-func (ph *awCopyPhase) StrandSize(block int64) int64 { return block }
-
-func (ph *awCopyPhase) Run(ctx job.Ctx) { ctx.Fork(nil, ph.copy) }

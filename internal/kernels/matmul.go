@@ -200,35 +200,20 @@ func (m *mmJob) Run(ctx job.Ctx) {
 		m.baseMultiply(ctx)
 		return
 	}
-	// First parallel block: the four products that touch disjoint C
-	// quadrants with A's left column and B's top row.
-	first := []job.Job{
+	// Two parallel blocks: the four products with A's left column and
+	// B's top row, which touch disjoint C quadrants, then the other four,
+	// which update the same C quadrants (hence the barrier).
+	forkThen(ctx, []job.Job{
 		&mmJob{k: m.k, a: m.a.Block(0, 0), b: m.b.Block(0, 0), c: m.c.Block(0, 0)},
 		&mmJob{k: m.k, a: m.a.Block(0, 0), b: m.b.Block(0, 1), c: m.c.Block(0, 1)},
 		&mmJob{k: m.k, a: m.a.Block(1, 0), b: m.b.Block(0, 0), c: m.c.Block(1, 0)},
 		&mmJob{k: m.k, a: m.a.Block(1, 0), b: m.b.Block(0, 1), c: m.c.Block(1, 1)},
-	}
-	ctx.Fork(&mmSecondHalf{m: m}, first...)
-}
-
-// mmSecondHalf runs the other four block products after the first four
-// have joined (they update the same C quadrants, hence the barrier).
-type mmSecondHalf struct {
-	m *mmJob
-}
-
-func (s *mmSecondHalf) Size(int64) int64             { return 3 * s.m.a.Bytes() }
-func (s *mmSecondHalf) StrandSize(block int64) int64 { return block }
-
-func (s *mmSecondHalf) Run(ctx job.Ctx) {
-	m := s.m
-	second := []job.Job{
+	}, []job.Job{
 		&mmJob{k: m.k, a: m.a.Block(0, 1), b: m.b.Block(1, 0), c: m.c.Block(0, 0)},
 		&mmJob{k: m.k, a: m.a.Block(0, 1), b: m.b.Block(1, 1), c: m.c.Block(0, 1)},
 		&mmJob{k: m.k, a: m.a.Block(1, 1), b: m.b.Block(1, 0), c: m.c.Block(1, 0)},
 		&mmJob{k: m.k, a: m.a.Block(1, 1), b: m.b.Block(1, 1), c: m.c.Block(1, 1)},
-	}
-	ctx.Fork(nil, second...)
+	})
 }
 
 // baseMultiply is the serial ikj kernel with real arithmetic. Access

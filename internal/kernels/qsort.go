@@ -191,9 +191,30 @@ func (q *qsJob) Run(ctx job.Ctx) {
 		// Parallel three-way partition into b, then copy back, then
 		// recurse on the less/greater regions.
 		p := medianOf3(ctx, q.a)
-		chunks := (n + q.p.Chunk - 1) / q.p.Chunk
-		st := &qsPartState{pivot: p, counts: make([][3]int, chunks)}
-		ctx.Fork(&qsScatterPhase{q: q, st: st}, q.countJob(st))
+		distribution[float64]{
+			n: n, chunk: q.p.Chunk, buckets: 3,
+			elemBytes: 8, elemWork: workPerElem, chunkWork: 1,
+			read: q.a.Read, write: q.b.Write,
+			bucket: func(v float64) int {
+				switch {
+				case v < p:
+					return 0
+				case v == p:
+					return 1
+				}
+				return 2
+			},
+		}.fork(ctx, func(ctx job.Ctx, off []int) {
+			lt, gt := off[1], off[2]
+			var children []job.Job
+			if lt > 1 {
+				children = append(children, &qsJob{p: q.p, a: q.a.Sub(0, lt), b: q.b.Sub(0, lt)})
+			}
+			if n-gt > 1 {
+				children = append(children, &qsJob{p: q.p, a: q.a.Sub(gt, n), b: q.b.Sub(gt, n)})
+			}
+			forkThen(ctx, []job.Job{copyJob(q.b, q.a, q.p.Chunk)}, children)
+		})
 	}
 }
 
@@ -216,136 +237,3 @@ func (q *qsJob) StrandSize(block int64) int64 {
 	}
 	return block
 }
-
-// qsPartState carries the partition's shared bookkeeping between phases.
-// The per-chunk counters live in host memory (scheduler-invisible control
-// metadata); the element traffic itself is fully simulated.
-type qsPartState struct {
-	pivot  float64
-	counts [][3]int // per chunk: {less, equal, greater}
-	lt, gt int      // split points, filled by the scatter phase
-}
-
-func (q *qsJob) chunkBounds(c int) (int, int) {
-	lo := c * q.p.Chunk
-	hi := lo + q.p.Chunk
-	if hi > q.a.Len() {
-		hi = q.a.Len()
-	}
-	return lo, hi
-}
-
-// countJob scans chunks of a, classifying elements against the pivot.
-func (q *qsJob) countJob(st *qsPartState) job.Job {
-	chunks := len(st.counts)
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(q.p.Chunk) * 8 }
-	return job.For(0, chunks, 1, size, func(ctx job.Ctx, c int) {
-		lo, hi := q.chunkBounds(c)
-		var cnt [3]int
-		for i := lo; i < hi; i++ {
-			v := q.a.Read(ctx, i)
-			switch {
-			case v < st.pivot:
-				cnt[0]++
-			case v == st.pivot:
-				cnt[1]++
-			default:
-				cnt[2]++
-			}
-			ctx.Work(workPerElem)
-		}
-		st.counts[c] = cnt
-	})
-}
-
-// qsScatterPhase computes the partition offsets and forks the scatter.
-type qsScatterPhase struct {
-	q  *qsJob
-	st *qsPartState
-}
-
-func (ph *qsScatterPhase) Run(ctx job.Ctx) {
-	q, st := ph.q, ph.st
-	chunks := len(st.counts)
-	var lt, eq int
-	for _, c := range st.counts {
-		lt += c[0]
-		eq += c[1]
-	}
-	st.lt, st.gt = lt, lt+eq
-	// Per-chunk write cursors into the three regions.
-	offs := make([][3]int, chunks)
-	cur := [3]int{0, st.lt, st.gt}
-	for c := 0; c < chunks; c++ {
-		offs[c] = cur
-		cur[0] += st.counts[c][0]
-		cur[1] += st.counts[c][1]
-		cur[2] += st.counts[c][2]
-	}
-	ctx.Work(int64(chunks))
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(q.p.Chunk) * 16 }
-	scatter := job.For(0, chunks, 1, size, func(c2 job.Ctx, c int) {
-		lo, hi := q.chunkBounds(c)
-		o := offs[c]
-		for i := lo; i < hi; i++ {
-			v := q.a.Read(c2, i)
-			var region int
-			switch {
-			case v < st.pivot:
-				region = 0
-			case v == st.pivot:
-				region = 1
-			default:
-				region = 2
-			}
-			q.b.Write(c2, o[region], v)
-			o[region]++
-			c2.Work(workPerElem)
-		}
-	})
-	ctx.Fork(&qsRecursePhase{q: q, st: st}, scatter)
-}
-
-// Size/StrandSize: the phase belongs to the same task working set.
-func (ph *qsScatterPhase) Size(int64) int64             { return int64(ph.q.a.Len()) * 16 }
-func (ph *qsScatterPhase) StrandSize(block int64) int64 { return block }
-
-// qsRecursePhase copies the partitioned buffer back and forks the
-// recursive sorts of the less and greater regions.
-type qsRecursePhase struct {
-	q  *qsJob
-	st *qsPartState
-}
-
-func (ph *qsRecursePhase) Run(ctx job.Ctx) {
-	q := ph.q
-	copyBack := copyJob(q.b, q.a, q.p.Chunk)
-	ctx.Fork(&qsForkPhase{q: q, st: ph.st}, copyBack)
-}
-
-func (ph *qsRecursePhase) Size(int64) int64             { return int64(ph.q.a.Len()) * 16 }
-func (ph *qsRecursePhase) StrandSize(block int64) int64 { return block }
-
-// qsForkPhase launches the recursive sorts after the copy-back completes.
-type qsForkPhase struct {
-	q  *qsJob
-	st *qsPartState
-}
-
-func (ph *qsForkPhase) Run(ctx job.Ctx) {
-	q, st := ph.q, ph.st
-	n := q.a.Len()
-	children := make([]job.Job, 0, 2)
-	if st.lt > 1 {
-		children = append(children, &qsJob{p: q.p, a: q.a.Sub(0, st.lt), b: q.b.Sub(0, st.lt)})
-	}
-	if n-st.gt > 1 {
-		children = append(children, &qsJob{p: q.p, a: q.a.Sub(st.gt, n), b: q.b.Sub(st.gt, n)})
-	}
-	if len(children) > 0 {
-		ctx.Fork(nil, children...)
-	}
-}
-
-func (ph *qsForkPhase) Size(int64) int64             { return int64(ph.q.a.Len()) * 16 }
-func (ph *qsForkPhase) StrandSize(block int64) int64 { return block }

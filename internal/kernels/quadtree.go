@@ -124,125 +124,42 @@ func (q *quadJob) Run(ctx job.Ctx) {
 		return
 	}
 	mx, my := (nd.X0+nd.X1)/2, (nd.Y0+nd.Y1)/2
-	chunks := (n + q.k.Chunk - 1) / q.k.Chunk
-	st := &quadState{mx: mx, my: my, counts: make([][4]int, chunks)}
-	ctx.Fork(&quadScatterPhase{q: q, st: st}, q.countJob(st))
-}
-
-type quadState struct {
-	mx, my float64
-	counts [][4]int
-	off    [5]int
-}
-
-func (q *quadJob) chunkBounds(c int) (int, int) {
-	lo := c * q.k.Chunk
-	hi := lo + q.k.Chunk
-	if hi > q.p.Len() {
-		hi = q.p.Len()
-	}
-	return lo, hi
-}
-
-func (q *quadJob) countJob(st *quadState) job.Job {
-	chunks := len(st.counts)
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(q.k.Chunk) * 16 }
-	return job.For(0, chunks, 1, size, func(ctx job.Ctx, c int) {
-		lo, hi := q.chunkBounds(c)
-		var cnt [4]int
-		for i := lo; i < hi; i++ {
-			x, y := q.p.Read(ctx, i)
-			cnt[quadrantOf(x, y, st.mx, st.my)]++
-			ctx.Work(workPerElem)
+	distribution[[2]float64]{
+		n: n, chunk: q.k.Chunk, buckets: 4,
+		elemBytes: 16, elemWork: workPerElem, chunkWork: 1,
+		read: func(acc mem.Accessor, i int) [2]float64 {
+			x, y := q.p.Read(acc, i)
+			return [2]float64{x, y}
+		},
+		write:  func(acc mem.Accessor, i int, v [2]float64) { q.buf.Write(acc, i, v[0], v[1]) },
+		bucket: func(v [2]float64) int { return quadrantOf(v[0], v[1], mx, my) },
+	}.fork(ctx, func(ctx job.Ctx, off []int) {
+		// Create the four children and recurse on the buffer ranges with
+		// the roles of p and buf swapped (ping-pong).
+		boxes := [4][4]float64{
+			{nd.X0, nd.Y0, mx, my},
+			{mx, nd.Y0, nd.X1, my},
+			{nd.X0, my, mx, nd.Y1},
+			{mx, my, nd.X1, nd.Y1},
 		}
-		st.counts[c] = cnt
-	})
-}
-
-// quadScatterPhase computes cursors and forks the 4-way scatter into buf.
-type quadScatterPhase struct {
-	q  *quadJob
-	st *quadState
-}
-
-func (ph *quadScatterPhase) Size(int64) int64             { return int64(ph.q.p.Len()) * 32 }
-func (ph *quadScatterPhase) StrandSize(block int64) int64 { return block }
-
-func (ph *quadScatterPhase) Run(ctx job.Ctx) {
-	q, st := ph.q, ph.st
-	chunks := len(st.counts)
-	var tot [4]int
-	for _, c := range st.counts {
+		children := make([]job.Job, 0, 4)
 		for k := 0; k < 4; k++ {
-			tot[k] += c[k]
+			lo, hi := off[k], off[k+1]
+			child := &QuadNode{X0: boxes[k][0], Y0: boxes[k][1], X1: boxes[k][2], Y1: boxes[k][3], Count: hi - lo}
+			nd.Children[k] = child
+			if hi == lo {
+				child.Leaf = true
+				continue
+			}
+			children = append(children, &quadJob{
+				k: q.k, p: q.buf.Sub(lo, hi), buf: q.p.Sub(lo, hi),
+				node: child, depth: q.depth + 1,
+			})
 		}
-	}
-	st.off[0] = 0
-	for k := 0; k < 4; k++ {
-		st.off[k+1] = st.off[k] + tot[k]
-	}
-	cursors := make([][4]int, chunks)
-	cur := [4]int{st.off[0], st.off[1], st.off[2], st.off[3]}
-	for c := 0; c < chunks; c++ {
-		cursors[c] = cur
-		for k := 0; k < 4; k++ {
-			cur[k] += st.counts[c][k]
-		}
-	}
-	ctx.Work(int64(chunks))
-	size := func(lo, hi int) int64 { return int64(hi-lo) * int64(q.k.Chunk) * 32 }
-	scatter := job.For(0, chunks, 1, size, func(c2 job.Ctx, c int) {
-		lo, hi := q.chunkBounds(c)
-		o := cursors[c]
-		for i := lo; i < hi; i++ {
-			x, y := q.p.Read(c2, i)
-			k := quadrantOf(x, y, st.mx, st.my)
-			q.buf.Write(c2, o[k], x, y)
-			o[k]++
-			c2.Work(workPerElem)
+		if len(children) > 0 {
+			ctx.Fork(nil, children...)
 		}
 	})
-	ctx.Fork(&quadRecursePhase{q: q, st: st}, scatter)
-}
-
-// quadRecursePhase creates the four children and recurses on the buffer
-// ranges with the roles of p and buf swapped (ping-pong).
-type quadRecursePhase struct {
-	q  *quadJob
-	st *quadState
-}
-
-func (ph *quadRecursePhase) Size(int64) int64             { return int64(ph.q.p.Len()) * 32 }
-func (ph *quadRecursePhase) StrandSize(block int64) int64 { return block }
-
-func (ph *quadRecursePhase) Run(ctx job.Ctx) {
-	q, st := ph.q, ph.st
-	nd := q.node
-	mx, my := st.mx, st.my
-	boxes := [4][4]float64{
-		{nd.X0, nd.Y0, mx, my},
-		{mx, nd.Y0, nd.X1, my},
-		{nd.X0, my, mx, nd.Y1},
-		{mx, my, nd.X1, nd.Y1},
-	}
-	children := make([]job.Job, 0, 4)
-	for k := 0; k < 4; k++ {
-		lo, hi := st.off[k], st.off[k+1]
-		child := &QuadNode{X0: boxes[k][0], Y0: boxes[k][1], X1: boxes[k][2], Y1: boxes[k][3], Count: hi - lo}
-		nd.Children[k] = child
-		if hi == lo {
-			child.Leaf = true
-			continue
-		}
-		children = append(children, &quadJob{
-			k: q.k, p: q.buf.Sub(lo, hi), buf: q.p.Sub(lo, hi),
-			node: child, depth: q.depth + 1,
-		})
-	}
-	if len(children) == 0 {
-		return
-	}
-	ctx.Fork(nil, children...)
 }
 
 // Verify implements Kernel: the tree's counts must sum correctly and every

@@ -73,71 +73,17 @@ func (k *RRG) Name() string { return "RRG" }
 // InputBytes implements Kernel.
 func (k *RRG) InputBytes() int64 { return k.A.Bytes() + k.B.Bytes() + k.I.Bytes() }
 
-// Root implements Kernel.
+// Root implements Kernel: each pass gathers B[i] = A[lo + I[i] mod n]
+// over the range [lo, lo+n) — one index read, one random read within the
+// range, one write, touching A, B and I.
 func (k *RRG) Root() job.Job {
-	return &rrgTask{k: k, a: k.A, b: k.B, idx: k.I, pass: 0}
-}
-
-type rrgTask struct {
-	k    *RRG
-	a, b mem.F64
-	idx  mem.I64
-	pass int
-}
-
-// gather performs B[i] = A[I[i] mod n] for one element of the current
-// subrange: one index read, one random read, one write.
-func gather(ctx job.Ctx, a, b mem.F64, idx mem.I64, i int) {
-	j := int(idx.Read(ctx, i) % int64(a.Len()))
-	b.Write(ctx, i, a.Read(ctx, j))
-	ctx.Work(workPerElem)
-}
-
-func (t *rrgTask) gatherPass() job.Job {
-	a, b, idx := t.a, t.b, t.idx
-	size := func(lo, hi int) int64 { return int64(hi-lo) * 24 }
-	return job.For(0, a.Len(), t.k.Grain, size, func(ctx job.Ctx, i int) {
-		gather(ctx, a, b, idx, i)
-	})
-}
-
-// Run implements job.Job.
-func (t *rrgTask) Run(ctx job.Ctx) {
-	n := t.a.Len()
-	if n <= t.k.Base {
-		for p := 0; p < t.k.R; p++ {
-			for i := 0; i < n; i++ {
-				gather(ctx, t.a, t.b, t.idx, i)
-			}
-		}
-		return
-	}
-	if t.pass < t.k.R {
-		next := &rrgTask{k: t.k, a: t.a, b: t.b, idx: t.idx, pass: t.pass + 1}
-		ctx.Fork(next, t.gatherPass())
-		return
-	}
-	cut := int(float64(n) * t.k.Cut)
-	if cut < 1 {
-		cut = 1
-	}
-	if cut >= n {
-		cut = n - 1
-	}
-	ctx.Fork(nil,
-		&rrgTask{k: t.k, a: t.a.Sub(0, cut), b: t.b.Sub(0, cut), idx: t.idx.Sub(0, cut)},
-		&rrgTask{k: t.k, a: t.a.Sub(cut, n), b: t.b.Sub(cut, n), idx: t.idx.Sub(cut, n)})
-}
-
-// Size implements job.SBJob: A, B and I subranges.
-func (t *rrgTask) Size(int64) int64 { return int64(t.a.Len()) * 24 }
-
-// StrandSize implements job.SBJob.
-func (t *rrgTask) StrandSize(block int64) int64 {
-	if t.a.Len() <= t.k.Base {
-		return int64(t.a.Len()) * 24
-	}
-	return block
+	p := &passes{r: k.R, base: k.Base, grain: k.Grain, cut: k.Cut, elemBytes: 24,
+		elem: func(ctx job.Ctx, lo, n, i int) {
+			j := lo + int(k.I.Read(ctx, i)%int64(n))
+			k.B.Write(ctx, i, k.A.Read(ctx, j))
+			ctx.Work(workPerElem)
+		}}
+	return &passTask{p: p, n: k.A.Len()}
 }
 
 // Verify implements Kernel: replay the recursion's final gathers
@@ -157,13 +103,7 @@ func (k *RRG) Verify() error {
 			}
 			return nil
 		}
-		cut := int(float64(m) * k.Cut)
-		if cut < 1 {
-			cut = 1
-		}
-		if cut >= m {
-			cut = m - 1
-		}
+		cut := splitAt(m, k.Cut)
 		if err := check(lo, lo+cut); err != nil {
 			return err
 		}

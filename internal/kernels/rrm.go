@@ -70,68 +70,15 @@ func (k *RRM) Name() string { return "RRM" }
 // InputBytes implements Kernel.
 func (k *RRM) InputBytes() int64 { return k.A.Bytes() + k.B.Bytes() }
 
-// Root implements Kernel.
+// Root implements Kernel: each pass maps B[i] = A[i]+1 over the range,
+// touching A and B.
 func (k *RRM) Root() job.Job {
-	return &rrmTask{k: k, a: k.A, b: k.B, pass: 0}
-}
-
-// rrmTask performs the r map passes over its range (as successive parallel
-// blocks, one per pass), then forks the two recursive halves.
-type rrmTask struct {
-	k    *RRM
-	a, b mem.F64
-	pass int
-}
-
-// mapPass returns the parallel map of one pass over the task's range.
-func (t *rrmTask) mapPass() job.Job {
-	a, b, k := t.a, t.b, t.k
-	size := func(lo, hi int) int64 { return int64(hi-lo) * 16 }
-	return job.For(0, a.Len(), k.Grain, size, func(ctx job.Ctx, i int) {
-		b.Write(ctx, i, a.Read(ctx, i)+1)
-		ctx.Work(workPerElem)
-	})
-}
-
-// Run implements job.Job.
-func (t *rrmTask) Run(ctx job.Ctx) {
-	n := t.a.Len()
-	if n <= t.k.Base {
-		// Base case: all r passes serially within this strand.
-		for p := 0; p < t.k.R; p++ {
-			for i := 0; i < n; i++ {
-				t.b.Write(ctx, i, t.a.Read(ctx, i)+1)
-				ctx.Work(workPerElem)
-			}
-		}
-		return
-	}
-	if t.pass < t.k.R {
-		next := &rrmTask{k: t.k, a: t.a, b: t.b, pass: t.pass + 1}
-		ctx.Fork(next, t.mapPass())
-		return
-	}
-	cut := int(float64(n) * t.k.Cut)
-	if cut < 1 {
-		cut = 1
-	}
-	if cut >= n {
-		cut = n - 1
-	}
-	ctx.Fork(nil,
-		&rrmTask{k: t.k, a: t.a.Sub(0, cut), b: t.b.Sub(0, cut)},
-		&rrmTask{k: t.k, a: t.a.Sub(cut, n), b: t.b.Sub(cut, n)})
-}
-
-// Size implements job.SBJob: the task touches its A and B subranges.
-func (t *rrmTask) Size(int64) int64 { return int64(t.a.Len()) * 16 }
-
-// StrandSize implements job.SBJob: non-base strands only fork.
-func (t *rrmTask) StrandSize(block int64) int64 {
-	if t.a.Len() <= t.k.Base {
-		return int64(t.a.Len()) * 16
-	}
-	return block
+	p := &passes{r: k.R, base: k.Base, grain: k.Grain, cut: k.Cut, elemBytes: 16,
+		elem: func(ctx job.Ctx, _, _, i int) {
+			k.B.Write(ctx, i, k.A.Read(ctx, i)+1)
+			ctx.Work(workPerElem)
+		}}
+	return &passTask{p: p, n: k.A.Len()}
 }
 
 // Verify implements Kernel: B must equal A+1 everywhere (the final pass at

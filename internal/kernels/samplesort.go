@@ -129,50 +129,43 @@ func (s *ssJob) Run(ctx job.Ctx) {
 		return
 	}
 	p, w := ssLayout(m)
-	st := &ssState{p: p, w: w}
+	st := &ssState{s: s, m: m, p: p, w: w}
 	// Phase 1: recursively sort the √m subarrays.
 	children := make([]job.Job, p)
 	for i := 0; i < p; i++ {
-		lo, hi := i*w, (i+1)*w
-		if hi > m {
-			hi = m
-		}
+		lo, hi := st.subBounds(i)
 		children[i] = &ssJob{k: s.k, a: s.a.Sub(lo, hi), b: s.b.Sub(lo, hi), cnt: s.cnt.Sub(lo, hi)}
 	}
-	ctx.Fork(&ssSamplePhase{s: s, st: st}, children...)
+	ctx.Fork(phase(st.sample), children...)
 }
 
-// ssState carries the splitters and bucket offsets between phases.
+// ssState is one call over m elements: its layout and the control state
+// its phases pass on (host-side, like the paper's pivot arrays that stay
+// cache-resident). Each phase is a later strand of the call's task.
 type ssState struct {
-	p, w      int
-	splitters []float64 // p-1 splitter values (host-side control state)
-	bucketOff []int     // p+1 bucket start offsets
+	s         *ssJob
+	m, p, w   int
+	splitters []float64 // p-1 splitter values
+	// tileSum[tI*tilesB+tB] holds the per-column sums of one tile of the
+	// count matrix (p²/ssTileRows entries).
+	tileSum        [][]int64
+	tilesI, tilesB int
+	totals         []int64 // per-bucket element counts
 }
 
 // subBounds returns subarray i's range.
-func (st *ssState) subBounds(i, m int) (int, int) {
-	lo, hi := i*st.w, (i+1)*st.w
-	if hi > m {
-		hi = m
-	}
-	return lo, hi
+func (st *ssState) subBounds(i int) (int, int) {
+	return i * st.w, min((i+1)*st.w, st.m)
 }
 
-// ssSamplePhase draws regular samples from the sorted subarrays, sorts
-// them, and picks the p-1 splitters; then forks the per-subarray bucket
-// counting.
-type ssSamplePhase struct {
-	s  *ssJob
-	st *ssState
-}
-
-func (ph *ssSamplePhase) Run(ctx job.Ctx) {
-	s, st := ph.s, ph.st
-	m := s.a.Len()
+// sample draws regular samples from the sorted subarrays, sorts them, and
+// picks the p-1 splitters; then forks the per-subarray bucket counting.
+func (st *ssState) sample(ctx job.Ctx) {
+	s := st.s
 	over := ssOversample
 	sample := make([]float64, 0, st.p*over)
 	for i := 0; i < st.p; i++ {
-		lo, hi := st.subBounds(i, m)
+		lo, hi := st.subBounds(i)
 		n := hi - lo
 		for j := 0; j < over; j++ {
 			pos := lo + (2*j+1)*n/(2*over)
@@ -180,8 +173,7 @@ func (ph *ssSamplePhase) Run(ctx job.Ctx) {
 		}
 	}
 	// The sample is small (O(√m)); sorting it is charged as compute on
-	// this strand (control state, like the paper's pivot arrays that stay
-	// cache-resident).
+	// this strand.
 	sort.Float64s(sample)
 	ctx.Work(int64(len(sample)) * 4)
 	st.splitters = make([]float64, st.p-1)
@@ -192,7 +184,7 @@ func (ph *ssSamplePhase) Run(ctx job.Ctx) {
 	// Subarray i's counts occupy cnt[i*p : i*p+p] (p buckets each).
 	count := job.For(0, st.p, 1, func(lo, hi int) int64 { return int64(hi-lo) * int64(st.w) * 8 },
 		func(c2 job.Ctx, i int) {
-			lo, hi := st.subBounds(i, m)
+			lo, hi := st.subBounds(i)
 			row := i * st.p
 			// Merge-scan the sorted subarray against the sorted splitters.
 			b := 0
@@ -212,24 +204,7 @@ func (ph *ssSamplePhase) Run(ctx job.Ctx) {
 				s.cnt.Write(c2, row+b, 0)
 			}
 		})
-	ctx.Fork(&ssOffsetPhase{s: s, st: st}, count)
-}
-
-func (ph *ssSamplePhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 24 }
-func (ph *ssSamplePhase) StrandSize(block int64) int64 { return block }
-
-// ssOffsetPhase turns the count matrix into per-(subarray, bucket) write
-// cursors: exclusive prefix sums down every bucket column, plus bucket
-// totals. Column entries are a full row apart, so a naive column walk has
-// a p-line working set; like practical block-transpose implementations
-// (and the cache-oblivious algorithm the paper uses) we tile the matrix —
-// a parallel pass of small row-block tiles computes per-tile column sums,
-// a short serial pass combines them, and a second parallel tile pass
-// writes the final prefixes. Every strand's working set is a few KB, so
-// the phase is cache-friendly under any scheduler.
-type ssOffsetPhase struct {
-	s  *ssJob
-	st *ssState
+	ctx.Fork(phase(st.offsets), count)
 }
 
 // Offset-phase tile geometry: tileRows rows × one cache line of columns.
@@ -238,19 +213,32 @@ const (
 	ssTileCols = 8 // 8 int64 entries = one 64B line
 )
 
-func (ph *ssOffsetPhase) Run(ctx job.Ctx) {
-	s, st := ph.s, ph.st
-	p := st.p
-	tilesI := (p + ssTileRows - 1) / ssTileRows
-	tilesB := (p + ssTileCols - 1) / ssTileCols
-	// tileSum[tI*tilesB+tB] holds the per-column sums of one tile
-	// (host-side control state, p²/tileRows entries).
-	tileSum := make([][]int64, tilesI*tilesB)
-	tileSize := func(lo, hi int) int64 { return int64(hi-lo) * ssTileRows * ssTileCols * 8 }
-	sum := job.For(0, tilesI*tilesB, 4, tileSize, func(c2 job.Ctx, t int) {
-		tI, tB := t/tilesB, t%tilesB
-		i0, i1 := tI*ssTileRows, min((tI+1)*ssTileRows, p)
-		b0, b1 := tB*ssTileCols, min((tB+1)*ssTileCols, p)
+// ssTileSize sizes a loop over count-matrix tiles.
+func ssTileSize(lo, hi int) int64 { return int64(hi-lo) * ssTileRows * ssTileCols * 8 }
+
+// tile returns tile t's row and column ranges of the count matrix.
+func (st *ssState) tile(t int) (i0, i1, b0, b1 int) {
+	tI, tB := t/st.tilesB, t%st.tilesB
+	return tI * ssTileRows, min((tI+1)*ssTileRows, st.p), tB * ssTileCols, min((tB+1)*ssTileCols, st.p)
+}
+
+// offsets starts turning the count matrix into per-(subarray, bucket)
+// write cursors: exclusive prefix sums down every bucket column, plus
+// bucket totals. Column entries are a full row apart, so a naive column
+// walk has a p-line working set; like practical block-transpose
+// implementations (and the cache-oblivious algorithm the paper uses) we
+// tile the matrix — a parallel pass of small row-block tiles computes
+// per-tile column sums, a short serial pass (combine) combines them, and a
+// second parallel tile pass writes the final prefixes. Every strand's
+// working set is a few KB, so the phase is cache-friendly under any
+// scheduler.
+func (st *ssState) offsets(ctx job.Ctx) {
+	s, p := st.s, st.p
+	st.tilesI = (p + ssTileRows - 1) / ssTileRows
+	st.tilesB = (p + ssTileCols - 1) / ssTileCols
+	st.tileSum = make([][]int64, st.tilesI*st.tilesB)
+	sum := job.For(0, st.tilesI*st.tilesB, 4, ssTileSize, func(c2 job.Ctx, t int) {
+		i0, i1, b0, b1 := st.tile(t)
 		sums := make([]int64, b1-b0)
 		for i := i0; i < i1; i++ {
 			for b := b0; b < b1; b++ {
@@ -258,51 +246,32 @@ func (ph *ssOffsetPhase) Run(ctx job.Ctx) {
 			}
 			c2.Work(int64(b1 - b0))
 		}
-		tileSum[t] = sums
+		st.tileSum[t] = sums
 	})
-	ctx.Fork(&ssCombinePhase{s: s, st: st, tileSum: tileSum, tilesI: tilesI, tilesB: tilesB}, sum)
+	ctx.Fork(phase(st.combine), sum)
 }
 
-func (ph *ssOffsetPhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 24 }
-func (ph *ssOffsetPhase) StrandSize(block int64) int64 { return block }
-
-// ssCombinePhase serially turns tile sums into per-tile column bases and
-// bucket totals (O(p²/tileRows) work on small control state), then forks
-// the second tile pass that writes the exclusive prefixes into the matrix.
-type ssCombinePhase struct {
-	s              *ssJob
-	st             *ssState
-	tileSum        [][]int64
-	tilesI, tilesB int
-}
-
-func (ph *ssCombinePhase) Run(ctx job.Ctx) {
-	s, st := ph.s, ph.st
-	p := st.p
-	tilesI, tilesB := ph.tilesI, ph.tilesB
+// combine serially turns tile sums into per-tile column bases and bucket
+// totals (O(p²/tileRows) work on small control state), then forks the
+// second tile pass that writes the exclusive prefixes into the matrix.
+func (st *ssState) combine(ctx job.Ctx) {
+	s, p := st.s, st.p
 	// colBase[tI][b] = sum over tiles above tI in column b.
-	colBase := make([][]int64, tilesI)
+	colBase := make([][]int64, st.tilesI)
 	run := make([]int64, p)
-	for tI := 0; tI < tilesI; tI++ {
-		base := make([]int64, p)
-		copy(base, run)
-		colBase[tI] = base
-		for tB := 0; tB < tilesB; tB++ {
-			sums := ph.tileSum[tI*tilesB+tB]
-			for j, v := range sums {
+	for tI := 0; tI < st.tilesI; tI++ {
+		colBase[tI] = append([]int64(nil), run...)
+		for tB := 0; tB < st.tilesB; tB++ {
+			for j, v := range st.tileSum[tI*st.tilesB+tB] {
 				run[tB*ssTileCols+j] += v
 			}
 		}
 	}
-	totals := run
-	ctx.Work(int64(tilesI * p))
-	tileSize := func(lo, hi int) int64 { return int64(hi-lo) * ssTileRows * ssTileCols * 8 }
-	write := job.For(0, tilesI*tilesB, 4, tileSize, func(c2 job.Ctx, t int) {
-		tI, tB := t/tilesB, t%tilesB
-		i0, i1 := tI*ssTileRows, min((tI+1)*ssTileRows, p)
-		b0, b1 := tB*ssTileCols, min((tB+1)*ssTileCols, p)
-		cur := make([]int64, b1-b0)
-		copy(cur, colBase[tI][b0:b1])
+	st.totals = run
+	ctx.Work(int64(st.tilesI * p))
+	write := job.For(0, st.tilesI*st.tilesB, 4, ssTileSize, func(c2 job.Ctx, t int) {
+		i0, i1, b0, b1 := st.tile(t)
+		cur := append([]int64(nil), colBase[t/st.tilesB][b0:b1]...)
 		for i := i0; i < i1; i++ {
 			for b := b0; b < b1; b++ {
 				c := s.cnt.Read(c2, i*p+b)
@@ -312,93 +281,52 @@ func (ph *ssCombinePhase) Run(ctx job.Ctx) {
 			c2.Work(int64(b1 - b0))
 		}
 	})
-	ctx.Fork(&ssScatterPhase{s: s, st: st, totals: totals}, write)
+	ctx.Fork(phase(st.scatter), write)
 }
 
-func (ph *ssCombinePhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 24 }
-func (ph *ssCombinePhase) StrandSize(block int64) int64 { return block }
-
-// ssScatterPhase computes bucket offsets and forks the bucket transpose:
-// each subarray streams its elements into their buckets in b.
-type ssScatterPhase struct {
-	s      *ssJob
-	st     *ssState
-	totals []int64
-}
-
-func (ph *ssScatterPhase) Run(ctx job.Ctx) {
-	s, st := ph.s, ph.st
-	m := s.a.Len()
-	st.bucketOff = make([]int, st.p+1)
+// scatter computes bucket offsets and forks the bucket transpose: each
+// subarray streams its elements into their buckets in b. Then every bucket
+// is sorted recursively in place in b and the result copied back to a.
+func (st *ssState) scatter(ctx job.Ctx) {
+	s := st.s
+	bucketOff := make([]int, st.p+1)
 	for b := 0; b < st.p; b++ {
-		st.bucketOff[b+1] = st.bucketOff[b] + int(ph.totals[b])
+		bucketOff[b+1] = bucketOff[b] + int(st.totals[b])
 	}
 	ctx.Work(int64(st.p))
 	scatter := job.For(0, st.p, 1, func(lo, hi int) int64 { return int64(hi-lo) * int64(st.w) * 24 },
 		func(c2 job.Ctx, i int) {
-			lo, hi := st.subBounds(i, m)
+			lo, hi := st.subBounds(i)
 			b := 0
 			// Cursor = bucket base + this subarray's prefix within bucket.
-			cursor := st.bucketOff[0] + int(s.cnt.Read(c2, i*st.p))
+			cursor := bucketOff[0] + int(s.cnt.Read(c2, i*st.p))
 			for x := lo; x < hi; x++ {
 				v := s.a.Read(c2, x)
 				for b < len(st.splitters) && v >= st.splitters[b] {
 					b++
-					cursor = st.bucketOff[b] + int(s.cnt.Read(c2, i*st.p+b))
+					cursor = bucketOff[b] + int(s.cnt.Read(c2, i*st.p+b))
 				}
 				s.b.Write(c2, cursor, v)
 				cursor++
 				c2.Work(workPerElem)
 			}
 		})
-	ctx.Fork(&ssBucketPhase{s: s, st: st}, scatter)
-}
-
-func (ph *ssScatterPhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 24 }
-func (ph *ssScatterPhase) StrandSize(block int64) int64 { return block }
-
-// ssBucketPhase recursively sorts each bucket of b in place, then copies
-// the result back to a.
-type ssBucketPhase struct {
-	s  *ssJob
-	st *ssState
-}
-
-func (ph *ssBucketPhase) Run(ctx job.Ctx) {
-	s, st := ph.s, ph.st
-	m := s.a.Len()
-	children := make([]job.Job, 0, st.p)
-	for b := 0; b < st.p; b++ {
-		lo, hi := st.bucketOff[b], st.bucketOff[b+1]
-		if hi-lo < 2 {
-			continue
+	ctx.Fork(phase(func(ctx job.Ctx) {
+		children := make([]job.Job, 0, st.p)
+		for b := 0; b < st.p; b++ {
+			lo, hi := bucketOff[b], bucketOff[b+1]
+			if hi-lo < 2 {
+				continue
+			}
+			child := &ssJob{k: s.k, a: s.b.Sub(lo, hi), b: s.a.Sub(lo, hi), cnt: s.cnt.Sub(lo, hi)}
+			// Degenerate-split guard: a bucket that did not shrink
+			// (duplicate-heavy input) would recurse forever; sort it
+			// serially instead.
+			if hi-lo >= st.m {
+				child.nosubs = true
+			}
+			children = append(children, child)
 		}
-		child := &ssJob{k: s.k, a: s.b.Sub(lo, hi), b: s.a.Sub(lo, hi), cnt: s.cnt.Sub(lo, hi)}
-		// Degenerate-split guard: a bucket that did not shrink (duplicate-
-		// heavy input) would recurse forever; sort it serially instead.
-		if hi-lo >= m {
-			child.nosubs = true
-		}
-		children = append(children, child)
-	}
-	copyBack := copyJob(s.b, s.a, 1024)
-	if len(children) == 0 {
-		ctx.Fork(nil, copyBack)
-		return
-	}
-	ctx.Fork(&ssCopyPhase{s: s, copy: copyBack}, children...)
+		forkThen(ctx, children, []job.Job{copyJob(s.b, s.a, 1024)})
+	}), scatter)
 }
-
-func (ph *ssBucketPhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 24 }
-func (ph *ssBucketPhase) StrandSize(block int64) int64 { return block }
-
-// ssCopyPhase runs the final copy of the sorted buckets back into a.
-type ssCopyPhase struct {
-	s    *ssJob
-	copy job.Job
-}
-
-func (ph *ssCopyPhase) Run(ctx job.Ctx) { ctx.Fork(nil, ph.copy) }
-
-func (ph *ssCopyPhase) Size(int64) int64             { return int64(ph.s.a.Len()) * 16 }
-func (ph *ssCopyPhase) StrandSize(block int64) int64 { return block }
