@@ -12,8 +12,16 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector, in two runs so that
+# neither nears the 30-minute timeout on a 2-vCPU machine: first every
+# package with the four internal/exp tests that take longest under race
+# skipped, then those four alone. On 2 vCPUs the runs took 8 and 6
+# minutes on an idle machine; the four tests took 13 minutes on a busy
+# one (per-test times in CHANGES.md). CI's race steps run the same pair.
+RACE_HEAVY := ^(TestFig7MissesGrowWithCoresForWSOnly|TestScratchFastPathEquivalence|TestFaultGoldenDeterminism|TestFullGridEquivalence)$$
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m -skip '$(RACE_HEAVY)' ./...
+	$(GO) test -race -timeout 30m -run '$(RACE_HEAVY)' ./internal/exp
 
 # fmt-check fails, listing the files, when gofmt would reformat any Go
 # file git tracks; untracked build directories such as .bench_build/ are
@@ -118,7 +126,13 @@ examples:
 
 # fullscale-smoke proves shard-count invariance through the CLI exactly
 # the way the CI job does: one ×4-scale grid cell streamed and sharded at
-# -shards 1 and -shards 2 must print identical fingerprint= lines.
+# -shards 1 and -shards 2 must print identical fingerprint= lines. It also
+# bounds memory: each cell's runtime_sys (the Go runtime's memory
+# high-water mark, on its memory: line) must stay at or below
+# FULLSCALE_MAX_SYS_MB. The recording streams into its file, so a cell
+# needs about 70 MB; a buffer the size of the 622 MB op stream anywhere on
+# the record path puts it near 1.8 GB.
+FULLSCALE_MAX_SYS_MB := 256
 fullscale-smoke:
 	@mkdir -p bin
 	$(GO) run ./cmd/schedbench -experiment cell -profile x4 -kernel RRM -sched sb -shards 1 > bin/cell_s1.log
@@ -128,6 +142,12 @@ fullscale-smoke:
 	echo "shards=1: $$f1"; echo "shards=2: $$f2"; \
 	test -n "$$f1" && test "$$f1" = "$$f2" \
 		&& echo "fullscale-smoke: fingerprints identical across shard counts"
+	@for log in bin/cell_s1.log bin/cell_s2.log; do \
+		mb=`grep -o 'runtime_sys=[0-9.]*' $$log | cut -d= -f2`; \
+		echo "$$log: runtime_sys=$${mb}MB"; \
+		awk -v mb="$$mb" -v max=$(FULLSCALE_MAX_SYS_MB) 'BEGIN { exit !(mb != "" && mb + 0 <= max) }' \
+			|| { echo "fullscale-smoke: $$log runtime_sys=$${mb}MB exceeds $(FULLSCALE_MAX_SYS_MB) MB"; exit 1; }; \
+	done; echo "fullscale-smoke: both cells within $(FULLSCALE_MAX_SYS_MB) MB"
 
 # fullgrid-smoke proves the record-once grid contract through the CLI the
 # way the CI job does: a ×4-scale 2-scheduler × 2-bandwidth grid must

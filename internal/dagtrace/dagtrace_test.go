@@ -49,11 +49,21 @@ func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trac
 	return tr, res
 }
 
-// recordSeq records testProgram sequentially, without simulating it.
-func recordSeq(t *testing.T, m *machine.Desc) *Trace {
+// recordMem records root sequentially into memory.
+func recordMem(root job.Job, block int64) (*Trace, error) {
+	rec := NewRecorder()
+	if err := Record(rec, root, block); err != nil {
+		return nil, err
+	}
+	return rec.Finish()
+}
+
+// recordSeq records testProgram of n elements sequentially, without
+// simulating it.
+func recordSeq(t *testing.T, m *machine.Desc, n int) *Trace {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
-	tr, err := Record(testProgram(sp, 512), m.Block())
+	tr, err := recordMem(testProgram(sp, n), m.Block())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 	traces := []struct {
 		name string
 		st   *StreamTrace
-	}{{"live", Resident(tr)}, {"sequential", Resident(recordSeq(t, m))}}
+	}{{"live", Resident(tr)}, {"sequential", Resident(recordSeq(t, m, 512))}}
 	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
 		sp := mem.NewSpace(m.Links, m.Links)
 		live, err := sim.Run(sim.Config{
@@ -126,7 +136,7 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 func TestRecordMatchesLiveRecording(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	live, _ := record(t, m, "sb", 7)
-	seq := recordSeq(t, m)
+	seq := recordSeq(t, m, 512)
 	if seq.TaskCount != live.TaskCount || seq.StrandCount != live.StrandCount ||
 		seq.AccessOps != live.AccessOps || seq.WorkOps != live.WorkOps || seq.OpBytes() != live.OpBytes() {
 		t.Fatalf("sequential recording %d tasks / %d strands / %d accesses / %d work ops / %d op bytes, live %d / %d / %d / %d / %d",
@@ -134,7 +144,7 @@ func TestRecordMatchesLiveRecording(t *testing.T) {
 			live.TaskCount, live.StrandCount, live.AccessOps, live.WorkOps, live.OpBytes())
 	}
 	st := Resident(seq)
-	again, err := Record(st.Root(), m.Block())
+	again, err := recordMem(st.Root(), m.Block())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestRecordFailsOnBadStrands(t *testing.T) {
 	} {
 		// The bad strand runs as a child task beside a good one.
 		root := job.FuncJob(func(ctx job.Ctx) { ctx.Fork(nil, leaf, tc.bad) })
-		tr, err := Record(root, m.Block())
+		tr, err := recordMem(root, m.Block())
 		if err == nil || tr != nil || errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Record = %v, %v; want a strand error mentioning %q", tc.name, tr, err, tc.want)
 		}
@@ -237,7 +247,25 @@ func TestFutureProgramsAreRejected(t *testing.T) {
 	if _, err := rec.Finish(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Finish = %v, want ErrUnsupported", err)
 	}
-	if _, err := Record(root, m.Block()); !errors.Is(err, ErrUnsupported) {
+	if _, err := recordMem(root, m.Block()); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Record = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestRecorderRequiresSpawnOrderIDs: the recorder finds a strand's node as
+// its ID − 1, which holds because both executors number strands 1, 2, 3…
+// in spawn order. A strand spawned out of that order fails the recording
+// instead of being filed under another strand's node.
+func TestRecorderRequiresSpawnOrderIDs(t *testing.T) {
+	leaf := job.FuncJob(func(ctx job.Ctx) { ctx.Work(1) })
+	var task job.Task
+	task.Init(1, nil, leaf, 64)
+	var s job.Strand
+	s.Init(2, &task, leaf, job.TaskStart, 64, 0, nil)
+	rec := NewRecorder()
+	rec.StrandSpawned(&s)
+	rec.StrandForked(&s, false, 0, false)
+	if _, err := rec.Finish(); err == nil || !strings.Contains(err.Error(), "spawn order") {
+		t.Fatalf("Finish = %v, want a spawn-order error", err)
 	}
 }

@@ -28,7 +28,7 @@ func runPiece(t *testing.T, p Piece, m *machine.Desc, schedName string, seed uin
 // spine strands whose every child was cut, which fork an empty block.
 func TestPartitionPiecesReplayOnBothStrandPaths(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	p, err := PartitionStream(Resident(recordSeq(t, m)), 16)
+	p, err := PartitionStream(Resident(recordSeq(t, m, 512)), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

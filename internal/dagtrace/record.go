@@ -12,9 +12,10 @@ import (
 // program-level event interface.
 var _ sim.TraceListener = (*Recorder)(nil)
 
-// recNode is the per-strand working state during recording; it is compacted
-// into the Trace's flat arenas by Finish.
+// recNode is the per-strand working state during recording.
 type recNode struct {
+	// ops is the strand's script: held until Finish compacts it, or, in a
+	// recorder writing a file, until the strand's terminal fork.
 	ops      []byte
 	children []int32
 	prevAddr int64
@@ -25,14 +26,21 @@ type recNode struct {
 	forkChildren int
 }
 
-// Recorder implements sim.TraceListener and builds a Trace from the
+// Recorder implements sim.TraceListener and builds a recording from the
 // program events it receives: from Record's sequential run, or — passed
-// as Config.Listener — from one live simulation; then Finish returns the
-// captured Trace. It keys its maps by strand and task IDs — never
-// retaining the pointers an event delivers — and declares that through
-// sim.PoolSafe, so the engine keeps its task/strand pooling on while
-// recording (the dominant cost of a live record run is otherwise the
-// pool-less allocation churn), and Record recycles its records too.
+// as Config.Listener — from one live simulation. It keeps IDs, never the
+// pointers an event delivers, and declares that through sim.PoolSafe, so
+// the engine keeps its task/strand pooling on while recording (the
+// dominant cost of a live record run is otherwise the pool-less
+// allocation churn), and Record recycles its records too.
+//
+// Where a finished strand's ops go is the recorder's sink. A Recorder
+// from NewRecorder keeps them in memory, and Finish compacts them into a
+// Trace. One a directory StreamCache hands out streams them into its
+// file: each strand's ops join the open frame when the strand reports its
+// terminal fork — a strand's ops are final then — and its buffer serves
+// the next strand, so the recording holds only the node table and the
+// open strands' ops; StreamCache.Fill completes the file.
 //
 // A Recorder is single-use and must only observe one run.
 type Recorder struct {
@@ -40,20 +48,18 @@ type Recorder struct {
 	meta  []recNode
 	root  int32
 
-	// strandIdx maps live strand IDs to their node; lastOfTask tracks each
-	// task's most recent strand so a continuation can be linked to the
-	// strand whose terminal fork declared it (Strand.SpawnedBy is the
-	// last-finishing dependency — a schedule artifact — so it cannot serve
-	// as the structural parent). IDs stay unique across pooling (recycled
-	// objects get fresh IDs), and both maps are only keyed, never iterated.
-	strandIdx  map[uint64]int32
+	// lastOfTask tracks each task's most recent strand so a continuation
+	// can be linked to the strand whose terminal fork declared it
+	// (Strand.SpawnedBy is the last-finishing dependency — a schedule
+	// artifact — so it cannot serve as the structural parent). Strands
+	// need no such map: both executors number them 1, 2, 3… in spawn
+	// order, so strand ID i is node i−1 (StrandSpawned enforces it).
 	lastOfTask map[uint64]int32
 
-	// curID/curIdx cache the strand of the latest access: accesses arrive
-	// in chunk-length runs per strand, so almost every lookup hits the
-	// cache instead of the map. IDs start at 1, so 0 means empty.
-	curID  uint64
-	curIdx int32
+	// out, when non-nil, is the file the recording streams into; free
+	// holds the op buffers of strands already written, for reuse.
+	out  *frameWriter
+	free [][]byte
 
 	tasks     uint64
 	strands   uint64
@@ -63,13 +69,10 @@ type Recorder struct {
 	err error
 }
 
-// NewRecorder returns an empty Recorder.
+// NewRecorder returns an empty Recorder that keeps its recording in
+// memory.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		root:       -1,
-		strandIdx:  make(map[uint64]int32),
-		lastOfTask: make(map[uint64]int32),
-	}
+	return &Recorder{root: -1, lastOfTask: make(map[uint64]int32)}
 }
 
 // PoolSafeListener implements sim.PoolSafe: every event handler below
@@ -92,13 +95,16 @@ func (r *Recorder) StrandSpawned(s *job.Strand) {
 		return
 	}
 	idx := int32(len(r.nodes))
+	if s.ID != uint64(idx)+1 {
+		r.fail(fmt.Errorf("dagtrace: strand %d spawned as strand number %d (strands must be numbered in spawn order)", s.ID, idx+1))
+		return
+	}
 	r.nodes = append(r.nodes, node{
 		taskSize:   s.Task.SizeBytes,
 		strandSize: s.SizeBytes,
 		cont:       -1,
 	})
 	r.meta = append(r.meta, recNode{})
-	r.strandIdx[s.ID] = idx
 	r.strands++
 	switch {
 	case s.Kind == job.Continuation:
@@ -123,22 +129,33 @@ func (r *Recorder) StrandSpawned(s *job.Strand) {
 		// strand whose terminal fork spawned it, which the engine exposes as
 		// SpawnedBy for task starts (children spawn synchronously inside the
 		// forking strand's completion, before the forker can be recycled).
-		p, ok := r.strandIdx[s.SpawnedBy.ID]
-		if !ok {
+		if s.SpawnedBy == nil || s.SpawnedBy.ID == 0 || s.SpawnedBy.ID > uint64(idx) {
 			r.fail(fmt.Errorf("dagtrace: task-start strand %d spawned by unknown strand", s.ID))
 			return
 		}
+		p := s.SpawnedBy.ID - 1
 		r.meta[p].children = append(r.meta[p].children, idx)
 		r.tasks++
 	}
 	r.lastOfTask[s.Task.ID] = idx
 }
 
-// StrandStarted implements sim.Listener (no-op: schedule detail).
-func (r *Recorder) StrandStarted(*job.Strand) {}
+// StrandStarted implements sim.Listener: a recorder writing a file hands
+// the strand the op buffer of a strand already written.
+func (r *Recorder) StrandStarted(s *job.Strand) {
+	if r.out == nil || r.err != nil || len(r.free) == 0 {
+		return
+	}
+	idx, ok := r.node(s)
+	if !ok || r.meta[idx].ops != nil {
+		return
+	}
+	last := len(r.free) - 1
+	r.meta[idx].ops, r.free = r.free[last], r.free[:last]
+}
 
-// StrandEnded implements sim.Listener (no-op: the strand's map entry must
-// survive until StrandForked, which the engine reports just after).
+// StrandEnded implements sim.Listener (no-op: StrandForked, which the
+// engine reports just after, closes the strand).
 func (r *Recorder) StrandEnded(*job.Strand) {}
 
 // TaskEnded implements sim.Listener.
@@ -149,18 +166,13 @@ func (r *Recorder) TaskEnded(t *job.Task, _ int64) {
 	delete(r.lastOfTask, t.ID)
 }
 
-// node returns the node index of s, through the one-entry cache.
+// node returns the node index of s: strand ID i is node i−1.
 func (r *Recorder) node(s *job.Strand) (int32, bool) {
-	if s.ID == r.curID {
-		return r.curIdx, true
-	}
-	idx, ok := r.strandIdx[s.ID]
-	if !ok {
+	if s.ID == 0 || s.ID > uint64(len(r.nodes)) {
 		r.fail(fmt.Errorf("dagtrace: event for unknown strand %d", s.ID))
 		return 0, false
 	}
-	r.curID, r.curIdx = s.ID, idx
-	return idx, true
+	return int32(s.ID - 1), true
 }
 
 // StrandAccess implements sim.TraceListener: append one delta-encoded
@@ -199,7 +211,8 @@ func (r *Recorder) StrandWork(s *job.Strand, cycles int64) {
 }
 
 // StrandForked implements sim.TraceListener: note the strand's terminal
-// fork shape for cross-checking, and reject futures outright.
+// fork shape for cross-checking, reject futures outright, and — in a
+// recorder writing a file — write the strand's now final ops.
 func (r *Recorder) StrandForked(s *job.Strand, hasCont bool, children int, futures bool) {
 	if r.err != nil {
 		return
@@ -214,14 +227,37 @@ func (r *Recorder) StrandForked(s *job.Strand, hasCont bool, children int, futur
 	}
 	m := &r.meta[idx]
 	m.forkSeen, m.forkCont, m.forkChildren = true, hasCont, children
-	// The entry is NOT dropped here: the strand's forked children spawn
-	// right after this report and resolve their parent through SpawnedBy.
-	// The map is O(strands) for the run, same order as the node arena.
+	if r.out == nil {
+		return
+	}
+	n := &r.nodes[idx]
+	n.opOff = r.out.append(m.ops)
+	n.opEnd = r.out.n
+	if r.out.err != nil {
+		r.fail(r.out.err)
+		return
+	}
+	if cap(m.ops) > 0 {
+		r.free = append(r.free, m.ops[:0])
+	}
+	m.ops = nil
 }
 
 // Finish validates the recorded structure and compacts it into a Trace.
-// The Recorder must not be reused afterwards.
+// It is for a Recorder from NewRecorder; StreamCache.Fill finishes the
+// ones it hands out. The Recorder must not be reused afterwards.
 func (r *Recorder) Finish() (*Trace, error) {
+	if r.out != nil {
+		return nil, fmt.Errorf("dagtrace: Finish on a recorder that writes a file (publish it with StreamCache.Fill)")
+	}
+	return r.finish()
+}
+
+// finish validates the recorded structure and returns the Trace: with its
+// op arena compacted in node order when the ops are in memory, with only
+// the node table — each node's op span indexing the file's op region —
+// when they were written to r.out.
+func (r *Recorder) finish() (*Trace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -239,9 +275,11 @@ func (r *Recorder) Finish() (*Trace, error) {
 		AccessOps:   r.accessOps,
 		WorkOps:     r.workOps,
 		nodes:       r.nodes,
-		ops:         make([]byte, 0, opBytes),
 		childIdx:    make([]int32, 0, childN),
 		root:        r.root,
+	}
+	if r.out == nil {
+		t.ops = make([]byte, 0, opBytes)
 	}
 	for i := range r.nodes {
 		n, m := &r.nodes[i], &r.meta[i]
@@ -254,9 +292,11 @@ func (r *Recorder) Finish() (*Trace, error) {
 		if m.forkCont != (n.cont != -1) {
 			return nil, fmt.Errorf("dagtrace: strand node %d continuation mismatch (declared %v)", i, m.forkCont)
 		}
-		n.opOff = int64(len(t.ops))
-		t.ops = append(t.ops, m.ops...)
-		n.opEnd = int64(len(t.ops))
+		if r.out == nil {
+			n.opOff = int64(len(t.ops))
+			t.ops = append(t.ops, m.ops...)
+			n.opEnd = int64(len(t.ops))
+		}
 		n.childOff = int32(len(t.childIdx))
 		t.childIdx = append(t.childIdx, m.children...)
 		n.childEnd = int32(len(t.childIdx))

@@ -8,11 +8,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Record captures root's computation without simulating it. The program
-// runs depth first on the calling goroutine — no engine, worker
-// goroutines, cache simulator, scheduler or clock — and the events a live
-// run would send its sim.TraceListener drive one Recorder, so Finish
-// cross-checks the structure exactly as it does for a live recording.
+// Record captures root's computation into rec without simulating it.
+// The program runs depth first on the calling goroutine — no engine,
+// worker goroutines, cache simulator, scheduler or clock — and the events
+// a live run would send its sim.TraceListener drive rec, so the recording
+// is checked and finished exactly as a live one is: by rec.Finish for an
+// in-memory Recorder, by StreamCache.Fill for one a cache handed out.
 // block is the machine's cache-line size, against which the task and
 // strand space annotations resolve. The program-model rules — the fork
 // discipline, task and strand initialization, record recycling — are
@@ -21,25 +22,27 @@ import (
 // At a fork every child task is spawned in fork order, as the engine does;
 // each child then runs to completion in that order, and the continuation
 // is spawned once the last child has ended. Node numbering therefore
-// follows sequential spawn order, and every subtree's strands sit
-// contiguously in the op arena. Replays depend only on the trace's
-// structure, so a sequential recording replays bit-identically to a live
-// one.
+// follows sequential spawn order, and strands finish depth first, so a
+// recording that streams into its file lays every subtree's ops out
+// contiguously. Replays depend only on the trace's structure, so a
+// sequential recording replays bit-identically to a live one.
 //
-// A program that forks futures fails with ErrUnsupported. A strand that
+// A program that forks futures fails with ErrUnsupported; a recorder
+// whose file cannot be written, with its *WriteError. A strand that
 // panics — a misused fork primitive included — fails with an error
 // carrying the panic value.
-func Record(root job.Job, block int64) (tr *Trace, err error) {
-	q := &seqRecorder{rec: NewRecorder(), block: block}
+func Record(rec *Recorder, root job.Job, block int64) (err error) {
+	q := &seqRecorder{rec: rec, block: block}
 	q.ctx.q = q
 	q.ctx.rng.Seed(1)
 	defer func() {
 		if p := recover(); p != nil {
-			tr, err = nil, fmt.Errorf("dagtrace: record: strand panicked: %v", p)
+			err = fmt.Errorf("dagtrace: record: strand panicked: %v", p)
+			rec.fail(err)
 		}
 	}()
 	q.runTask(q.spawn(q.newTask(nil, root), root, job.TaskStart, nil))
-	return q.rec.Finish()
+	return rec.err
 }
 
 // seqRecorder is the state of one sequential recording. Task and strand

@@ -1,37 +1,10 @@
 package dagtrace
 
-// Replayable traces: the framed on-disk form (format v2, "DGTS"), the
-// windowed decoder that replays it in O(window) memory, and the resident
-// view that replays a recording still in memory.
-//
-// A recording held in memory keeps every strand's op bytes resident for
-// the lifetime of the replay; at paper scale (×1 inputs, 100M-element
-// class) that arena reaches gigabytes and caps the feasible input size
-// long before simulated time does. The framed form splits the op arena
-// into fixed-size frames, each independently checksummed, behind a small
-// metadata block (node table, child lists, frame checksums) that stays
-// O(strands) — a few kilobytes per thousand strands. Replay opens the
-// file and leases each strand's op bytes through a bounded frame window:
-// resident decode state is (window budget) + (bytes leased to in-flight
-// strands), independent of the trace's total op volume.
-//
-// Layout (all integers little-endian; varints as in internal/opcode):
-//
-//	magic "DGTS" | version u32 | root u32 | metaLen u64
-//	taskCount u64 | strandCount u64 | accessOps u64 | workOps u64
-//	nodeCount u64 | childCount u64 | opBytes u64 | frameSize u64 | frameCount u64
-//	nodes: per node taskSize/strandSize (zigzag uvarint), cont+1 (uvarint),
-//	       child count (uvarint), op length (uvarint)
-//	childIdx: uvarint each
-//	frame table: fnv-1a u64 checksum per frame
-//	fnv-1a u64 checksum over every metadata byte above
-//	frames: raw op bytes, opBytes total, starting at offset metaLen
-//
-// Frame f holds op bytes [f*frameSize, min((f+1)*frameSize, opBytes)).
-// Only the metadata block is read (and its checksum verified) at open
-// time; each frame is verified against its table entry when it enters the
-// window, so corruption anywhere in the file is detected before any of
-// its bytes reach the simulator, without ever holding the file resident.
+// Replayable traces: the windowed decoder that replays a framed file
+// (frames.go) in O(window) memory, and the resident view that replays a
+// recording still in memory. Resident decode state of a windowed replay is
+// (window budget) + (bytes leased to in-flight strands), independent of
+// the trace's total op volume.
 
 import (
 	"crypto/sha256"
@@ -47,95 +20,16 @@ import (
 	"repro/internal/sim"
 )
 
-const (
-	streamMagic   = "DGTS"
-	streamVersion = 2
+// DefaultWindowBytes is the frame-window budget NewStream applies when the
+// caller passes 0.
+const DefaultWindowBytes = 16 << 20
 
-	// DefaultFrameSize is the frame granularity WriteFramed uses when the
-	// caller passes 0: large enough to amortize ReadAt and checksum cost,
-	// small enough that a 1 MiB window (the degraded-mode floor) still
-	// holds 16 frames. A replay fetches scripts from as many places in
-	// the file as its schedule has subtrees in flight, and a window of a
-	// few large frames reloads them over and over.
-	DefaultFrameSize = 64 << 10
+// VersionError reports a framed trace in another version of the format,
+// such as the v2 files of older builds: stale rather than corrupt.
+type VersionError struct{ Version uint32 }
 
-	// DefaultWindowBytes is the frame-window budget NewStream applies when
-	// the caller passes 0.
-	DefaultWindowBytes = 16 << 20
-
-	// streamHeaderLen is the fixed-size prefix before the varint tables:
-	// magic(4) + version(4) + root(4) + metaLen + 9 more u64 fields.
-	streamHeaderLen = 4 + 4 + 4 + 10*8
-)
-
-// WriteFramed serializes the trace in the framed v2 form to path,
-// atomically (tmp + rename). frameSize 0 selects DefaultFrameSize.
-func WriteFramed(t *Trace, path string, frameSize int64) error {
-	if frameSize <= 0 {
-		frameSize = DefaultFrameSize
-	}
-	meta := make([]byte, 0, streamHeaderLen+len(t.nodes)*6+len(t.childIdx)*3)
-	meta = append(meta, streamMagic...)
-	meta = binary.LittleEndian.AppendUint32(meta, streamVersion)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(t.root))
-	meta = binary.LittleEndian.AppendUint64(meta, 0) // metaLen, patched below
-	meta = binary.LittleEndian.AppendUint64(meta, t.TaskCount)
-	meta = binary.LittleEndian.AppendUint64(meta, t.StrandCount)
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(t.AccessOps))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(t.WorkOps))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(t.nodes)))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(t.childIdx)))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(t.ops)))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(frameSize))
-	frameN := (int64(len(t.ops)) + frameSize - 1) / frameSize
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(frameN))
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		meta = appendUvarint(meta, zigzag(n.taskSize))
-		meta = appendUvarint(meta, zigzag(n.strandSize))
-		meta = appendUvarint(meta, uint64(n.cont+1))
-		meta = appendUvarint(meta, uint64(n.childEnd-n.childOff))
-		meta = appendUvarint(meta, uint64(n.opEnd-n.opOff))
-	}
-	for _, ci := range t.childIdx {
-		meta = appendUvarint(meta, uint64(ci))
-	}
-	for f := int64(0); f < frameN; f++ {
-		lo := f * frameSize
-		hi := lo + frameSize
-		if hi > int64(len(t.ops)) {
-			hi = int64(len(t.ops))
-		}
-		h := fnv.New64a()
-		h.Write(t.ops[lo:hi])
-		meta = binary.LittleEndian.AppendUint64(meta, h.Sum64())
-	}
-	metaLen := uint64(len(meta) + 8) // + trailing metadata checksum
-	binary.LittleEndian.PutUint64(meta[12:], metaLen)
-	h := fnv.New64a()
-	h.Write(meta)
-	meta = binary.LittleEndian.AppendUint64(meta, h.Sum64())
-
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(meta)
-	if err == nil {
-		_, err = f.Write(t.ops)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("dagtrace: framed-trace format version %d, this build reads version %d", e.Version, streamVersion)
 }
 
 // StreamTrace is a recording opened for replay. Its strand scripts come
@@ -164,7 +58,6 @@ type StreamTrace struct {
 
 	r         io.ReaderAt // nil for a resident view
 	closer    io.Closer   // non-nil when OpenStream owns the file handle
-	dataOff   int64       // file offset of frame 0
 	frameSize int64
 	frameBuf  int64 // min(frameSize, opBytes): the largest actual frame
 	frameSum  []uint64
@@ -241,50 +134,47 @@ func NewStream(r io.ReaderAt, size, windowBytes int64) (*StreamTrace, error) {
 }
 
 func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamTrace, error) {
-	var hdr [streamHeaderLen]byte
-	if size < streamHeaderLen+8 {
+	var prefix [prefixLen]byte
+	if size < prefixLen+metaHeaderLen+8 {
 		return nil, fmt.Errorf("dagtrace: framed trace truncated (%d bytes)", size)
 	}
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("dagtrace: framed trace header: %w", err)
+	if _, err := r.ReadAt(prefix[:], 0); err != nil {
+		return nil, fmt.Errorf("dagtrace: framed trace prefix: %w", err)
 	}
-	if string(hdr[:4]) != streamMagic {
+	if string(prefix[:4]) != streamMagic {
 		return nil, fmt.Errorf("dagtrace: bad framed-trace magic")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != streamVersion {
-		return nil, fmt.Errorf("dagtrace: unsupported framed-trace version %d", v)
+	if v := binary.LittleEndian.Uint32(prefix[4:]); v != streamVersion {
+		return nil, &VersionError{Version: v}
 	}
-	metaLen := binary.LittleEndian.Uint64(hdr[12:])
-	if metaLen < streamHeaderLen+8 || metaLen > uint64(size) || metaLen > 1<<31 {
-		return nil, fmt.Errorf("dagtrace: implausible framed-trace metadata length %d", metaLen)
+	metaOff := binary.LittleEndian.Uint64(prefix[8:])
+	if metaOff < prefixLen || metaOff > uint64(size-metaHeaderLen-8) || uint64(size)-metaOff > 1<<31 {
+		return nil, fmt.Errorf("dagtrace: implausible framed-trace metadata offset %d in a %d-byte file", metaOff, size)
 	}
-	meta := make([]byte, metaLen)
-	if _, err := r.ReadAt(meta, 0); err != nil {
+	meta := make([]byte, uint64(size)-metaOff)
+	if _, err := r.ReadAt(meta, int64(metaOff)); err != nil {
 		return nil, fmt.Errorf("dagtrace: framed trace metadata: %w", err)
 	}
-	body, sum := meta[:metaLen-8], binary.LittleEndian.Uint64(meta[metaLen-8:])
+	body, sum := meta[:len(meta)-8], binary.LittleEndian.Uint64(meta[len(meta)-8:])
 	h := fnv.New64a()
+	h.Write(prefix[:])
 	h.Write(body)
 	if h.Sum64() != sum {
 		return nil, fmt.Errorf("dagtrace: framed-trace metadata checksum mismatch")
 	}
+	field := func(i int) uint64 { return binary.LittleEndian.Uint64(body[4+8*i:]) }
 	t := &StreamTrace{
-		root:        int32(binary.LittleEndian.Uint32(hdr[8:])),
-		TaskCount:   binary.LittleEndian.Uint64(hdr[20:]),
-		StrandCount: binary.LittleEndian.Uint64(hdr[28:]),
-		AccessOps:   int64(binary.LittleEndian.Uint64(hdr[36:])),
-		WorkOps:     int64(binary.LittleEndian.Uint64(hdr[44:])),
+		root:        int32(binary.LittleEndian.Uint32(body)),
+		TaskCount:   field(0),
+		StrandCount: field(1),
+		AccessOps:   int64(field(2)),
+		WorkOps:     int64(field(3)),
 		r:           r,
-		dataOff:     int64(metaLen),
 	}
-	nodeN := binary.LittleEndian.Uint64(hdr[52:])
-	childN := binary.LittleEndian.Uint64(hdr[60:])
-	opN := binary.LittleEndian.Uint64(hdr[68:])
-	frameSize := int64(binary.LittleEndian.Uint64(hdr[76:]))
-	frameN := binary.LittleEndian.Uint64(hdr[84:])
+	nodeN, childN, opN, frameSize, frameN := field(4), field(5), field(6), int64(field(7)), field(8)
 	const maxCount = 1 << 31
-	if nodeN > maxCount || childN > maxCount || opN > uint64(size) {
-		return nil, fmt.Errorf("dagtrace: implausible framed-trace header (%d nodes, %d children, %d op bytes)", nodeN, childN, opN)
+	if nodeN > maxCount || childN > maxCount || opN != metaOff-prefixLen {
+		return nil, fmt.Errorf("dagtrace: implausible framed-trace header (%d nodes, %d children, %d op bytes before offset %d)", nodeN, childN, opN, metaOff)
 	}
 	if frameSize <= 0 {
 		return nil, fmt.Errorf("dagtrace: framed trace frame size %d", frameSize)
@@ -292,14 +182,11 @@ func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamT
 	if want := (int64(opN) + frameSize - 1) / frameSize; frameN != uint64(want) {
 		return nil, fmt.Errorf("dagtrace: frame count %d disagrees with %d op bytes at frame size %d", frameN, opN, frameSize)
 	}
-	if int64(metaLen)+int64(opN) > size {
-		return nil, fmt.Errorf("dagtrace: framed trace truncated (%d metadata + %d op bytes > %d file bytes)", metaLen, opN, size)
-	}
-	// Every node costs at least five varint bytes, every child index at
+	// Every node costs at least six varint bytes, every child index at
 	// least one, every frame checksum exactly eight — so the claimed counts
 	// must fit inside the metadata block. This bounds every allocation
 	// below by the actual input size, whatever the header claims.
-	if 5*nodeN+childN+8*frameN+streamHeaderLen+8 > metaLen {
+	if 6*nodeN+childN+8*frameN+metaHeaderLen > uint64(len(body)) {
 		return nil, fmt.Errorf("dagtrace: framed-trace counts exceed metadata block")
 	}
 	if t.root < 0 || uint64(t.root) >= nodeN {
@@ -309,12 +196,9 @@ func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamT
 	t.opBytes = int64(opN)
 	// No frame holds more than opBytes, however large the nominal frame
 	// size; allocate frame buffers at the effective bound.
-	t.frameBuf = frameSize
-	if t.frameBuf > t.opBytes {
-		t.frameBuf = t.opBytes
-	}
+	t.frameBuf = min(frameSize, t.opBytes)
 
-	rest := body[streamHeaderLen:]
+	rest := body[metaHeaderLen:]
 	next := func() (uint64, error) {
 		v, k := binary.Uvarint(rest)
 		if k <= 0 {
@@ -324,11 +208,11 @@ func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamT
 		return v, nil
 	}
 	t.nodes = make([]node, nodeN)
-	var opOff int64
 	var childOff int32
+	var opSum uint64
 	for i := range t.nodes {
 		n := &t.nodes[i]
-		vals := [5]uint64{}
+		var vals [6]uint64
 		for j := range vals {
 			v, err := next()
 			if err != nil {
@@ -342,22 +226,22 @@ func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamT
 			return nil, fmt.Errorf("dagtrace: node %d continuation %d out of range", i, vals[2]-1)
 		}
 		n.cont = int32(vals[2]) - 1
-		if vals[3] > childN || vals[4] > opN {
-			return nil, fmt.Errorf("dagtrace: node %d spans exceed trace totals", i)
+		if vals[3] > childN-uint64(childOff) {
+			return nil, fmt.Errorf("dagtrace: node %d child span exceeds the %d child indices", i, childN)
 		}
 		n.childOff = childOff
 		childOff += int32(vals[3])
 		n.childEnd = childOff
-		n.opOff = opOff
-		opOff += int64(vals[4])
-		n.opEnd = opOff
-		if uint64(childOff) > childN || uint64(opOff) > opN {
-			return nil, fmt.Errorf("dagtrace: node %d spans exceed trace totals", i)
+		if off, l := vals[4], vals[5]; off > opN || l > opN-off {
+			return nil, fmt.Errorf("dagtrace: node %d op span [%d,+%d) leaves the %d-byte op region", i, off, l, opN)
 		}
+		n.opOff = int64(vals[4])
+		n.opEnd = n.opOff + int64(vals[5])
+		opSum += vals[5]
 	}
-	if uint64(childOff) != childN || uint64(opOff) != opN {
+	if uint64(childOff) != childN || opSum != opN {
 		return nil, fmt.Errorf("dagtrace: node totals disagree with framed header (%d/%d children, %d/%d op bytes)",
-			childOff, childN, opOff, opN)
+			childOff, childN, opSum, opN)
 	}
 	t.childIdx = make([]int32, childN)
 	for i := range t.childIdx {
@@ -457,11 +341,14 @@ func (t *StreamTrace) CheckResult(res *sim.Result) error {
 
 // Fingerprint returns a hex SHA-256 over the trace's canonical content —
 // counts, node table (each node's op length included, so the split of the
-// op stream across strands counts), child lists and op streams —
-// streaming a windowed view's op bytes through the hash one frame at a
-// time. WriteFramed followed by NewStream preserves the fingerprint of the
-// Resident view bit for bit, and recording a replay run must reproduce it
-// too; the golden equivalence suite asserts both.
+// op stream across strands counts), child lists, then each node's op
+// bytes in node order. It hashes content, not layout: a file whose op
+// region holds the strands in the order they finished (a recording that
+// streamed into its file) fingerprints like the same recording written
+// from memory by WriteFramed, and like its Resident view; recording a
+// replay run must reproduce it too. The golden suites assert all three.
+// A windowed view reads the op bytes through a private window, so
+// fingerprinting neither disturbs nor counts toward the replay window.
 func (t *StreamTrace) Fingerprint() (string, error) {
 	h := sha256.New()
 	var buf [8 * 5]byte
@@ -483,15 +370,22 @@ func (t *StreamTrace) Fingerprint() (string, error) {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(ci))
 		h.Write(buf[:4])
 	}
-	// A resident view hashes its arena; a windowed one, its frames.
-	h.Write(t.ops)
-	frame := make([]byte, t.frameBuf)
-	for f := int64(0); f < int64(len(t.frameSum)); f++ {
-		data, err := t.readFrame(f, frame)
-		if err != nil {
+	var w window
+	var ops []byte
+	if t.r != nil {
+		w.init(DefaultWindowBytes, t.frameBuf, int64(len(t.frameSum)), nil)
+	}
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		if t.r == nil {
+			h.Write(t.ops[n.opOff:n.opEnd])
+			continue
+		}
+		var err error
+		if ops, err = w.read(t, ops[:0], n.opOff, n.opEnd); err != nil {
 			return "", err
 		}
-		h.Write(data)
+		h.Write(ops)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -505,7 +399,7 @@ func (t *StreamTrace) readFrame(f int64, buf []byte) ([]byte, error) {
 		hi = t.opBytes
 	}
 	data := buf[:hi-lo]
-	if _, err := t.r.ReadAt(data, t.dataOff+lo); err != nil {
+	if _, err := t.r.ReadAt(data, prefixLen+lo); err != nil {
 		return nil, fmt.Errorf("dagtrace: frame %d read: %w", f, err)
 	}
 	h := fnv.New64a()
@@ -621,31 +515,36 @@ func (t *StreamTrace) fetch(off, end int64) []byte {
 	w := &t.win
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	span := end - off
-	buf := w.lease(span)
-	out := buf[:0]
+	buf := w.lease(end - off)
+	out, err := w.read(t, buf[:0], off, end)
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		w.unlease(buf)
+		return emptyScript
+	}
+	if w.residentBytes+w.leasedBytes > w.peak {
+		w.peak = w.residentBytes + w.leasedBytes
+	}
+	return out
+}
+
+// read appends op bytes [off, end) of t to out, frame by frame through
+// the window (callers hold mu, or own the window).
+func (w *window) read(t *StreamTrace, out []byte, off, end int64) ([]byte, error) {
 	for off < end {
 		f := off / t.frameSize
 		data, err := w.frame(t, f)
 		if err != nil {
-			if w.err == nil {
-				w.err = err
-			}
-			w.unlease(buf)
-			return emptyScript
+			return out, err
 		}
 		lo := off - f*t.frameSize
-		hi := int64(len(data))
-		if rem := end - f*t.frameSize; rem < hi {
-			hi = rem
-		}
+		hi := min(int64(len(data)), end-f*t.frameSize)
 		out = append(out, data[lo:hi]...)
 		off += hi - lo
 	}
-	if int64(w.residentBytes+w.leasedBytes) > w.peak {
-		w.peak = w.residentBytes + w.leasedBytes
-	}
-	return out[:span]
+	return out, nil
 }
 
 // release returns a buffer obtained from fetch to the lease pool.

@@ -2,8 +2,10 @@ package dagtrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,7 +132,7 @@ func TestStreamDetectsFrameCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-5] ^= 0x5a // inside the last frame
+	data[binary.LittleEndian.Uint64(data[8:])-5] ^= 0x5a // inside the last frame, before the metadata
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -155,25 +157,156 @@ func TestStreamDetectsFrameCorruption(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsMetaCorruption flips bytes across the metadata block
-// and requires NewStream to reject each mutation (and never panic).
+// TestStreamRejectsMetaCorruption flips every byte of the prefix and of
+// the trailing metadata block, and truncates the file at several points;
+// NewStream must reject each mutation (and never panic).
 func TestStreamRejectsMetaCorruption(t *testing.T) {
 	_, st, path := writeFramed(t, 512, 256, 1024)
-	metaEnd := int(st.dataOff)
 	st.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStream(bytes.NewReader(data[:metaEnd/2]), int64(metaEnd/2), 0); err == nil {
-		t.Error("truncated framed trace opened without error")
+	metaOff := int(binary.LittleEndian.Uint64(data[8:]))
+	if metaOff <= prefixLen || metaOff >= len(data) {
+		t.Fatalf("metadata offset %d outside the %d-byte file's frames", metaOff, len(data))
 	}
-	for i := 0; i < metaEnd; i += 13 {
+	for _, n := range []int{0, prefixLen - 1, prefixLen, metaOff / 2, metaOff, metaOff + 1, (metaOff + len(data)) / 2, len(data) - 1} {
+		if _, err := NewStream(bytes.NewReader(data[:n]), int64(n), 0); err == nil {
+			t.Errorf("framed trace truncated to %d of %d bytes opened without error", n, len(data))
+		}
+	}
+	for i := 0; i < len(data); i++ {
+		if i == prefixLen {
+			i = metaOff // the frames are checked as they load
+		}
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
 		if _, err := NewStream(bytes.NewReader(mut), int64(len(mut)), 0); err == nil {
-			t.Fatalf("metadata corruption at byte %d went undetected", i)
+			t.Fatalf("corruption at byte %d (metadata at %d) went undetected", i, metaOff)
 		}
+	}
+}
+
+// TestStreamRejectsSpanOutsideOpRegion: a node whose op span leaves the op
+// region is rejected at open, even in a file whose checksums hold.
+func TestStreamRejectsSpanOutsideOpRegion(t *testing.T) {
+	ops := []byte{byte(opWork) | 1<<opTagBits, byte(opWork) | 2<<opTagBits, byte(opWork) | 3<<opTagBits}
+	for _, span := range [][2]int64{{3, 4}, {2, 5}, {4, 4}} {
+		tr := &Trace{
+			TaskCount: 2, StrandCount: 2,
+			nodes: []node{
+				{taskSize: -1, strandSize: -1, opOff: 0, opEnd: 3 - (span[1] - span[0]), cont: -1, childOff: 0, childEnd: 1},
+				{taskSize: -1, strandSize: -1, opOff: span[0], opEnd: span[1], cont: -1, childOff: 1, childEnd: 1},
+			},
+			ops:      ops,
+			childIdx: []int32{1},
+		}
+		path := filepath.Join(t.TempDir(), "span.dgts")
+		if err := WriteFramed(tr, path, 0); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStream(path, 0, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("node span [%d,%d) of a 3-byte op region accepted", span[0], span[1])
+		}
+		if !strings.Contains(err.Error(), "op region") {
+			t.Fatalf("span [%d,%d) rejected with %q, want an op-region error", span[0], span[1], err)
+		}
+	}
+}
+
+// TestRecordIntoFileMatchesWriteFramed: one program recorded straight into
+// a file (its op region in strand-completion order) and recorded in
+// memory then written by WriteFramed (in node order) are the same
+// recording: equal fingerprints, and identical results under every
+// scheduler.
+func TestRecordIntoFileMatchesWriteFramed(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	c, err := NewStreamCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.frameSize = 256
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("cold cache: into=%v err=%v, want a recorder", into, err)
+	}
+	sp := mem.NewSpace(m.Links, m.Links)
+	if err := Record(into, testProgram(sp, 2048), m.Block()); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := c.Fill("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := rec.Open(1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	tr := recordSeq(t, m, 2048)
+	path := filepath.Join(t.TempDir(), "mem.dgts")
+	if err := WriteFramed(tr, path, 256); err != nil {
+		t.Fatal(err)
+	}
+	framed, err := OpenStream(path, 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer framed.Close()
+
+	a, b := fingerprint(t, direct), fingerprint(t, framed)
+	if a != b || a != fingerprint(t, Resident(tr)) {
+		t.Fatalf("fingerprints differ: recorded into file %s, written from memory %s", a, b)
+	}
+	if reflect.DeepEqual(direct.nodes, framed.nodes) {
+		t.Fatal("recording into a file laid the op region out in node order; the test no longer covers completion order")
+	}
+	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
+		ra := replay(t, direct, m, sn, 7, nil)
+		rb := replay(t, framed, m, sn, 7, nil)
+		if ra.Fingerprint() != rb.Fingerprint() {
+			t.Errorf("%s: replaying the file recorded directly differs from the file written from memory", sn)
+		}
+	}
+}
+
+// TestLiveRecordIntoFile: a live run with a cache's recorder as its
+// listener streams into the file too — strands finish concurrently and
+// share the recycled op buffers — and yields the recording the same run
+// gives an in-memory recorder.
+func TestLiveRecordIntoFile(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	c, err := NewStreamCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.frameSize = 256
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("cold cache: into=%v err=%v, want a recorder", into, err)
+	}
+	sp := mem.NewSpace(m.Links, m.Links)
+	if _, err := sim.Run(sim.Config{
+		Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 7, Listener: into,
+	}, testProgram(sp, 512)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := c.Fill("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rec.Open(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tr, _ := record(t, m, "ws", 7)
+	if fingerprint(t, st) != fingerprint(t, Resident(tr)) {
+		t.Fatal("live recording into a file differs from the same run recorded in memory")
 	}
 }
 
@@ -181,7 +314,9 @@ func TestStreamRejectsMetaCorruption(t *testing.T) {
 // truncations, corrupt varints and forged headers must all surface as
 // errors (or decode to a consistent trace), never as panics or
 // out-of-bounds allocations. When the mutant decodes, its fingerprint
-// must be computable — exercising the frame checksum path too.
+// must be computable — exercising the frame checksum path too. The seeds
+// come from both writers: WriteFramed, and a recording streamed into its
+// file.
 func FuzzFramedDecode(f *testing.F) {
 	m := machine.TwoSocket(2, 1<<14, 1<<12)
 	sp := mem.NewSpace(m.Links, m.Links)
@@ -208,9 +343,30 @@ func FuzzFramedDecode(f *testing.F) {
 		f.Add(data)
 		if i == 0 {
 			f.Add(data[:len(data)/2])
-			f.Add(data[:streamHeaderLen+8])
+			f.Add(data[:prefixLen+metaHeaderLen+8])
 		}
 	}
+	c, err := NewStreamCache(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c.frameSize = 64
+	_, into, err := c.GetOrReserve("seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := Record(into, testProgram(mem.NewSpace(m.Links, m.Links), 96), m.Block()); err != nil {
+		f.Fatal(err)
+	}
+	direct, err := c.Fill("seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(direct.Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := NewStream(bytes.NewReader(data), int64(len(data)), 4096)
 		if err != nil {

@@ -11,16 +11,18 @@ package dagtrace
 // Where a published recording lives is the cache's one setting. Without
 // a directory it stays in memory behind one Resident view that every
 // cell replays zero-copy. With a directory it is a DGTS file and nothing
-// op-sized stays resident here: each cell opens the file through its own
-// bounded window. Files are content-addressed by key hash, written
-// atomically by WriteFramed, and revalidated (metadata checksum) when an
+// op-sized stays resident here: the recording streams into the file as
+// its strands finish, and each cell opens the file through its own
+// bounded window. Files are content-addressed by key hash, published
+// atomically (tmp + rename), and revalidated (metadata checksum) when an
 // existing file is adopted from a previous process — a corrupt or
-// truncated file is evicted and counted, and its key falls back to
-// re-recording.
+// truncated file is evicted and counted, a file in an older format
+// version is evicted as stale, and either way the key re-records.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,9 +65,10 @@ type StreamCache struct {
 	// default) selects DefaultFrameSize. Only tests set it.
 	frameSize int64
 
-	// writeFn frames a trace to disk; tests inject failing writers to
-	// exercise the disk-full / I/O-error paths. nil means WriteFramed.
-	writeFn func(t *Trace, path string, frameSize int64) error
+	// create opens a recording's temporary file; tests inject failing
+	// files to exercise the disk-full / I/O-error paths. nil means
+	// os.Create.
+	create func(name string) (traceFile, error)
 
 	mu      sync.Mutex
 	entries map[string]*streamEntry
@@ -91,28 +94,13 @@ func (r Recording) Open(windowBytes int64, budget *Budget) (*StreamTrace, error)
 	return OpenStream(r.Path, windowBytes, budget)
 }
 
-// WriteError is the typed failure of framing a recording to the cache's
-// directory — disk full, permissions, any I/O fault. Fill returns it and
-// publishes it to the key's waiters, but the single-flight reservation
-// itself is released: a later GetOrReserve re-records instead of
-// inheriting a permanently wedged key.
-type WriteError struct {
-	Key  string // cache key of the recording
-	Path string // content-addressed destination file
-	Err  error  // underlying write failure
-}
-
-func (e *WriteError) Error() string {
-	return fmt.Sprintf("dagtrace: stream cache fill %s (key %q): %v", e.Path, e.Key, e.Err)
-}
-
-func (e *WriteError) Unwrap() error { return e.Err }
-
 type streamEntry struct {
 	ready chan struct{} // closed by Fill/Fail
 	done  bool          // set under StreamCache.mu before ready closes
 	rec   Recording
 	err   error
+	// into is the reservation's recorder, touched only by its holder.
+	into *Recorder
 }
 
 // NewStreamCache returns a cache storing recordings as DGTS files under
@@ -130,12 +118,15 @@ func NewStreamCache(dir string) (*StreamCache, error) {
 // Dir returns the cache's directory; empty when recordings stay resident.
 func (c *StreamCache) Dir() string { return c.dir }
 
-// GetOrReserve resolves key. Exactly one caller per key observes
-// record=true and MUST follow up with Fill (on a successful recording)
-// or Fail; every other caller blocks until then and receives the
+// GetOrReserve resolves key. Exactly one caller per key gets a non-nil
+// Recorder: it holds the key's reservation, records the computation into
+// it (Record, or a live run with it as Listener) and MUST follow up with
+// Fill or Fail. With a directory the Recorder writes the key's file as
+// it records. Every other caller blocks until then and receives the
 // published recording, or the recording's failure as err — a cell that
-// gets an error runs live.
-func (c *StreamCache) GetOrReserve(key string) (rec Recording, record bool, err error) {
+// gets an error runs live. A file that cannot be created fails the
+// reservation at once with a *WriteError, for the caller and the waiters.
+func (c *StreamCache) GetOrReserve(key string) (rec Recording, into *Recorder, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -147,7 +138,7 @@ func (c *StreamCache) GetOrReserve(key string) (rec Recording, record bool, err 
 			c.stats.Fallbacks++
 		}
 		c.mu.Unlock()
-		return e.rec, false, e.err
+		return e.rec, nil, e.err
 	}
 	e := &streamEntry{ready: make(chan struct{})}
 	c.entries[key] = e
@@ -158,54 +149,73 @@ func (c *StreamCache) GetOrReserve(key string) (rec Recording, record bool, err 
 		c.stats.Hits++
 		c.stats.DiskHits++
 		c.mu.Unlock()
-		return rec, false, nil
+		return rec, nil, nil
 	}
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	return Recording{}, true, nil
+	e.into = NewRecorder()
+	if c.dir != "" {
+		if e.into.out, err = createFrames(c.path(key), key, c.frameSize, c.create); err != nil {
+			c.publish(key, Recording{}, err)
+			return Recording{}, nil, err
+		}
+	}
+	return Recording{}, e.into, nil
 }
 
-// Fill publishes a finished recording under key, unblocking the key's
-// waiters: behind one resident view, or framed to the key's
-// content-addressed file when the cache has a directory. A write failure
-// (disk full, I/O error) comes back as a *WriteError: the error is
-// published as this reservation's outcome (waiters see the same failure
-// the recorder does — there is no file to fall back to), a half-written
-// file is removed, and the reservation is released so the key stays
-// recordable once the disk recovers.
-func (c *StreamCache) Fill(key string, t *Trace) (Recording, error) {
-	if c.dir == "" {
-		rec := Recording{resident: Resident(t)}
-		c.publish(key, rec, nil)
-		return rec, nil
+// Fill finishes the recording made into key's Recorder and publishes it,
+// unblocking the key's waiters: behind one resident view, or — with a
+// directory — by completing the key's file (metadata block, prefix) and
+// renaming it into place. A recording that fails its structural check is
+// published as a failure like Fail's; a write failure (disk full, I/O
+// error) comes back as a *WriteError, published to the waiters too, with
+// the temporary file removed. Either way the reservation is released, so
+// the key stays recordable once the cause is gone.
+func (c *StreamCache) Fill(key string) (Recording, error) {
+	into := c.reservation(key).into
+	tr, err := into.finish()
+	var rec Recording
+	switch out := into.out; {
+	case out == nil:
+		if err == nil {
+			rec.resident = Resident(tr)
+		}
+	case err != nil:
+		out.abort()
+	default:
+		if err = out.commit(tr); err == nil {
+			rec.Path = out.path
+		}
 	}
-	p := c.path(key)
-	write := c.writeFn
-	if write == nil {
-		write = WriteFramed
-	}
-	if err := write(t, p, c.frameSize); err != nil {
-		werr := &WriteError{Key: key, Path: p, Err: err}
-		os.Remove(p) // WriteFramed is tmp+rename, but an injected writer may tear
-		c.publish(key, Recording{}, werr)
-		return Recording{}, werr
-	}
-	rec := Recording{Path: p}
-	c.publish(key, rec, nil)
-	return rec, nil
+	c.publish(key, rec, err)
+	return rec, err
 }
 
 // Fail publishes a recording failure for a reservation made by
-// GetOrReserve, unblocking its waiters with the error. Like a failed
-// Fill, the reservation is released: the failure poisons exactly the
-// callers who were already waiting on this attempt, and the next
-// GetOrReserve starts a fresh recording.
+// GetOrReserve, unblocking its waiters with the error and removing a
+// partly written file. Like a failed Fill, the reservation is released:
+// the failure poisons exactly the callers who were already waiting on
+// this attempt, and the next GetOrReserve starts a fresh recording.
 func (c *StreamCache) Fail(key string, err error) {
 	if err == nil {
 		panic("dagtrace: StreamCache.Fail with nil error")
 	}
+	if out := c.reservation(key).into.out; out != nil {
+		out.abort()
+	}
 	c.publish(key, Recording{}, err)
+}
+
+// reservation returns key's unpublished entry, which its caller holds.
+func (c *StreamCache) reservation(key string) *streamEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil || e.done || e.into == nil {
+		panic("dagtrace: stream-cache publish without matching GetOrReserve reservation")
+	}
+	return e
 }
 
 func (c *StreamCache) publish(key string, rec Recording, err error) {
@@ -215,7 +225,7 @@ func (c *StreamCache) publish(key string, rec Recording, err error) {
 		c.mu.Unlock()
 		panic("dagtrace: stream-cache publish without matching GetOrReserve reservation")
 	}
-	e.rec, e.err, e.done = rec, err, true
+	e.rec, e.err, e.done, e.into = rec, err, true, nil
 	if err != nil {
 		// Release the single-flight reservation on failure: current waiters
 		// hold e and still observe the error, but the key must not stay
@@ -277,27 +287,34 @@ func (c *StreamCache) path(key string) string {
 }
 
 // adoptDisk checks for a framed file left by a previous process and
-// validates its metadata before adopting it. A file that fails to parse
-// (truncated write, bit rot) is evicted so it cannot fail again,
-// counted in Stats.Corrupt, and the key falls back to re-recording.
-// Frame-body corruption deeper than the metadata checksum is caught at
-// replay time by the window's per-frame checksums.
+// validates its metadata before adopting it. A file in an older format
+// version (a previous build's) is evicted as stale; one that fails to
+// parse (truncated write, bit rot) is evicted as corrupt and counted in
+// Stats.Corrupt. Either way it cannot fail again, and the key falls back
+// to re-recording. Frame-body corruption deeper than the metadata
+// checksum is caught at replay time by the window's per-frame checksums.
 func (c *StreamCache) adoptDisk(key string) (Recording, bool) {
 	if c.dir == "" {
 		return Recording{}, false
 	}
 	p := c.path(key)
 	st, err := OpenStream(p, 0, nil)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "dagtrace: evicting corrupt framed trace %s (key %q): %v\n", p, key, err)
-			os.Remove(p)
-			c.mu.Lock()
-			c.stats.Corrupt++
-			c.mu.Unlock()
-		}
-		return Recording{}, false
+	var stale *VersionError
+	switch {
+	case err == nil:
+		st.Close()
+		return Recording{Path: p}, true
+	case os.IsNotExist(err):
+	case errors.As(err, &stale) && stale.Version < streamVersion:
+		fmt.Fprintf(os.Stderr, "dagtrace: evicting stale framed trace %s (key %q): format version %d, this build writes version %d; re-recording\n",
+			p, key, stale.Version, streamVersion)
+		os.Remove(p)
+	default:
+		fmt.Fprintf(os.Stderr, "dagtrace: evicting corrupt framed trace %s (key %q): %v\n", p, key, err)
+		os.Remove(p)
+		c.mu.Lock()
+		c.stats.Corrupt++
+		c.mu.Unlock()
 	}
-	st.Close()
-	return Recording{Path: p}, true
+	return Recording{}, false
 }

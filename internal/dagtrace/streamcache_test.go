@@ -33,6 +33,27 @@ func recordTestTrace(t *testing.T, n int) *Trace {
 	return tr
 }
 
+// recordInto records the standard test program of n elements into the
+// recorder of key's reservation and publishes it, as Runner.record does:
+// Fill on success, Fail on a recording error.
+func recordInto(t *testing.T, c *StreamCache, key string, into *Recorder, n int) (Recording, error) {
+	t.Helper()
+	m := machine.TwoSocket(4, 1<<16, 1<<12)
+	if err := Record(into, testProgram(mem.NewSpace(m.Links, m.Links), n), m.Block()); err != nil {
+		c.Fail(key, err)
+		return Recording{}, err
+	}
+	return c.Fill(key)
+}
+
+// noFile fails t when path exists.
+func noFile(t *testing.T, path, what string) {
+	t.Helper()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("%s: %s still on disk (stat err %v)", what, path, err)
+	}
+}
+
 // TestStreamCacheSingleFlight pins the grid sharing discipline: of N
 // concurrent callers for one key, exactly one records; every other
 // caller blocks until the file lands and replays the same path.
@@ -54,19 +75,19 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec, record, err := c.GetOrReserve("k")
+			rec, into, err := c.GetOrReserve("k")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if record {
-				if rec, err = c.Fill("k", tr); err != nil {
+			if into != nil {
+				if rec, err = recordInto(t, c, "k", into, 1<<10); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			mu.Lock()
-			if record {
+			if into != nil {
 				records++
 			}
 			paths[rec.Path] = true
@@ -107,6 +128,9 @@ func TestStreamCacheResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordTestTrace(t, 1<<10)
+	if rv := Resident(tr); &rv.ops[0] != &tr.ops[0] {
+		t.Fatal("resident view copied the recording's op arena")
+	}
 	const callers = 8
 	views := make([]*StreamTrace, callers)
 	var records atomic.Int32
@@ -115,10 +139,10 @@ func TestStreamCacheResident(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec, record, err := c.GetOrReserve("k")
-			if err == nil && record {
+			rec, into, err := c.GetOrReserve("k")
+			if err == nil && into != nil {
 				records.Add(1)
-				rec, err = c.Fill("k", tr)
+				rec, err = recordInto(t, c, "k", into, 1<<10)
 			}
 			if err != nil {
 				t.Error(err)
@@ -141,8 +165,8 @@ func TestStreamCacheResident(t *testing.T) {
 			t.Fatalf("caller %d got view %p, want the one shared view %p", i, v, views[0])
 		}
 	}
-	if &views[0].ops[0] != &tr.ops[0] {
-		t.Fatal("resident view copied the recording's op arena")
+	if views[0].r != nil || int64(len(views[0].ops)) != tr.OpBytes() {
+		t.Fatal("resident recording is not an in-memory view of its op arena")
 	}
 	replay(t, views[0], machine.TwoSocket(4, 1<<16, 1<<12), "sb", 7, nil)
 	if s := c.Stats(); s.Misses != 1 || s.Hits != callers-1 || s.DiskHits != 0 {
@@ -150,8 +174,8 @@ func TestStreamCacheResident(t *testing.T) {
 	}
 
 	c.Drop("k")
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("after Drop: record=%v err=%v, want a fresh recording slot", record, err)
+	if _, into, err := c.GetOrReserve("k"); err != nil || into == nil {
+		t.Fatalf("after Drop: into=%v err=%v, want a fresh recording slot", into, err)
 	}
 	waiter := make(chan error, 1)
 	registered := make(chan struct{})
@@ -171,10 +195,11 @@ func TestStreamCacheResident(t *testing.T) {
 	if s := c.Stats(); s.Fallbacks != 1 {
 		t.Fatalf("stats = %+v, want 1 fallback", s)
 	}
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("after Fail: record=%v err=%v, want a fresh recording slot", record, err)
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("after Fail: into=%v err=%v, want a fresh recording slot", into, err)
 	}
-	if _, err := c.Fill("k", tr); err != nil {
+	if _, err := recordInto(t, c, "k", into, 1<<10); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,8 +209,8 @@ func TestStreamCacheResident(t *testing.T) {
 	if s := c.Stats(); s.Quarantined != 1 {
 		t.Fatalf("stats = %+v, want 1 quarantined", s)
 	}
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("after Quarantine: record=%v err=%v, want re-record", record, err)
+	if _, into, err := c.GetOrReserve("k"); err != nil || into == nil {
+		t.Fatalf("after Quarantine: into=%v err=%v, want re-record", into, err)
 	}
 	c.Fail("k", errors.New("cleanup"))
 }
@@ -200,11 +225,11 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.frameSize = 1 << 12
-	tr := recordTestTrace(t, 1<<10)
-	if _, record, _ := c1.GetOrReserve("k"); !record {
+	_, into, _ := c1.GetOrReserve("k")
+	if into == nil {
 		t.Fatal("cold cache did not ask for a recording")
 	}
-	r1, err := c1.Fill("k", tr)
+	r1, err := recordInto(t, c1, "k", into, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +239,12 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.frameSize = 1 << 12
-	r2, record, err := c2.GetOrReserve("k")
+	r2, into, err := c2.GetOrReserve("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if record || r2.Path != r1.Path {
-		t.Fatalf("adoption: path=%q record=%v, want %q false", r2.Path, record, r1.Path)
+	if into != nil || r2.Path != r1.Path {
+		t.Fatalf("adoption: path=%q record=%v, want %q false", r2.Path, into != nil, r1.Path)
 	}
 	if s := c2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("stats = %+v, want 1 disk hit", s)
@@ -239,29 +264,65 @@ func TestStreamCacheEvictsCorrupt(t *testing.T) {
 	if err := os.WriteFile(p, []byte("not a framed trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, record, err := c.GetOrReserve("k")
+	_, into, err := c.GetOrReserve("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record {
+	if into == nil {
 		t.Fatal("corrupt file was adopted instead of re-recorded")
 	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("corrupt file still on disk (stat err %v)", err)
-	}
+	noFile(t, p, "corrupt file")
 	if s := c.Stats(); s.Corrupt != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 corrupt and 1 miss", s)
+	}
+	c.Fail("k", errors.New("cleanup"))
+}
+
+// TestStreamCacheEvictsStale: a file an older build wrote (format v2) at a
+// key's path is stale, not corrupt: it is evicted without counting in
+// Stats.Corrupt, and the key re-records into a file a fresh cache adopts.
+func TestStreamCacheEvictsStale(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewStreamCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.frameSize = 1 << 12
+	p := c.path("k")
+	v2 := append([]byte(streamMagic), 2, 0, 0, 0)
+	v2 = append(v2, make([]byte, 256)...)
+	if err := os.WriteFile(p, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("stale file: into=%v err=%v, want a fresh recording", into, err)
+	}
+	noFile(t, p, "stale file")
+	if s := c.Stats(); s.Corrupt != 0 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want no corrupt file and 1 miss", s)
+	}
+	if _, err := recordInto(t, c, "k", into, 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewStreamCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, into, err := c2.GetOrReserve("k"); err != nil || into != nil {
+		t.Fatalf("re-recorded file not adopted: into=%v err=%v", into, err)
 	}
 }
 
 // TestStreamCacheFail checks that a failed recording unblocks waiters
-// with the recorder's error rather than deadlocking them.
+// with the recorder's error rather than deadlocking them, and removes the
+// partly written file.
 func TestStreamCacheFail(t *testing.T) {
 	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, record, _ := c.GetOrReserve("k"); !record {
+	if _, into, _ := c.GetOrReserve("k"); into == nil {
 		t.Fatal("cold cache did not ask for a recording")
 	}
 	boom := errors.New("kernel exploded")
@@ -283,69 +344,120 @@ func TestStreamCacheFail(t *testing.T) {
 	if s := c.Stats(); s.Fallbacks != 1 {
 		t.Fatalf("stats = %+v, want 1 fallback", s)
 	}
+	noFile(t, c.path("k")+".tmp", "failed recording's temporary file")
 	// Fail releases the reservation: the key is recordable again, not
 	// wedged on the stale failure.
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("post-Fail GetOrReserve: record=%v err=%v, want a fresh recording slot", record, err)
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("post-Fail GetOrReserve: into=%v err=%v, want a fresh recording slot", into, err)
 	}
-	if _, err := c.Fill("k", recordTestTrace(t, 1<<10)); err != nil {
+	if _, err := recordInto(t, c, "k", into, 1<<10); err != nil {
 		t.Fatalf("recording after a released failure: %v", err)
 	}
 }
 
-// TestStreamCacheFillWriteError injects a failing writer (the disk-full
-// / I/O-error path) and pins the contract from both sides: the recorder
-// and every waiter observe a typed *WriteError, no file is published,
-// and the single-flight reservation is released so the key re-records —
-// and succeeds — once the writer recovers.
+var errDiskFull = errors.New("no space left on device")
+
+// fullDisk is a trace file on a device that fills after left more bytes:
+// the write that crosses the limit lands in part, then fails.
+type fullDisk struct {
+	*os.File
+	left int
+}
+
+func (d *fullDisk) Write(b []byte) (int, error) { return d.WriteAt(b, -1) }
+
+// WriteAt writes at off, or at the file offset when off < 0.
+func (d *fullDisk) WriteAt(b []byte, off int64) (int, error) {
+	k, err := min(len(b), d.left), error(nil)
+	d.left -= k
+	if off < 0 {
+		_, err = d.File.Write(b[:k])
+	} else {
+		_, err = d.File.WriteAt(b[:k], off)
+	}
+	if err == nil && k < len(b) {
+		err = errDiskFull
+	}
+	return k, err
+}
+
+// TestStreamCacheFillWriteError injects a device that fills up (the
+// disk-full / I/O-error path) while a recording streams into its file,
+// while Fill completes it, and when the file is created, and pins the
+// contract from both sides: the recorder and every waiter observe a typed
+// *WriteError, no file is left, and the single-flight reservation is
+// released so the key re-records — and succeeds — once the writer
+// recovers.
 func TestStreamCacheFillWriteError(t *testing.T) {
 	c, err := NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.frameSize = 1 << 12
-	diskFull := errors.New("no space left on device")
-	c.writeFn = func(t *Trace, path string, frameSize int64) error {
-		// Simulate a torn write: bytes land, then the device fills.
-		os.WriteFile(path, []byte("partial"), 0o644)
-		return diskFull
+	p := c.path("k")
+	opBytes := recordTestTrace(t, 1<<10).OpBytes()
+	if opBytes < 3*c.frameSize {
+		t.Fatalf("test recording holds %d op bytes, too few to fail mid-recording", opBytes)
 	}
-	tr := recordTestTrace(t, 1<<10)
-	if _, record, _ := c.GetOrReserve("k"); !record {
-		t.Fatal("cold cache did not ask for a recording")
-	}
-	waiter := make(chan error, 1)
-	registered := make(chan struct{})
-	go func() {
-		close(registered)
-		_, _, err := c.GetOrReserve("k")
-		waiter <- err
-	}()
-	// As in TestStreamCacheFail: the waiter must be blocked on this
-	// reservation before the failure publishes, or it would re-record.
-	<-registered
-	time.Sleep(50 * time.Millisecond)
-	_, err = c.Fill("k", tr)
-	var werr *WriteError
-	if !errors.As(err, &werr) {
-		t.Fatalf("Fill returned %T (%v), want *WriteError", err, err)
-	}
-	if werr.Key != "k" || !errors.Is(err, diskFull) {
-		t.Fatalf("WriteError = %+v, want key %q wrapping the disk error", werr, "k")
-	}
-	if werr := <-waiter; !errors.As(werr, new(*WriteError)) {
-		t.Fatalf("waiter got %v, want the *WriteError", werr)
-	}
-	if _, statErr := os.Stat(c.path("k")); !os.IsNotExist(statErr) {
-		t.Fatalf("torn file survived the failed Fill (stat err %v)", statErr)
+	for _, tc := range []struct {
+		name   string
+		create func(string) (traceFile, error)
+	}{
+		{"while recording", func(name string) (traceFile, error) {
+			f, err := os.Create(name)
+			return &fullDisk{File: f, left: prefixLen + 2*int(c.frameSize) + 100}, err
+		}},
+		{"in Fill", func(name string) (traceFile, error) {
+			f, err := os.Create(name)
+			return &fullDisk{File: f, left: prefixLen + int(opBytes) + 10}, err
+		}},
+		{"at create", func(string) (traceFile, error) { return nil, errDiskFull }},
+	} {
+		c.create = tc.create
+		_, into, err := c.GetOrReserve("k")
+		if tc.name == "at create" {
+			if into != nil || !errors.As(err, new(*WriteError)) || !errors.Is(err, errDiskFull) {
+				t.Fatalf("%s: GetOrReserve = %v, %v; want a *WriteError wrapping the disk error", tc.name, into, err)
+			}
+			continue
+		}
+		if err != nil || into == nil {
+			t.Fatalf("%s: GetOrReserve: into=%v err=%v, want a recording slot", tc.name, into, err)
+		}
+		waiter := make(chan error, 1)
+		registered := make(chan struct{})
+		go func() {
+			close(registered)
+			_, _, err := c.GetOrReserve("k")
+			waiter <- err
+		}()
+		// As in TestStreamCacheFail: the waiter must be blocked on this
+		// reservation before the failure publishes, or it would re-record.
+		<-registered
+		time.Sleep(50 * time.Millisecond)
+		_, err = recordInto(t, c, "k", into, 1<<10)
+		var werr *WriteError
+		if !errors.As(err, &werr) {
+			t.Fatalf("%s: recording returned %T (%v), want *WriteError", tc.name, err, err)
+		}
+		if werr.Key != "k" || werr.Path != p || !errors.Is(err, errDiskFull) {
+			t.Fatalf("%s: WriteError = %+v, want key %q, path %q, wrapping the disk error", tc.name, werr, "k", p)
+		}
+		if werr := <-waiter; !errors.As(werr, new(*WriteError)) {
+			t.Fatalf("%s: waiter got %v, want the *WriteError", tc.name, werr)
+		}
+		noFile(t, p, tc.name+": failed recording")
+		noFile(t, p+".tmp", tc.name+": failed recording's temporary file")
 	}
 
 	// Reservation released: with a healthy writer the key records fine.
-	c.writeFn = nil
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("post-failure GetOrReserve: record=%v err=%v, want a fresh recording slot", record, err)
+	c.create = nil
+	_, into, err := c.GetOrReserve("k")
+	if err != nil || into == nil {
+		t.Fatalf("post-failure GetOrReserve: into=%v err=%v, want a fresh recording slot", into, err)
 	}
-	rec, err := c.Fill("k", tr)
+	rec, err := recordInto(t, c, "k", into, 1<<10)
 	if err != nil {
 		t.Fatalf("recording after writer recovery: %v", err)
 	}
@@ -369,29 +481,27 @@ func TestStreamCacheQuarantine(t *testing.T) {
 	if c.Quarantine("nothing") {
 		t.Fatal("quarantined a key that was never recorded")
 	}
-	tr := recordTestTrace(t, 1<<10)
-	if _, record, _ := c.GetOrReserve("k"); !record {
+	_, into, _ := c.GetOrReserve("k")
+	if into == nil {
 		t.Fatal("cold cache did not ask for a recording")
 	}
 	// In flight: the reservation is live, nothing published to distrust.
 	if c.Quarantine("k") {
 		t.Fatal("quarantined an in-flight recording")
 	}
-	rec, err := c.Fill("k", tr)
+	rec, err := recordInto(t, c, "k", into, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Quarantine("k") {
 		t.Fatal("refused to quarantine a published recording")
 	}
-	if _, err := os.Stat(rec.Path); !os.IsNotExist(err) {
-		t.Fatalf("quarantined file still on disk (stat err %v)", err)
-	}
+	noFile(t, rec.Path, "quarantined file")
 	if s := c.Stats(); s.Quarantined != 1 {
 		t.Fatalf("stats = %+v, want 1 quarantined", s)
 	}
-	if _, record, err := c.GetOrReserve("k"); err != nil || !record {
-		t.Fatalf("post-quarantine GetOrReserve: record=%v err=%v, want re-record", record, err)
+	if _, into, err := c.GetOrReserve("k"); err != nil || into == nil {
+		t.Fatalf("post-quarantine GetOrReserve: into=%v err=%v, want re-record", into, err)
 	}
 	c.Fail("k", errors.New("cleanup"))
 }

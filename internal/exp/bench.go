@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -180,7 +179,11 @@ func BenchTraceRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		k := mk(sp, m, p.Seed)
-		tr, err := dagtrace.Record(k.Root(), m.Block())
+		rec := dagtrace.NewRecorder()
+		if err := dagtrace.Record(rec, k.Root(), m.Block()); err != nil {
+			b.Fatal(err)
+		}
+		tr, err := rec.Finish()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,32 +231,31 @@ func BenchReplayFig8(b *testing.B) {
 	}
 }
 
-// benchStream records the quick-profile quicksort once, sequentially as
-// FullCell does, frames it to a temp file, and opens it through a window
-// of the given byte budget. The file and stream are cleaned up with the
-// benchmark. The file holds the strands in sequential spawn order, each
-// subtree contiguous, so a replay fetches frames in the order its
+// benchStream records the quick-profile quicksort once, sequentially and
+// straight into a temp file as FullCell does (Runner.record over a
+// directory cache), and opens it through a window of the given byte
+// budget. The file and stream are cleaned up with the benchmark. The file
+// holds the strands in the order they finished — depth first, each
+// subtree contiguous — so a replay fetches frames in the order its
 // schedule reaches the subtrees.
-func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamTrace) {
+func benchStream(b *testing.B, window int64) *dagtrace.StreamTrace {
 	b.Helper()
 	p := Quick()
-	m := p.MachineHT()
-	sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
-	k := p.QuicksortFactory()(sp, m, p.Seed)
-	tr, err := dagtrace.Record(k.Root(), m.Block())
+	cache, err := dagtrace.NewStreamCache(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench.dgts")
-	if err := dagtrace.WriteFramed(tr, path, 0); err != nil {
+	c := Cell{Label: "Quicksort", Machine: p.MachineHT(), MakeK: p.QuicksortFactory()}
+	rec, err := NewRunner(p, nullWriter{}).record(cache, "bench", c, p.Seed)
+	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := dagtrace.OpenStream(path, window, nil)
+	st, err := rec.Open(window, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { st.Close() })
-	return tr, st
+	return st
 }
 
 // BenchWindowedDecode measures the streamed replay path: a framed
@@ -269,7 +271,7 @@ func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamT
 func BenchWindowedDecode(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
-	_, st := benchStream(b, 1<<20)
+	st := benchStream(b, 1<<20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -300,7 +302,7 @@ func BenchWindowedDecode(b *testing.B) {
 func BenchShardedReplay(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
-	tr, st := benchStream(b, 1<<20)
+	st := benchStream(b, 1<<20)
 	part, err := dagtrace.PartitionStream(st, 2*m.Levels[0].Fanout)
 	if err != nil {
 		b.Fatal(err)
@@ -324,9 +326,9 @@ func BenchShardedReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Tasks != tr.TaskCount || res.Strands != tr.StrandCount {
+		if res.Tasks != st.TaskCount || res.Strands != st.StrandCount {
 			b.Fatalf("sharded replay executed %d tasks / %d strands, trace recorded %d / %d",
-				res.Tasks, res.Strands, tr.TaskCount, tr.StrandCount)
+				res.Tasks, res.Strands, st.TaskCount, st.StrandCount)
 		}
 		accesses += uint64(res.Accesses)
 	}

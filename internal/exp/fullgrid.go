@@ -4,8 +4,8 @@ package exp
 // bandwidth cell at a FullScale profile, sharing one framed recording
 // per kernel and one decoder-memory budget across concurrently
 // replaying cells. A K-kernel, S-scheduler, B-bandwidth grid performs K
-// recordings (not K·S·B), so the grid amortizes the record and frame
-// stages, and its per-cell fingerprints are bit-identical to running
+// recordings (not K·S·B), so the grid amortizes the record stage, and
+// its per-cell fingerprints are bit-identical to running
 // each cell alone, invariant under -shards, worker count and budget
 // (pinned by TestFullGridEquivalence). FullGridRun runs it under the
 // supervisor (journal, resume, deadline, retries, degraded mode — see

@@ -1,10 +1,11 @@
 package exp
 
-// Full-scale grid cells: record once, frame to disk, then replay through
-// the bounded window — unsharded on the full machine and sharded across
-// per-socket simulations — so one Fig. 8 cell at the paper's real input
-// sizes (×1: 24MB L3, 100M-element-class inputs) completes in minutes
-// with decoder memory independent of the trace size.
+// Full-scale grid cells: record once, straight into a framed file, then
+// replay through the bounded window — unsharded on the full machine and
+// sharded across per-socket simulations — so one Fig. 8 cell at the
+// paper's real input sizes (×1: 24MB L3, 100M-element-class inputs)
+// completes in minutes with recorder and decoder memory independent of
+// the trace's op volume.
 
 import (
 	"fmt"
@@ -97,8 +98,8 @@ type FullCellReport struct {
 	Resumed bool
 
 	// Host wall-clock of each pipeline stage, in seconds.
-	RecordSec   float64 // sequential recording + output check (0 when RecordShared)
-	WriteSec    float64 // framing to disk (0 when RecordShared)
+	RecordSec   float64 // sequential recording, op frames written as strands finish, + output check (0 when RecordShared)
+	WriteSec    float64 // completing the file: structure check, metadata block, rename (0 when RecordShared)
 	ReplaySec   float64 // unsharded streamed replay, full machine
 	ShardedSec  float64 // sharded streamed replay (Shards goroutines)
 	PeakSysMB   float64 // runtime.MemStats.Sys after the replays
@@ -161,8 +162,8 @@ func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
 }
 
 // FullCell runs one full-scale grid cell end to end: record the kernel
-// sequentially for the profile's machine (dagtrace.Record), frame the
-// trace to disk, reopen it through a window of r.ReplayWindow bytes,
+// sequentially for the profile's machine (dagtrace.Record) straight into
+// a framed file, open it through a window of r.ReplayWindow bytes,
 // replay it unsharded on the full machine, then partition it and replay
 // it sharded over the machine's sockets on r.Shards host goroutines. The
 // sharded fingerprint it reports is invariant under r.Shards; the
@@ -200,7 +201,8 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 
 	// Stage 1: resolve the framed recording through the shared grid cache
 	// (one recording per kernel key, whoever gets there first) or a
-	// private one.
+	// private one. Either way the recording streams into its file, so no
+	// op arena is ever built.
 	cache := o.cache
 	if cache == nil {
 		private, cleanup, err := privateTraces("fullscale-")
@@ -218,10 +220,10 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	if fi, err := os.Stat(rec.Path); err == nil {
 		rep.TraceBytes = fi.Size()
 	}
-	// Release the arena before replaying: from here on, op bytes live only
-	// behind the window. (The arena reference died with Fill's scope; the
-	// collector still needs the nudge before the replay allocates its
-	// address space.)
+	// Collect what recording left behind (the recorder's node table and op
+	// buffer) before the replay allocates its address space and node
+	// table: without the nudge the two stack up, and the quick full grid's
+	// peak RSS grows by almost half.
 	runtime.GC()
 
 	// Stage 2: reopen through the bounded window, charging the shared grid

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dagtrace"
+	"repro/internal/job"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -114,34 +115,54 @@ var goldenTraces = []struct{ kernel, fingerprint string }{
 	{"MatMul", "89f7682d9747bf707e5534e4e0f93e26b6bd26e7c4213d69bf87febb4199e0de"},
 }
 
-// TestGoldenTraces records each quick-profile kernel the way Runner.record
-// does and requires its trace fingerprint to match the pinned value.
+// TestGoldenTraces records each quick-profile kernel through
+// Runner.record — into memory, and straight into a file as every
+// directory cache does — and requires both recordings' trace fingerprint
+// to match the pinned value.
 func TestGoldenTraces(t *testing.T) {
 	p := Quick()
 	m := p.MachineHT()
+	r := NewRunner(p, nullWriter{})
 	for _, g := range goldenTraces {
 		t.Run(g.kernel, func(t *testing.T) {
 			mk, err := p.FullKernelFactory(g.kernel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := mk(mem.NewSpacePaged(m.Links, m.Links, p.PageSize()), m, p.Seed)
-			tr, err := dagtrace.Record(k.Root(), m.Block())
-			if err != nil {
-				t.Fatalf("record: %v", err)
-			}
-			if err := k.Verify(); err != nil {
-				t.Fatalf("verify: %v", err)
-			}
-			got, err := dagtrace.Resident(tr).Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != g.fingerprint {
-				t.Errorf("%s trace fingerprint %s != golden %s: the kernel's DAG changed", g.kernel, got, g.fingerprint)
+			for _, dir := range []string{"", t.TempDir()} {
+				cache, err := dagtrace.NewStreamCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := r.record(cache, g.kernel, Cell{Label: g.kernel, Machine: m, MakeK: mk}, p.Seed)
+				if err != nil {
+					t.Fatalf("record (dir %q): %v", dir, err)
+				}
+				st, err := rec.Open(0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := st.Fingerprint()
+				st.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != g.fingerprint {
+					t.Errorf("%s trace fingerprint %s (recorded into %q) != golden %s: the kernel's DAG changed",
+						g.kernel, got, rec.Path, g.fingerprint)
+				}
 			}
 		})
 	}
+}
+
+// recordMem records root sequentially into memory.
+func recordMem(root job.Job, block int64) (*dagtrace.Trace, error) {
+	rec := dagtrace.NewRecorder()
+	if err := dagtrace.Record(rec, root, block); err != nil {
+		return nil, err
+	}
+	return rec.Finish()
 }
 
 // TestLiveReplayEquivalence is the soundness gate for record-once/
@@ -259,7 +280,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 
 			sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 			kern := k.mk(sp, m, p.Seed)
-			tr, err := dagtrace.Record(kern.Root(), m.Block())
+			tr, err := recordMem(kern.Root(), m.Block())
 			if err != nil {
 				t.Fatalf("sequential recording: %v", err)
 			}
@@ -267,7 +288,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				t.Fatalf("sequential recording: verify: %v", err)
 			}
 			check("sequentially", tr, func(st *dagtrace.StreamTrace) *dagtrace.Trace {
-				tr2, err := dagtrace.Record(st.Root(), m.Block())
+				tr2, err := recordMem(st.Root(), m.Block())
 				if err != nil {
 					t.Fatalf("re-recording a replay sequentially: %v", err)
 				}

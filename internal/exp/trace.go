@@ -67,29 +67,34 @@ type recorded struct {
 	dagtrace.Recording
 	// shared reports that the recording was published by another caller
 	// (or adopted from a previous process) rather than recorded here;
-	// recordSec and writeSec, the host seconds of recording it and of
-	// publishing it with Fill, are then zero.
+	// recordSec and writeSec are then zero. recordSec is the host seconds
+	// of recording and verifying — for a directory cache, writing the op
+	// frames as the strands finish included — and writeSec those of Fill:
+	// checking the structure and completing the file (metadata block,
+	// rename) or building the resident view.
 	shared              bool
 	recordSec, writeSec float64
 }
 
-// record resolves the recording of c's computation under key in cache. The
-// caller that holds the key's reservation records it here without
-// simulating it (dagtrace.Record), verifies the computed output as a live
-// run would, and publishes it with Fill, or with Fail on error, so the
-// key's waiters never block on a recording that died; everyone else gets
-// the published recording or its failure. Addresses do not depend on the
-// link count, so the recording serves every bandwidth setting.
+// record resolves the recording of c's computation under key in cache.
+// The caller that holds the key's reservation records it here without
+// simulating it (dagtrace.Record) into the recorder the cache hands out —
+// straight into the key's file when the cache has a directory — verifies
+// the computed output as a live run would, and publishes it with Fill, or
+// with Fail on error, so the key's waiters never block on a recording
+// that died; everyone else gets the published recording or its failure.
+// Addresses do not depend on the link count, so the recording serves
+// every bandwidth setting.
 func (r *Runner) record(cache *dagtrace.StreamCache, key string, c Cell, seed uint64) (recorded, error) {
-	rec, reserved, err := cache.GetOrReserve(key)
-	if !reserved {
+	rec, into, err := cache.GetOrReserve(key)
+	if into == nil {
 		return recorded{Recording: rec, shared: true}, err
 	}
 	//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
 	t0 := time.Now()
 	sp := mem.NewSpacePaged(c.Machine.Links, c.Machine.Links, r.P.PageSize())
 	k := c.MakeK(sp, c.Machine, seed)
-	tr, err := dagtrace.Record(k.Root(), c.Machine.Block())
+	err = dagtrace.Record(into, k.Root(), c.Machine.Block())
 	if err == nil {
 		if err = k.Verify(); err != nil {
 			err = fmt.Errorf("output verification failed: %w", err)
@@ -104,7 +109,7 @@ func (r *Runner) record(cache *dagtrace.StreamCache, key string, c Cell, seed ui
 	//schedlint:ignore nondeterminism host-side stage timing for the report
 	t0 = time.Now()
 	// Fill publishes a write failure to the key's waiters as well.
-	out.Recording, err = cache.Fill(key, tr)
+	out.Recording, err = cache.Fill(key)
 	//schedlint:ignore nondeterminism host-side stage timing for the report
 	out.writeSec = time.Since(t0).Seconds()
 	return out, err

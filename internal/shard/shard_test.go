@@ -68,7 +68,11 @@ func TestShardedReplayIgnoresNodeOrder(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	live, liveRoots := recordParts(t, m, 4)
 	sp := mem.NewSpace(m.Links, m.Links)
-	seq, err := dagtrace.Record(shardProgram(sp), m.Block())
+	rec := dagtrace.NewRecorder()
+	if err := dagtrace.Record(rec, shardProgram(sp), m.Block()); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := rec.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
