@@ -79,7 +79,10 @@ bench-compare:
 # same tables (every line but the # comments) as the grid run all live
 # with -notrace, and two runs over one -tracecache directory must
 # round-trip its recordings: the second run adopts the DGTS files the
-# first wrote and records nothing.
+# first wrote and records nothing. A full-scale cell over that directory
+# must record nothing either: it keys its recording as the grid's
+# Quicksort cells do, so a key that drifts between the two paths fails
+# here.
 bench-replay:
 	@mkdir -p bin
 	$(GO) test ./internal/exp/ -run TestLiveReplayEquivalence -count=1 -v > bin/replay_equiv.log 2>&1 || { cat bin/replay_equiv.log; exit 1; }
@@ -93,6 +96,7 @@ bench-replay:
 	rm -rf bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache
 	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/tracecache -mintracehit 100
+	$(GO) run ./cmd/schedbench -profile quick -experiment cell -kernel Quicksort -sched sb -tracecache bin/tracecache -mintracehit 100
 
 # bench-module vets and tests the frozen benchmark (bench/, a nested
 # module that the root's ./... patterns skip) against this tree's

@@ -81,15 +81,8 @@ func main() {
 	if *backoff > 0 && *retries == 0 {
 		fatalUsage("-backoff needs -retries")
 	}
-	if *sweep != "" {
-		for name, set := range map[string]bool{
-			"-fault": *faultSpec != "", "-deadline": *deadline != 0,
-			"-retries": *retries != 0, "-backoff": *backoff != 0,
-		} {
-			if set {
-				fatalUsage("%s is not supported in -sweep mode; run single-rate experiments instead", name)
-			}
-		}
+	if err := validateSweep(*sweep, *faultSpec, *deadline, *retries, *backoff); err != nil {
+		fatalUsage("%v", err)
 	}
 	if *faultSpec != "" && *duration <= 0 {
 		fatalUsage("-fault needs -duration > 0 to size the perturbation horizon")
@@ -321,18 +314,12 @@ func (f clusterFlags) validate() ([]cluster.TenantSpec, *cluster.ScalePolicy, er
 		return nil, nil, fmt.Errorf("-cluster must be >= 0 (got %d)", f.N)
 	}
 	if f.N == 0 {
-		needsCluster := []struct {
-			name string
-			set  bool
-		}{
-			{"-routing", f.Routing != "rr"},
-			{"-tenants", f.Tenants != ""},
-			{"-autoscale", f.Autoscale != ""},
-		}
-		for _, fl := range needsCluster {
-			if fl.set {
-				return nil, nil, fmt.Errorf("%s needs -cluster >= 1 (a fleet to route over)", fl.name)
-			}
+		if name := firstSet(
+			flagUse{"-routing", f.Routing != "rr"},
+			flagUse{"-tenants", f.Tenants != ""},
+			flagUse{"-autoscale", f.Autoscale != ""},
+		); name != "" {
+			return nil, nil, fmt.Errorf("%s needs -cluster >= 1 (a fleet to route over)", name)
 		}
 		return nil, nil, nil
 	}
@@ -342,20 +329,14 @@ func (f clusterFlags) validate() ([]cluster.TenantSpec, *cluster.ScalePolicy, er
 	if f.Sweep != "" {
 		return nil, nil, fmt.Errorf("-cluster conflicts with -sweep; use schedbench -experiment cluster for the grid")
 	}
-	unsupported := []struct {
-		name string
-		set  bool
-	}{
-		{"-fault", f.Fault != ""},
-		{"-deadline", f.Deadline != 0},
-		{"-retries", f.Retries != 0},
-		{"-backoff", f.Backoff != 0},
-		{"-sample", f.Sample != 0},
-	}
-	for _, fl := range unsupported {
-		if fl.set {
-			return nil, nil, fmt.Errorf("%s is not supported in -cluster mode", fl.name)
-		}
+	if name := firstSet(
+		flagUse{"-fault", f.Fault != ""},
+		flagUse{"-deadline", f.Deadline != 0},
+		flagUse{"-retries", f.Retries != 0},
+		flagUse{"-backoff", f.Backoff != 0},
+		flagUse{"-sample", f.Sample != 0},
+	); name != "" {
+		return nil, nil, fmt.Errorf("%s is not supported in -cluster mode", name)
 	}
 	if _, err := cluster.ParseRouting(f.Routing); err != nil {
 		return nil, nil, err
@@ -372,6 +353,41 @@ func (f clusterFlags) validate() ([]cluster.TenantSpec, *cluster.ScalePolicy, er
 		return nil, nil, fmt.Errorf("-autoscale min %d exceeds -cluster %d", scalePolicy.Min, f.N)
 	}
 	return tenantSpecs, scalePolicy, nil
+}
+
+// validateSweep rejects the flags -sweep mode cannot take. With several
+// set, the error names the first of -fault, -deadline, -retries and
+// -backoff, the same one every run.
+func validateSweep(sweep, fault string, deadline int64, retries int, backoff int64) error {
+	if sweep == "" {
+		return nil
+	}
+	if name := firstSet(
+		flagUse{"-fault", fault != ""},
+		flagUse{"-deadline", deadline != 0},
+		flagUse{"-retries", retries != 0},
+		flagUse{"-backoff", backoff != 0},
+	); name != "" {
+		return fmt.Errorf("%s is not supported in -sweep mode; run single-rate experiments instead", name)
+	}
+	return nil
+}
+
+// flagUse names a flag and whether the command line set it.
+type flagUse struct {
+	name string
+	set  bool
+}
+
+// firstSet returns the name of the first set flag of fs, or "" when none
+// is set.
+func firstSet(fs ...flagUse) string {
+	for _, f := range fs {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
 }
 
 func splitList(s string) []string {

@@ -78,3 +78,44 @@ func TestClusterFlagValidationParses(t *testing.T) {
 		t.Fatalf("scale parsed wrong: %+v", scale)
 	}
 }
+
+// TestSweepFlagValidation pins the -sweep usage errors: each flag sweep
+// mode cannot take is rejected by name, and with several set the error
+// names the same one — the first of -fault, -deadline, -retries, -backoff
+// — on every call.
+func TestSweepFlagValidation(t *testing.T) {
+	cases := []struct {
+		name              string
+		sweep, fault      string
+		deadline, backoff int64
+		retries           int
+		wantErr           string // "" = must validate
+	}{
+		{"no sweep", "", "coreloss:50", 1000, 10, 1, ""},
+		{"plain sweep", "100,1000", "", 0, 0, 0, ""},
+		{"fault", "100,1000", "coreloss:50", 0, 0, 0, "-fault is not supported in -sweep mode"},
+		{"deadline", "100,1000", "", 1000, 0, 0, "-deadline is not supported in -sweep mode"},
+		{"retries", "100,1000", "", 0, 0, 1, "-retries is not supported in -sweep mode"},
+		{"backoff", "100,1000", "", 0, 10, 0, "-backoff is not supported in -sweep mode"},
+		{"fault deadline retries", "100,1000", "coreloss:50", 1000, 0, 1, "-fault is not supported"},
+		{"deadline retries backoff", "100,1000", "", 1000, 10, 1, "-deadline is not supported"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A map-ordered check named a different flag from run to run;
+			// repeat the call so that any such order shows up here.
+			for i := 0; i < 20; i++ {
+				err := validateSweep(tc.sweep, tc.fault, tc.deadline, tc.retries, tc.backoff)
+				if tc.wantErr == "" {
+					if err != nil {
+						t.Fatalf("validateSweep: unexpected error %v", err)
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("call %d: validateSweep = %v, want an error mentioning %q", i, err, tc.wantErr)
+				}
+			}
+		})
+	}
+}

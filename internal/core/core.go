@@ -33,8 +33,8 @@ type Session struct {
 	Cost sched.CostModel
 	// Trace records the schedule and validates it after the run.
 	Trace bool
-	// PageSize sets the DRAM-link placement granularity; 0 picks a size
-	// proportional to the machine's L3 (2MB hugepages on the full-size
+	// PageSize sets the DRAM-link placement granularity; 0 picks the
+	// machine's own (machine.Desc.PageSize: 2MB hugepages on the full-size
 	// Xeon, smaller on scaled machines).
 	PageSize int64
 }
@@ -90,18 +90,13 @@ func (s *Session) space() *mem.Space {
 }
 
 // SpaceFor builds an address space for machine m using linksUsed DRAM
-// links (0 = all) at the given placement page size (0 = proportional
-// default: 2MB hugepages go with a 24MB L3; keep the same ratio on scaled
-// machines, clamped to [4KB, 2MB]).
+// links (0 = all) at the given placement page size (0 = m.PageSize()).
 func SpaceFor(m *machine.Desc, linksUsed int, pageSize int64) *mem.Space {
 	if linksUsed <= 0 {
 		linksUsed = m.Links
 	}
 	if pageSize == 0 {
-		pageSize = 1 << 12
-		for pageSize < 2<<20 && pageSize*12 < m.Levels[1].Size {
-			pageSize <<= 1
-		}
+		pageSize = m.PageSize()
 	}
 	return mem.NewSpacePaged(m.Links, linksUsed, pageSize)
 }

@@ -59,15 +59,15 @@ func TestReplayOpsAllocFree(t *testing.T) {
 
 // TestReplayJobRunAllocFree extends the guarantee to the full replayed
 // strand — script, decode and the terminal fork over prebuilt child
-// slices — for both byte sources: the resident arena, and a window large
-// enough to keep every frame cached, whose recycled leases allocate
+// slices — for both byte sources: the in-memory op region, and a window
+// large enough to keep every frame cached, whose recycled leases allocate
 // nothing once warm.
 func TestReplayJobRunAllocFree(t *testing.T) {
 	tr, windowed, _ := writeFramed(t, 512, 4096, 1<<20)
 	for _, v := range []struct {
 		name string
 		st   *StreamTrace
-	}{{"resident", Resident(tr)}, {"windowed", windowed}} {
+	}{{"in memory", tr}, {"windowed", windowed}} {
 		sink := &opSink{}
 		allocs := testing.AllocsPerRun(50, func() {
 			for i := range v.st.jobs {

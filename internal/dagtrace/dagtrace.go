@@ -8,15 +8,16 @@
 // every cell — only the schedule and the cache/link state differ. (Cole &
 // Ramachandran's general-scheduler cache-cost bounds and Gu et al.'s
 // work-stealing analyses rest on exactly this schedule-independence of the
-// computation.) A Trace records the spawn/sync tree — one node per strand,
-// with the task and strand space declarations space-bounded schedulers
-// read — plus each strand's access script (delta-encoded addresses,
-// read/write bits, interleaved compute charges). Record captures it by
+// computation.) A recording holds the spawn/sync tree — one node per
+// strand, with the task and strand space declarations space-bounded
+// schedulers read — plus each strand's access script (delta-encoded
+// addresses, read/write bits, interleaved compute charges), laid out in
+// one op region in the order the strands finished. Record captures it by
 // running the program sequentially, with nothing simulated; a Recorder
-// attached to a live simulation captures the same computation. A
-// StreamTrace replays a recording — straight from a Trace still in memory
-// (Resident) or through the bounded frame window of a DGTS file
-// (NewStream) — feeding the identical op stream through the cache
+// attached to a live simulation captures the same computation. Wherever
+// the op region lives — in memory (Recorder.Finish) or in the frames of a
+// DGTS file (NewStream) — the recording is one type, StreamTrace, which
+// replays it by feeding the identical op stream through the cache
 // simulator via the ordinary job.Job interface, so a replay run is
 // bit-identical to a live run under the same (machine, scheduler, cost
 // model, seed): the golden equivalence suite in internal/exp pins this. A
@@ -57,45 +58,27 @@ func unzigzag(u uint64) int64 { return opcode.Unzigzag(u) }
 
 func appendUvarint(b []byte, v uint64) []byte { return opcode.AppendUvarint(b, v) }
 
-// node is one strand of the recorded computation. Offsets index the shared
-// arenas of the owning trace, keeping the whole DAG in three flat
-// allocations regardless of strand count.
+// node is one strand of the recorded computation. Offsets index the op
+// region and the child-index table of the owning trace, keeping the whole
+// DAG in three flat allocations regardless of strand count.
 type node struct {
 	// taskSize and strandSize are the space declarations (S(t;B) and
 	// S(ℓ;B)) the live run resolved for this strand's task and for the
 	// strand itself; -1 when the original job was unannotated.
 	taskSize   int64
 	strandSize int64
-	// opOff/opEnd delimit the strand's access script in the op arena.
+	// opOff/opEnd delimit the strand's access script in the op region.
 	opOff, opEnd int64
 	// cont is the node index of the task's next strand, spawned when this
 	// strand's parallel block joins; -1 when this strand ends the task's
 	// strand sequence.
 	cont int32
 	// childOff/childEnd delimit this strand's forked child tasks (their
-	// first strands) in the child-index arena.
+	// first strands) in the child-index table.
 	childOff, childEnd int32
 }
 
-// Trace is one finished recording held in memory: the strand tree plus
-// every strand's access script in one op arena. It is immutable after
-// Recorder.Finish. Replay it through Resident, or frame it to disk with
-// WriteFramed and replay the file through NewStream.
-type Trace struct {
-	// TaskCount and StrandCount are the live run's totals; a replay must
-	// reproduce them exactly (see StreamTrace.CheckResult).
-	TaskCount   uint64
-	StrandCount uint64
-	// AccessOps and WorkOps count the recorded memory accesses and compute
-	// charges across all strands.
-	AccessOps int64
-	WorkOps   int64
-
-	nodes    []node
-	ops      []byte  // encoded op streams, all strands back to back
-	childIdx []int32 // flattened child lists (node indices)
-	root     int32   // node index of the root strand
-}
-
-// OpBytes returns the size of the encoded op arena in bytes.
-func (t *Trace) OpBytes() int64 { return int64(len(t.ops)) }
+// Trace is the recording type's former name, kept as an alias because
+// bench/schedperf still spells it: a finished recording is a StreamTrace,
+// in memory (Recorder.Finish) or in a DGTS file (OpenStream).
+type Trace = StreamTrace

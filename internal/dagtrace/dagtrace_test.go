@@ -32,7 +32,7 @@ func testProgram(sp *mem.Space, n int) job.Job {
 	})
 }
 
-func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trace, *sim.Result) {
+func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*StreamTrace, *sim.Result) {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
 	rec := NewRecorder()
@@ -50,7 +50,7 @@ func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trac
 }
 
 // recordMem records root sequentially into memory.
-func recordMem(root job.Job, block int64) (*Trace, error) {
+func recordMem(root job.Job, block int64) (*StreamTrace, error) {
 	rec := NewRecorder()
 	if err := Record(rec, root, block); err != nil {
 		return nil, err
@@ -60,7 +60,7 @@ func recordMem(root job.Job, block int64) (*Trace, error) {
 
 // recordSeq records testProgram of n elements sequentially, without
 // simulating it.
-func recordSeq(t *testing.T, m *machine.Desc, n int) *Trace {
+func recordSeq(t *testing.T, m *machine.Desc, n int) *StreamTrace {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
 	tr, err := recordMem(testProgram(sp, n), m.Block())
@@ -110,7 +110,7 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 	traces := []struct {
 		name string
 		st   *StreamTrace
-	}{{"live", Resident(tr)}, {"sequential", Resident(recordSeq(t, m, 512))}}
+	}{{"live", tr}, {"sequential", recordSeq(t, m, 512)}}
 	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
 		sp := mem.NewSpace(m.Links, m.Links)
 		live, err := sim.Run(sim.Config{
@@ -143,12 +143,11 @@ func TestRecordMatchesLiveRecording(t *testing.T) {
 			seq.TaskCount, seq.StrandCount, seq.AccessOps, seq.WorkOps, seq.OpBytes(),
 			live.TaskCount, live.StrandCount, live.AccessOps, live.WorkOps, live.OpBytes())
 	}
-	st := Resident(seq)
-	again, err := recordMem(st.Root(), m.Block())
+	again, err := recordMem(seq.Root(), m.Block())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(t, st) != fingerprint(t, Resident(again)) {
+	if fingerprint(t, seq) != fingerprint(t, again) {
 		t.Fatal("sequential recording of a replay differs from the original recording")
 	}
 }
@@ -193,7 +192,7 @@ func TestRecordFailsOnBadStrands(t *testing.T) {
 // bytes, are different recordings and must fingerprint differently.
 func TestFingerprintCountsOpSplit(t *testing.T) {
 	split := func(at int64) *StreamTrace {
-		return Resident(&Trace{
+		return &StreamTrace{
 			TaskCount: 2, StrandCount: 2,
 			nodes: []node{
 				{taskSize: -1, strandSize: -1, opOff: 0, opEnd: at, cont: -1, childOff: 0, childEnd: 1},
@@ -201,7 +200,7 @@ func TestFingerprintCountsOpSplit(t *testing.T) {
 			},
 			ops:      []byte{byte(opWork) | 1<<opTagBits, byte(opWork) | 2<<opTagBits, byte(opWork) | 3<<opTagBits},
 			childIdx: []int32{1},
-		})
+		}
 	}
 	if fingerprint(t, split(1)) == fingerprint(t, split(2)) {
 		t.Fatal("traces that split one op stream differently share a fingerprint")
@@ -214,14 +213,13 @@ func TestFingerprintCountsOpSplit(t *testing.T) {
 func TestTraceOfReplayIsIdentical(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	st := Resident(tr)
 	rec2 := NewRecorder()
-	replay(t, st, m, "ws", 7, rec2)
+	replay(t, tr, m, "ws", 7, rec2)
 	tr2, err := rec2.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(t, st) != fingerprint(t, Resident(tr2)) {
+	if fingerprint(t, tr) != fingerprint(t, tr2) {
 		t.Fatal("trace of replay differs from original trace")
 	}
 }

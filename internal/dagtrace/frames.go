@@ -24,12 +24,12 @@ package dagtrace
 //	          fnv-1a u64 checksum over the prefix and every metadata byte above
 //
 // Frame f holds op bytes [f*frameSize, min((f+1)*frameSize, opBytes)) of
-// the op region. The metadata block trails the frames because a recording
-// that streams into its file (a Recorder a directory StreamCache hands
-// out) writes each strand's ops as the strand finishes, before the node
-// table is complete; the prefix, rewritten last, points at the block. So
-// the op region holds the strands in the order they finished, and each
-// node names its own op offset. Only the prefix and the metadata block are
+// the op region: the recorder's op region, strands in the order they
+// finished, each node naming its own op offset. The metadata block trails
+// the frames because a recording that streams into its file (a Recorder a
+// directory StreamCache hands out) writes each strand's ops as the strand
+// finishes, before the node table is complete; the prefix, rewritten
+// last, points at the block. Only the prefix and the metadata block are
 // read (and their checksum verified) at open time; each frame is verified
 // against its table entry when it enters the window.
 
@@ -170,7 +170,7 @@ func (w *frameWriter) flush() {
 // commit completes the file with t's node table, child lists and counts
 // (t's op offsets index the op region this writer wrote) and publishes it
 // at path. On failure the temporary file is removed.
-func (w *frameWriter) commit(t *Trace) error {
+func (w *frameWriter) commit(t *StreamTrace) error {
 	w.flush()
 	var prefix [prefixLen]byte
 	copy(prefix[:], streamMagic)
@@ -230,11 +230,16 @@ func (w *frameWriter) abort() {
 	os.Remove(w.path + ".tmp")
 }
 
-// WriteFramed writes an in-memory recording to path in the framed form,
-// atomically (tmp + rename), through the same writer a recording that
-// streams into its file uses. frameSize 0 selects DefaultFrameSize. A
-// failure is a *WriteError.
-func WriteFramed(t *Trace, path string, frameSize int64) error {
+// WriteFramed writes a recording held in memory (Recorder.Finish) to
+// path in the framed form, atomically (tmp + rename), through the writer
+// a recording that streams into its file uses. The op region goes out as
+// it is, so the file is byte for byte the one the same recording would
+// have streamed into at this frame size. frameSize 0 selects
+// DefaultFrameSize. A write failure is a *WriteError.
+func WriteFramed(t *StreamTrace, path string, frameSize int64) error {
+	if t.r != nil {
+		return fmt.Errorf("dagtrace: WriteFramed of a recording already in a file")
+	}
 	w, err := createFrames(path, "", frameSize, nil)
 	if err != nil {
 		return err

@@ -51,8 +51,8 @@ type Partition struct {
 }
 
 // PartitionStream splits a trace into at most k pieces. The piece jobs
-// take their scripts from the trace's byte source — resident arena or
-// frame window — exactly like the unpartitioned Root.
+// take their scripts from the trace's byte source — op region in memory
+// or frame window — exactly like the unpartitioned Root.
 func PartitionStream(t *StreamTrace, k int) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dagtrace: partition into %d pieces", k)

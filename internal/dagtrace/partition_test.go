@@ -28,7 +28,7 @@ func runPiece(t *testing.T, p Piece, m *machine.Desc, schedName string, seed uin
 // spine strands whose every child was cut, which fork an empty block.
 func TestPartitionPiecesReplayOnBothStrandPaths(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	p, err := PartitionStream(Resident(recordSeq(t, m, 512)), 16)
+	p, err := PartitionStream(recordSeq(t, m, 512), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,8 @@ func TestPartitionPiecesReplayOnBothStrandPaths(t *testing.T) {
 // count from 1 to well past the tree's fanout.
 func TestPartitionConservation(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, _ := record(t, m, "ws", 7)
-	st := Resident(tr)
-	total := tr.OpBytes() + int64(tr.StrandCount)
+	st, _ := record(t, m, "ws", 7)
+	total := st.OpBytes() + int64(st.StrandCount)
 	for _, k := range []int{1, 2, 3, 4, 8} {
 		p, err := PartitionStream(st, k)
 		if err != nil {
@@ -74,9 +73,9 @@ func TestPartitionConservation(t *testing.T) {
 			accesses += res.Hier.HitsAt(inner) + res.Hier.MissesAt(inner)
 			wsum += pc.Weight
 		}
-		if tasks != tr.TaskCount || strands != tr.StrandCount || accesses != tr.AccessOps {
+		if tasks != st.TaskCount || strands != st.StrandCount || accesses != st.AccessOps {
 			t.Errorf("k=%d: pieces replay %d tasks / %d strands / %d accesses, trace recorded %d / %d / %d",
-				k, tasks, strands, accesses, tr.TaskCount, tr.StrandCount, tr.AccessOps)
+				k, tasks, strands, accesses, st.TaskCount, st.StrandCount, st.AccessOps)
 		}
 		if wsum != total {
 			t.Errorf("k=%d: piece weights sum to %d, want %d", k, wsum, total)
@@ -88,8 +87,7 @@ func TestPartitionConservation(t *testing.T) {
 // list — the property shard-count invariance is built on.
 func TestPartitionDeterministic(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, _ := record(t, m, "ws", 7)
-	st := Resident(tr)
+	st, _ := record(t, m, "ws", 7)
 	a, err := PartitionStream(st, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +114,7 @@ func TestPartitionDeterministic(t *testing.T) {
 // the unpartitioned root (no wrappers on that path).
 func TestPartitionSinglePieceIsUnchanged(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, _ := record(t, m, "ws", 7)
-	st := Resident(tr)
+	st, _ := record(t, m, "ws", 7)
 	p, err := PartitionStream(st, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +135,7 @@ func TestPartitionSinglePieceIsUnchanged(t *testing.T) {
 func TestPartitionStream(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, st, _ := writeFramed(t, 512, 256, 2048)
-	pa, err := PartitionStream(Resident(tr), 4)
+	pa, err := PartitionStream(tr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

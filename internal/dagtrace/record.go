@@ -14,8 +14,8 @@ var _ sim.TraceListener = (*Recorder)(nil)
 
 // recNode is the per-strand working state during recording.
 type recNode struct {
-	// ops is the strand's script: held until Finish compacts it, or, in a
-	// recorder writing a file, until the strand's terminal fork.
+	// ops is the strand's script, held until the strand's terminal fork
+	// moves it to the recorder's sink.
 	ops      []byte
 	children []int32
 	prevAddr int64
@@ -34,13 +34,14 @@ type recNode struct {
 // dominant cost of a live record run is otherwise the pool-less
 // allocation churn), and Record recycles its records too.
 //
-// Where a finished strand's ops go is the recorder's sink. A Recorder
-// from NewRecorder keeps them in memory, and Finish compacts them into a
-// Trace. One a directory StreamCache hands out streams them into its
-// file: each strand's ops join the open frame when the strand reports its
-// terminal fork — a strand's ops are final then — and its buffer serves
-// the next strand, so the recording holds only the node table and the
-// open strands' ops; StreamCache.Fill completes the file.
+// When a strand reports its terminal fork — its ops are final then — the
+// recorder moves them to its sink and hands the strand's buffer to the
+// next strand that starts, so it holds only the node table, the sink and
+// the open strands' ops. The sink is the end of one in-memory op region
+// in a Recorder from NewRecorder (Finish returns the recording over that
+// region) and the open frame of the file in one a directory StreamCache
+// hands out (StreamCache.Fill completes the file). Either way the op
+// region holds the strands in the order they finished.
 //
 // A Recorder is single-use and must only observe one run.
 type Recorder struct {
@@ -56,9 +57,11 @@ type Recorder struct {
 	// order, so strand ID i is node i−1 (StrandSpawned enforces it).
 	lastOfTask map[uint64]int32
 
-	// out, when non-nil, is the file the recording streams into; free
-	// holds the op buffers of strands already written, for reuse.
+	// out, when non-nil, is the file the recording streams into; ops is
+	// the op region otherwise. free holds the op buffers of strands
+	// already moved to the sink, for reuse.
 	out  *frameWriter
+	ops  []byte
 	free [][]byte
 
 	tasks     uint64
@@ -140,10 +143,10 @@ func (r *Recorder) StrandSpawned(s *job.Strand) {
 	r.lastOfTask[s.Task.ID] = idx
 }
 
-// StrandStarted implements sim.Listener: a recorder writing a file hands
-// the strand the op buffer of a strand already written.
+// StrandStarted implements sim.Listener: hand the strand the op buffer of
+// a strand already moved to the sink.
 func (r *Recorder) StrandStarted(s *job.Strand) {
-	if r.out == nil || r.err != nil || len(r.free) == 0 {
+	if r.err != nil || len(r.free) == 0 {
 		return
 	}
 	idx, ok := r.node(s)
@@ -211,8 +214,8 @@ func (r *Recorder) StrandWork(s *job.Strand, cycles int64) {
 }
 
 // StrandForked implements sim.TraceListener: note the strand's terminal
-// fork shape for cross-checking, reject futures outright, and — in a
-// recorder writing a file — write the strand's now final ops.
+// fork shape for cross-checking, reject futures outright, and move the
+// strand's now final ops to the sink.
 func (r *Recorder) StrandForked(s *job.Strand, hasCont bool, children int, futures bool) {
 	if r.err != nil {
 		return
@@ -227,49 +230,48 @@ func (r *Recorder) StrandForked(s *job.Strand, hasCont bool, children int, futur
 	}
 	m := &r.meta[idx]
 	m.forkSeen, m.forkCont, m.forkChildren = true, hasCont, children
-	if r.out == nil {
-		return
-	}
 	n := &r.nodes[idx]
-	n.opOff = r.out.append(m.ops)
-	n.opEnd = r.out.n
-	if r.out.err != nil {
+	if r.out == nil {
+		n.opOff = int64(len(r.ops))
+		r.ops = append(r.ops, m.ops...)
+	} else if n.opOff = r.out.append(m.ops); r.out.err != nil {
 		r.fail(r.out.err)
 		return
 	}
+	n.opEnd = n.opOff + int64(len(m.ops))
 	if cap(m.ops) > 0 {
 		r.free = append(r.free, m.ops[:0])
 	}
 	m.ops = nil
 }
 
-// Finish validates the recorded structure and compacts it into a Trace.
-// It is for a Recorder from NewRecorder; StreamCache.Fill finishes the
-// ones it hands out. The Recorder must not be reused afterwards.
-func (r *Recorder) Finish() (*Trace, error) {
+// Finish validates the recorded structure and returns the recording,
+// replayable over the recorder's op region. It is for a Recorder from
+// NewRecorder; StreamCache.Fill finishes the ones it hands out. The
+// Recorder must not be reused afterwards.
+func (r *Recorder) Finish() (*StreamTrace, error) {
 	if r.out != nil {
 		return nil, fmt.Errorf("dagtrace: Finish on a recorder that writes a file (publish it with StreamCache.Fill)")
 	}
 	return r.finish()
 }
 
-// finish validates the recorded structure and returns the Trace: with its
-// op arena compacted in node order when the ops are in memory, with only
-// the node table — each node's op span indexing the file's op region —
-// when they were written to r.out.
-func (r *Recorder) finish() (*Trace, error) {
+// finish validates the recorded structure and returns the recording:
+// the node table, each node's op span indexing the op region — r.ops,
+// which the recording then holds and replays, or the region r.out wrote
+// to its file.
+func (r *Recorder) finish() (*StreamTrace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.root == -1 {
 		return nil, fmt.Errorf("dagtrace: no root strand recorded")
 	}
-	opBytes, childN := 0, 0
+	childN := 0
 	for i := range r.meta {
-		opBytes += len(r.meta[i].ops)
 		childN += len(r.meta[i].children)
 	}
-	t := &Trace{
+	t := &StreamTrace{
 		TaskCount:   r.tasks,
 		StrandCount: r.strands,
 		AccessOps:   r.accessOps,
@@ -277,9 +279,8 @@ func (r *Recorder) finish() (*Trace, error) {
 		nodes:       r.nodes,
 		childIdx:    make([]int32, 0, childN),
 		root:        r.root,
-	}
-	if r.out == nil {
-		t.ops = make([]byte, 0, opBytes)
+		ops:         r.ops,
+		opBytes:     int64(len(r.ops)),
 	}
 	for i := range r.nodes {
 		n, m := &r.nodes[i], &r.meta[i]
@@ -292,15 +293,13 @@ func (r *Recorder) finish() (*Trace, error) {
 		if m.forkCont != (n.cont != -1) {
 			return nil, fmt.Errorf("dagtrace: strand node %d continuation mismatch (declared %v)", i, m.forkCont)
 		}
-		if r.out == nil {
-			n.opOff = int64(len(t.ops))
-			t.ops = append(t.ops, m.ops...)
-			n.opEnd = int64(len(t.ops))
-		}
 		n.childOff = int32(len(t.childIdx))
 		t.childIdx = append(t.childIdx, m.children...)
 		n.childEnd = int32(len(t.childIdx))
 	}
-	r.nodes, r.meta = nil, nil
+	if r.out == nil {
+		t.buildJobs()
+	}
+	r.nodes, r.meta, r.ops, r.free = nil, nil, nil, nil
 	return t, nil
 }

@@ -14,11 +14,10 @@ import (
 // applies, so replay reproduces the exact sizes (including the
 // unannotated −1 case) every scheduler saw.
 //
-// Its Script bytes come from wherever the recording lives: a resident
-// view hands out a subslice of the recording's op arena (no copy, no
-// lease), a windowed view leases a copy from the frame window. Either
-// way the engine returns them through ReleaseScript when the strand
-// completes.
+// Its Script bytes come from wherever the recording lives: one held in
+// memory hands out its op region (no copy, no lease), a windowed view
+// leases a copy from the frame window. Either way the engine returns them
+// through ReleaseScript when the strand completes.
 type streamJob struct {
 	t *StreamTrace
 	n int32
@@ -45,7 +44,7 @@ func (j *streamJob) Script() (ops []byte, lo, hi int64) {
 }
 
 // ReleaseScript implements job.StreamScripted: a windowed view takes its
-// lease back; a resident view lent nothing.
+// lease back; a recording held in memory lent nothing.
 func (j *streamJob) ReleaseScript(ops []byte) {
 	if j.t.r != nil {
 		j.t.release(ops)

@@ -1,10 +1,10 @@
 package dagtrace
 
-// Replayable traces: the windowed decoder that replays a framed file
-// (frames.go) in O(window) memory, and the resident view that replays a
-// recording still in memory. Resident decode state of a windowed replay is
-// (window budget) + (bytes leased to in-flight strands), independent of
-// the trace's total op volume.
+// Replayable recordings: the windowed decoder that replays a framed file
+// (frames.go) in O(window) memory, and the in-memory op region a Recorder
+// finishes with. Resident decode state of a windowed replay is (window
+// budget) + (bytes leased to in-flight strands), independent of the
+// trace's total op volume.
 
 import (
 	"crypto/sha256"
@@ -32,15 +32,18 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("dagtrace: framed-trace format version %d, this build reads version %d", e.Version, streamVersion)
 }
 
-// StreamTrace is a recording opened for replay. Its strand scripts come
-// from one of two byte sources: the op arena of a recording still in
-// memory (Resident), or the bounded frame window of a DGTS file
-// (NewStream, OpenStream). It is safe for concurrent replays: the frame
-// window is mutex-guarded and every other field is immutable after
-// construction.
+// StreamTrace is a recording, ready for replay. Its op region — every
+// strand's script, in the order the strands finished — lives in one of
+// two places: in memory, where the Recorder that made it left it
+// (Recorder.Finish, a directory-less StreamCache), or in the frames of a
+// DGTS file read through a bounded window (NewStream, OpenStream). The
+// node table, and so every replay and fingerprint, is the same in both.
+// It is safe for concurrent replays: the frame window is mutex-guarded
+// and every other field is immutable after construction.
 type StreamTrace struct {
-	// TaskCount, StrandCount, AccessOps and WorkOps are the recorded
-	// totals, as on Trace.
+	// TaskCount and StrandCount are the recorded run's totals; a replay
+	// must reproduce them exactly (see CheckResult). AccessOps and WorkOps
+	// count the recorded memory accesses and compute charges.
 	TaskCount   uint64
 	StrandCount uint64
 	AccessOps   int64
@@ -52,11 +55,11 @@ type StreamTrace struct {
 	jobs     []streamJob
 	kids     []job.Job
 
-	// ops is a resident view's op arena, shared with its Trace; nil when
-	// r is set.
+	// ops is the op region of a recording held in memory; nil when r is
+	// set.
 	ops []byte
 
-	r         io.ReaderAt // nil for a resident view
+	r         io.ReaderAt // nil for a recording held in memory
 	closer    io.Closer   // non-nil when OpenStream owns the file handle
 	frameSize int64
 	frameBuf  int64 // min(frameSize, opBytes): the largest actual frame
@@ -64,26 +67,6 @@ type StreamTrace struct {
 	opBytes   int64
 
 	win window
-}
-
-// Resident returns a replayable view of a recording still in memory: its
-// strand scripts are read straight from tr's op arena — zero-copy, no
-// window, no lease — so one view serves every concurrent replay of the
-// recording. Close on a resident view releases nothing.
-func Resident(tr *Trace) *StreamTrace {
-	t := &StreamTrace{
-		TaskCount:   tr.TaskCount,
-		StrandCount: tr.StrandCount,
-		AccessOps:   tr.AccessOps,
-		WorkOps:     tr.WorkOps,
-		nodes:       tr.nodes,
-		childIdx:    tr.childIdx,
-		root:        tr.root,
-		ops:         tr.ops,
-		opBytes:     tr.OpBytes(),
-	}
-	t.buildJobs()
-	return t
 }
 
 // buildJobs allocates the per-node replay jobs and the prebuilt child
@@ -293,7 +276,7 @@ func (t *StreamTrace) OpBytes() int64 { return t.opBytes }
 // bytes: cached frames plus buffers leased to in-flight strands. The
 // bounded-memory contract of windowed replay is exactly that this stays
 // O(window + concurrent strands × strand script size), independent of
-// OpBytes. A resident view has no window and reports 0.
+// OpBytes. A recording held in memory has no window and reports 0.
 func (t *StreamTrace) PeakResidentBytes() int64 {
 	t.win.mu.Lock()
 	defer t.win.mu.Unlock()
@@ -302,7 +285,7 @@ func (t *StreamTrace) PeakResidentBytes() int64 {
 
 // FrameLoads reports how many frames the window has read from the file so
 // far, over every replay of this view; a replay that streams the file in
-// order loads each frame once. A resident view reports 0.
+// order loads each frame once. A recording held in memory reports 0.
 func (t *StreamTrace) FrameLoads() int64 {
 	t.win.mu.Lock()
 	defer t.win.mu.Unlock()
@@ -342,11 +325,10 @@ func (t *StreamTrace) CheckResult(res *sim.Result) error {
 // Fingerprint returns a hex SHA-256 over the trace's canonical content —
 // counts, node table (each node's op length included, so the split of the
 // op stream across strands counts), child lists, then each node's op
-// bytes in node order. It hashes content, not layout: a file whose op
-// region holds the strands in the order they finished (a recording that
-// streamed into its file) fingerprints like the same recording written
-// from memory by WriteFramed, and like its Resident view; recording a
-// replay run must reproduce it too. The golden suites assert all three.
+// bytes in node order. It hashes content, not layout — the order of the
+// op region does not enter it — so a recording fingerprints the same in
+// memory and in a file, whoever wrote the file; recording a replay run
+// must reproduce it too. The golden suites assert both.
 // A windowed view reads the op bytes through a private window, so
 // fingerprinting neither disturbs nor counts toward the replay window.
 func (t *StreamTrace) Fingerprint() (string, error) {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,9 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// writeFramed records the standard test program, frames it to disk with
-// the given frame size, and reopens it with the given window budget.
-func writeFramed(t *testing.T, n int, frameSize, window int64) (*Trace, *StreamTrace, string) {
+// writeFramed records the standard test program in memory, frames it to
+// disk with the given frame size, and reopens it with the given window
+// budget. It returns the recording held in memory and the reopened file.
+func writeFramed(t *testing.T, n int, frameSize, window int64) (*StreamTrace, *StreamTrace, string) {
 	t.Helper()
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	sp := mem.NewSpace(m.Links, m.Links)
@@ -45,26 +45,26 @@ func writeFramed(t *testing.T, n int, frameSize, window int64) (*Trace, *StreamT
 
 // TestStreamRoundTrip pins the framed codec: writing a trace with a frame
 // size small enough to force many frames and reopening it must preserve
-// the resident view's canonical fingerprint bit for bit, and the windowed
-// replay must produce the same simulation result as the resident replay.
+// the in-memory recording's canonical fingerprint bit for bit, and the
+// windowed replay must produce the same simulation result as the
+// in-memory replay.
 func TestStreamRoundTrip(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, st, _ := writeFramed(t, 512, 512, 4096)
-	res := Resident(tr)
-	if st.TaskCount != res.TaskCount || st.StrandCount != res.StrandCount ||
-		st.AccessOps != res.AccessOps || st.WorkOps != res.WorkOps || st.OpBytes() != res.OpBytes() {
-		t.Fatalf("windowed counts %d/%d/%d/%d/%d differ from resident %d/%d/%d/%d/%d",
+	if st.TaskCount != tr.TaskCount || st.StrandCount != tr.StrandCount ||
+		st.AccessOps != tr.AccessOps || st.WorkOps != tr.WorkOps || st.OpBytes() != tr.OpBytes() {
+		t.Fatalf("windowed counts %d/%d/%d/%d/%d differ from in-memory %d/%d/%d/%d/%d",
 			st.TaskCount, st.StrandCount, st.AccessOps, st.WorkOps, st.OpBytes(),
-			res.TaskCount, res.StrandCount, res.AccessOps, res.WorkOps, res.OpBytes())
+			tr.TaskCount, tr.StrandCount, tr.AccessOps, tr.WorkOps, tr.OpBytes())
 	}
-	if sfp, rfp := fingerprint(t, st), fingerprint(t, res); sfp != rfp {
-		t.Fatalf("windowed fingerprint differs:\nresident: %s\nwindowed: %s", rfp, sfp)
+	if sfp, rfp := fingerprint(t, st), fingerprint(t, tr); sfp != rfp {
+		t.Fatalf("windowed fingerprint differs:\nin memory: %s\nwindowed:  %s", rfp, sfp)
 	}
 	for _, sn := range []string{"ws", "sb"} {
-		a := replay(t, res, m, sn, 7, nil)
+		a := replay(t, tr, m, sn, 7, nil)
 		b := replay(t, st, m, sn, 7, nil)
 		if a.Fingerprint() != b.Fingerprint() {
-			t.Errorf("%s: windowed replay fingerprint differs from resident replay", sn)
+			t.Errorf("%s: windowed replay fingerprint differs from in-memory replay", sn)
 		}
 	}
 }
@@ -82,10 +82,10 @@ func TestStreamBoundedWindow(t *testing.T) {
 	if st.OpBytes() < 8*window {
 		t.Fatalf("trace op stream too small (%d bytes) to exercise a %d-byte window", st.OpBytes(), window)
 	}
-	a := replay(t, Resident(tr), m, "ws", 7, nil)
+	a := replay(t, tr, m, "ws", 7, nil)
 	b := replay(t, st, m, "ws", 7, nil)
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("windowed replay fingerprint differs from resident replay")
+		t.Fatal("windowed replay fingerprint differs from in-memory replay")
 	}
 	// Budget: the window itself + one lease per core, each rounded up to
 	// the 1KiB lease quantum (strand scripts here are far smaller).
@@ -98,13 +98,13 @@ func TestStreamBoundedWindow(t *testing.T) {
 		t.Fatalf("peak resident %d not below op stream size %d; window is not bounding memory",
 			st.PeakResidentBytes(), st.OpBytes())
 	}
-	// Every frame enters the window at least once; a resident view has no
-	// window to load into.
+	// Every frame enters the window at least once; a recording held in
+	// memory has no window to load into.
 	if frames := (st.OpBytes() + frameSize - 1) / frameSize; st.FrameLoads() < frames {
 		t.Fatalf("windowed replay loaded %d frames, fewer than the %d its op stream spans", st.FrameLoads(), frames)
 	}
-	if n := Resident(tr).FrameLoads(); n != 0 {
-		t.Fatalf("resident view reports %d frame loads", n)
+	if n := tr.FrameLoads(); n != 0 {
+		t.Fatalf("in-memory recording reports %d frame loads", n)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestStreamRejectsMetaCorruption(t *testing.T) {
 func TestStreamRejectsSpanOutsideOpRegion(t *testing.T) {
 	ops := []byte{byte(opWork) | 1<<opTagBits, byte(opWork) | 2<<opTagBits, byte(opWork) | 3<<opTagBits}
 	for _, span := range [][2]int64{{3, 4}, {2, 5}, {4, 4}} {
-		tr := &Trace{
+		tr := &StreamTrace{
 			TaskCount: 2, StrandCount: 2,
 			nodes: []node{
 				{taskSize: -1, strandSize: -1, opOff: 0, opEnd: 3 - (span[1] - span[0]), cont: -1, childOff: 0, childEnd: 1},
@@ -217,11 +217,11 @@ func TestStreamRejectsSpanOutsideOpRegion(t *testing.T) {
 	}
 }
 
-// TestRecordIntoFileMatchesWriteFramed: one program recorded straight into
-// a file (its op region in strand-completion order) and recorded in
-// memory then written by WriteFramed (in node order) are the same
-// recording: equal fingerprints, and identical results under every
-// scheduler.
+// TestRecordIntoFileMatchesWriteFramed: a recording has one layout. One
+// program recorded straight into a cache's file, and recorded in memory
+// then written by WriteFramed at the same frame size, give the same file
+// byte for byte; the file replays like the in-memory recording under
+// every scheduler.
 func TestRecordIntoFileMatchesWriteFramed(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	c, err := NewStreamCache(t.TempDir())
@@ -241,35 +241,37 @@ func TestRecordIntoFileMatchesWriteFramed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := rec.Open(1024, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-
 	tr := recordSeq(t, m, 2048)
 	path := filepath.Join(t.TempDir(), "mem.dgts")
 	if err := WriteFramed(tr, path, 256); err != nil {
 		t.Fatal(err)
 	}
-	framed, err := OpenStream(path, 1024, nil)
+	direct, err := os.ReadFile(rec.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer framed.Close()
-
-	a, b := fingerprint(t, direct), fingerprint(t, framed)
-	if a != b || a != fingerprint(t, Resident(tr)) {
-		t.Fatalf("fingerprints differ: recorded into file %s, written from memory %s", a, b)
+	framed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reflect.DeepEqual(direct.nodes, framed.nodes) {
-		t.Fatal("recording into a file laid the op region out in node order; the test no longer covers completion order")
+	if frames := tr.OpBytes() / 256; frames < 4 {
+		t.Fatalf("recording spans %d frames, too few to compare frame layouts", frames)
+	}
+	if !bytes.Equal(direct, framed) {
+		t.Fatalf("recorded into a file (%d bytes) and written from memory (%d bytes): the files differ", len(direct), len(framed))
+	}
+
+	st, err := rec.Open(1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if fingerprint(t, st) != fingerprint(t, tr) {
+		t.Fatal("the file and the in-memory recording fingerprint differently")
 	}
 	for _, sn := range []string{"ws", "pws", "cilk", "sb", "sbd", "pdf"} {
-		ra := replay(t, direct, m, sn, 7, nil)
-		rb := replay(t, framed, m, sn, 7, nil)
-		if ra.Fingerprint() != rb.Fingerprint() {
-			t.Errorf("%s: replaying the file recorded directly differs from the file written from memory", sn)
+		if replay(t, st, m, sn, 7, nil).Fingerprint() != replay(t, tr, m, sn, 7, nil).Fingerprint() {
+			t.Errorf("%s: replaying the file differs from replaying the in-memory recording", sn)
 		}
 	}
 }
@@ -305,7 +307,7 @@ func TestLiveRecordIntoFile(t *testing.T) {
 	}
 	defer st.Close()
 	tr, _ := record(t, m, "ws", 7)
-	if fingerprint(t, st) != fingerprint(t, Resident(tr)) {
+	if fingerprint(t, st) != fingerprint(t, tr) {
 		t.Fatal("live recording into a file differs from the same run recorded in memory")
 	}
 }

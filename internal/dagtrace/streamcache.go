@@ -8,16 +8,17 @@ package dagtrace
 // first cell of a key records, every other cell blocks until the
 // recording is published and then replays it.
 //
-// Where a published recording lives is the cache's one setting. Without
-// a directory it stays in memory behind one Resident view that every
-// cell replays zero-copy. With a directory it is a DGTS file and nothing
-// op-sized stays resident here: the recording streams into the file as
-// its strands finish, and each cell opens the file through its own
-// bounded window. Files are content-addressed by key hash, published
-// atomically (tmp + rename), and revalidated (metadata checksum) when an
-// existing file is adopted from a previous process — a corrupt or
-// truncated file is evicted and counted, a file in an older format
-// version is evicted as stale, and either way the key re-records.
+// Where a published recording lives is the cache's one setting. Without a
+// directory it stays in memory: the StreamTrace its Recorder finished
+// with, which every cell replays zero-copy. With a directory it is a DGTS
+// file and nothing op-sized stays resident here: the recording streams
+// into the file as its strands finish, and each cell opens the file
+// through its own bounded window. The two hold the same op region. Files
+// are content-addressed by key hash, published atomically (tmp + rename),
+// and revalidated (metadata checksum) when an existing file is adopted
+// from a previous process — a corrupt or truncated file is evicted and
+// counted, a file in an older format version is evicted as stale, and
+// either way the key re-records.
 
 import (
 	"crypto/sha256"
@@ -76,15 +77,15 @@ type StreamCache struct {
 }
 
 // Recording is a published recording: a DGTS file when the cache has a
-// directory, else a resident view.
+// directory, else the recording itself, held in memory.
 type Recording struct {
 	// Path is the recording's DGTS file; empty for a resident recording.
 	Path     string
 	resident *StreamTrace
 }
 
-// Open returns a view that replays the recording: the shared resident
-// view itself, or a new stream over Path whose frame window holds
+// Open returns a view that replays the recording: the shared in-memory
+// recording itself, or a new stream over Path whose frame window holds
 // windowBytes and charges budget (see OpenStream). Close the view
 // when its replay is done.
 func (r Recording) Open(windowBytes int64, budget *Budget) (*StreamTrace, error) {
@@ -165,22 +166,21 @@ func (c *StreamCache) GetOrReserve(key string) (rec Recording, into *Recorder, e
 }
 
 // Fill finishes the recording made into key's Recorder and publishes it,
-// unblocking the key's waiters: behind one resident view, or — with a
-// directory — by completing the key's file (metadata block, prefix) and
-// renaming it into place. A recording that fails its structural check is
-// published as a failure like Fail's; a write failure (disk full, I/O
-// error) comes back as a *WriteError, published to the waiters too, with
-// the temporary file removed. Either way the reservation is released, so
-// the key stays recordable once the cause is gone.
+// unblocking the key's waiters: as the recording the Recorder finished
+// with, held in memory, or — with a directory — by completing the key's
+// file (metadata block, prefix) and renaming it into place. A recording
+// that fails its structural check is published as a failure like Fail's; a
+// write failure (disk full, I/O error) comes back as a *WriteError,
+// published to the waiters too, with the temporary file removed. Either
+// way the reservation is released, so the key stays recordable once the
+// cause is gone.
 func (c *StreamCache) Fill(key string) (Recording, error) {
 	into := c.reservation(key).into
 	tr, err := into.finish()
 	var rec Recording
 	switch out := into.out; {
 	case out == nil:
-		if err == nil {
-			rec.resident = Resident(tr)
-		}
+		rec.resident = tr
 	case err != nil:
 		out.abort()
 	default:

@@ -16,7 +16,7 @@ import (
 )
 
 // recordTestTrace records the standard test program for cache tests.
-func recordTestTrace(t *testing.T, n int) *Trace {
+func recordTestTrace(t *testing.T, n int) *StreamTrace {
 	t.Helper()
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	sp := mem.NewSpace(m.Links, m.Links)
@@ -117,20 +117,17 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 }
 
 // TestStreamCacheResident pins the directory-less mode: concurrent
-// callers of one key share a single recording through one zero-copy
-// resident view; Drop releases a filled key so it records again; a failed
-// recording — ErrUnsupported included — reaches the callers waiting on it
-// and releases the key; and Quarantine evicts a resident entry like a
-// file-backed one.
+// callers of one key share a single recording, the very StreamTrace its
+// recorder finished with; Drop releases a filled key so it records again;
+// a failed recording — ErrUnsupported included — reaches the callers
+// waiting on it and releases the key; and Quarantine evicts an in-memory
+// entry like a file-backed one.
 func TestStreamCacheResident(t *testing.T) {
 	c, err := NewStreamCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := recordTestTrace(t, 1<<10)
-	if rv := Resident(tr); &rv.ops[0] != &tr.ops[0] {
-		t.Fatal("resident view copied the recording's op arena")
-	}
 	const callers = 8
 	views := make([]*StreamTrace, callers)
 	var records atomic.Int32
@@ -166,7 +163,7 @@ func TestStreamCacheResident(t *testing.T) {
 		}
 	}
 	if views[0].r != nil || int64(len(views[0].ops)) != tr.OpBytes() {
-		t.Fatal("resident recording is not an in-memory view of its op arena")
+		t.Fatal("directory-less recording does not hold its op region in memory")
 	}
 	replay(t, views[0], machine.TwoSocket(4, 1<<16, 1<<12), "sb", 7, nil)
 	if s := c.Stats(); s.Misses != 1 || s.Hits != callers-1 || s.DiskHits != 0 {

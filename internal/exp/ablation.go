@@ -30,7 +30,7 @@ func (r *Runner) MuSweep() ([]FigRow, error) {
 		mu := mu
 		cells = append(cells, Cell{
 			Label: fmt.Sprintf("µ = %.2f", mu), Scheduler: "SB", Machine: m, LinksUsed: m.Links,
-			TraceID: "quadtree", // µ only parameterizes the scheduler; all cells run the same quad-tree
+			TraceID: "Quad-Tree", // µ only parameterizes the scheduler: every cell replays Fig. 8's quad-tree
 			MakeK:   r.P.QuadtreeFactory(),
 			MakeS:   func() sched.Scheduler { return sched.NewSB(sched.DefaultSigma, mu) },
 		})
@@ -105,7 +105,7 @@ func (r *Runner) ChunkSensitivity() ([]FigRow, error) {
 			Label: fmt.Sprintf("chunk %d", ch), Scheduler: "WS", Machine: m, LinksUsed: m.Links,
 			// The chunk size lives in the cost model, not the DAG: replaying one
 			// recording under each chunk still re-simulates every interleaving.
-			TraceID: "rrm",
+			TraceID: "RRM", // Fig. 5's RRM
 			MakeK:   r.P.RRMFactory(), Cost: cost,
 		})
 	}

@@ -2,8 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
+
+	"repro/internal/dagtrace"
 )
 
 func TestChunkSensitivityStable(t *testing.T) {
@@ -76,5 +79,42 @@ func TestMuSweepRuns(t *testing.T) {
 		if row.M.L3Misses.Mean <= 0 {
 			t.Errorf("%s: no misses recorded", row.Group)
 		}
+	}
+}
+
+// TestSweepsAdoptFigureRecordings: the µ and chunk sweeps key their
+// recording by the name Fig. 8 and Fig. 5 give the kernel, so over a
+// directory cache they adopt the files those figures' quad-tree and RRM
+// cells left instead of recording the same computations again.
+func TestSweepsAdoptFigureRecordings(t *testing.T) {
+	p := Quick()
+	p.Reps = 1
+	m := p.MachineHT()
+	dir := t.TempDir()
+	figs, err := dagtrace.NewStreamCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(p, io.Discard)
+	r.Traces = figs
+	if _, err := r.RunGrid([]Cell{
+		{Label: "Quad-Tree", Scheduler: "sb", Machine: m, LinksUsed: m.Links, MakeK: p.QuadtreeFactory()},
+		{Label: "RRM", Scheduler: "sb", Machine: m, LinksUsed: m.Links, MakeK: p.RRMFactory()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sweeps, err := dagtrace.NewStreamCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Traces = sweeps
+	if _, err := r.MuSweep(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ChunkSensitivity(); err != nil {
+		t.Fatal(err)
+	}
+	if s := sweeps.Stats(); s.Misses != 0 || s.DiskHits != 2 {
+		t.Fatalf("sweep cache stats %+v, want both recordings adopted from disk and none made", s)
 	}
 }

@@ -209,7 +209,7 @@ func (r *Runner) Fig10() ([]FigRow, error) {
 			distributed := variant == "SB-D"
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("σ = %.1f", sg), Scheduler: variant, Machine: m, LinksUsed: m.Links,
-				TraceID: "quadtree", // σ only parameterizes the scheduler; all cells run the same quad-tree
+				TraceID: "Quad-Tree", // σ only parameterizes the scheduler: every cell replays Fig. 8's quad-tree
 				MakeK:   r.P.QuadtreeFactory(),
 				MakeS: func() sched.Scheduler {
 					if distributed {

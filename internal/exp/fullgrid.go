@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"repro/internal/dagtrace"
@@ -90,10 +89,9 @@ type FullGridReport struct {
 
 // FullGridRun runs the kernels × schedNames × bands grid of full-scale
 // cells concurrently on r.Workers host goroutines (no bands means all
-// links). All cells of one kernel share a single framed recording
-// (through r.Traces when it has a directory, else the run directory's or
-// a grid-lifetime temp cache): the first cell to arrive records it,
-// everyone else blocks on the cache and replays the same file. Every
+// links). All cells of one kernel share a single framed recording (through
+// the directory cache fileTraces picks): the first cell to arrive records
+// it, everyone else blocks on the cache and replays the same file. Every
 // cell's decoder window draws on one shared budget of r.GridBudget bytes,
 // so grid peak decoder memory tracks a single cell's rather than
 // multiplying by the worker count. Cells skip the unsharded full-machine
@@ -164,23 +162,11 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		defer journal.Close()
 	}
 
-	cache := r.diskTraces()
-	switch {
-	case cache != nil:
-	case opts.RunDir != "":
-		// Recordings live inside the run directory, so a resumed or
-		// retried process adopts them from disk instead of re-recording.
-		if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces")); err != nil {
-			return nil, err
-		}
-	default:
-		c, cleanup, err := privateTraces("fullgrid-")
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		cache = c
+	cache, cleanup, err := r.fileTraces(opts.RunDir)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 	before := cache.Stats()
 	budgetBytes := r.GridBudget
 	if budgetBytes <= 0 {

@@ -31,8 +31,8 @@ func TestFullGridEquivalence(t *testing.T) {
 	bands := []int{4, 1}
 
 	// Sequential references: each cell alone, sharing one framed cache so
-	// the reference pass records once too (the recording is canonical —
-	// FullRecordSched — so sharing cannot change it).
+	// the reference pass records once too (a recording is schedule-free,
+	// so sharing cannot change it).
 	refCache, err := dagtrace.NewStreamCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
 	"repro/internal/dagtrace"
-	"repro/internal/machine"
 	"repro/internal/shard"
 )
 
@@ -58,11 +58,9 @@ func FullScale(div int64) Profile {
 
 // FullRecordSched is the scheduler full-scale recordings were once made
 // under, live. Recording is now sequential and schedule-free
-// (dagtrace.Record), so it no longer fixes a file's layout; the name
-// survives as the tag in framedKey, which keeps the keys of existing
-// -tracecache files and run journals valid. A file recorded live under sb
-// holds the same computation in another node order and replays
-// identically.
+// (dagtrace.Record), and no cache key or file layout depends on it. Its
+// one remaining user is bench/schedperf's traced cell path, which still
+// records live under it; such a recording replays identically.
 const FullRecordSched = "sb"
 
 // FullCellReport is the outcome of one full-scale cell.
@@ -122,43 +120,37 @@ type FullCellReport struct {
 // full-scale cell run.
 type fullCellOpts struct {
 	linksUsed int                   // 0 = all machine links
-	cache     *dagtrace.StreamCache // nil = private temp-dir cache
+	cache     *dagtrace.StreamCache // the directory cache to record into (see fileTraces)
 	budget    *dagtrace.Budget      // shared window budget (nil = per-stream only)
 	unsharded bool                  // also replay unsharded on the full machine
 	window    int64                 // decoder window override (0 = r.ReplayWindow)
 	degraded  bool                  // mark the report as degraded-mode execution
 }
 
-// framedKey is the grid cache identity of a kernel's framed recording:
-// the schedule-independent computation key (same discipline as traceKey
-// — scheduler, bandwidth and cost are absent) plus the FullRecordSched
-// tag that every existing file's key carries.
-func (r *Runner) framedKey(kernel string, m *machine.Desc) string {
-	return r.traceKey(Cell{Label: kernel, Machine: m}, r.P.Seed) + "|framed:rec=" + FullRecordSched
-}
-
-// diskTraces returns r.Traces when it keeps its recordings as files —
-// the only form the full-scale paths can share — and nil otherwise.
-func (r *Runner) diskTraces() *dagtrace.StreamCache {
-	if r.Traces == nil || r.Traces.Dir() == "" {
-		return nil
+// fileTraces returns the directory cache a full-scale run records into,
+// since its recordings must be files: r.Traces when it has a directory,
+// else one over runDir/traces when runDir is set (so a resumed or retried
+// run adopts its recordings), else one over a fresh temp directory.
+// cleanup removes that temp directory; otherwise it does nothing.
+func (r *Runner) fileTraces(runDir string) (cache *dagtrace.StreamCache, cleanup func(), err error) {
+	cleanup = func() {}
+	switch {
+	case r.Traces != nil && r.Traces.Dir() != "":
+		return r.Traces, cleanup, nil
+	case runDir != "":
+		cache, err = dagtrace.NewStreamCache(filepath.Join(runDir, "traces"))
+		return cache, cleanup, err
 	}
-	return r.Traces
-}
-
-// privateTraces returns a trace cache over a fresh temp directory and the
-// function that removes it.
-func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
-	dir, err := os.MkdirTemp("", pattern)
+	dir, err := os.MkdirTemp("", "fullscale-")
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := dagtrace.NewStreamCache(dir)
-	if err != nil {
-		os.RemoveAll(dir)
+	cleanup = func() { os.RemoveAll(dir) }
+	if cache, err = dagtrace.NewStreamCache(dir); err != nil {
+		cleanup()
 		return nil, nil, err
 	}
-	return c, func() { os.RemoveAll(dir) }, nil
+	return cache, cleanup, nil
 }
 
 // FullCell runs one full-scale grid cell end to end: record the kernel
@@ -167,14 +159,20 @@ func privateTraces(pattern string) (*dagtrace.StreamCache, func(), error) {
 // replay it unsharded on the full machine, then partition it and replay
 // it sharded over the machine's sockets on r.Shards host goroutines. The
 // sharded fingerprint it reports is invariant under r.Shards; the
-// driver's fullscale-smoke CI job pins that by diffing two runs. When
-// r.Traces has a directory the recording resolves through it — reused if
-// already there — instead of a private temp file.
+// fullscale-smoke CI job pins that by diffing two runs. When r.Traces has
+// a directory the recording resolves through it, under the key a RunGrid
+// cell of the same kernel uses, so a recording already there is reused;
+// otherwise it goes to a temp directory removed on return.
 func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
 	if _, err := r.fullGridCells([]string{kernel}, []string{schedName}, nil); err != nil {
 		return nil, err
 	}
-	return r.fullCell(kernel, schedName, fullCellOpts{cache: r.diskTraces(), unsharded: true})
+	cache, cleanup, err := r.fileTraces("")
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	return r.fullCell(kernel, schedName, fullCellOpts{cache: cache, unsharded: true})
 }
 
 // fullCell runs one full-scale cell, validated by fullGridCells, with the
@@ -199,20 +197,10 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		LinksUsed: c.LinksUsed, Shards: r.Shards, Window: window, Degraded: o.degraded,
 	}
 
-	// Stage 1: resolve the framed recording through the shared grid cache
-	// (one recording per kernel key, whoever gets there first) or a
-	// private one. Either way the recording streams into its file, so no
-	// op arena is ever built.
-	cache := o.cache
-	if cache == nil {
-		private, cleanup, err := privateTraces("fullscale-")
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		cache = private
-	}
-	rec, err := r.record(cache, r.framedKey(kernel, m), c, seed)
+	// Stage 1: resolve the framed recording through the directory cache
+	// (one recording per kernel key, whoever gets there first). It
+	// streams into its file, so no op region is ever held in memory.
+	rec, err := r.record(o.cache, r.traceKey(c, seed), c, seed)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale record: %w", err)
 	}

@@ -3,6 +3,8 @@ package exp
 import (
 	"io"
 	"testing"
+
+	"repro/internal/dagtrace"
 )
 
 // TestFullScaleProfiles pins the scale arithmetic: x64 is Paper, and x1
@@ -82,5 +84,66 @@ func TestFullCellRejectsUnknownNames(t *testing.T) {
 	}
 	if _, err := r.FullCell("Quicksort", "nosuchsched"); err == nil {
 		t.Error("unknown scheduler accepted")
+	}
+}
+
+// TestFullCellSharesGridRecording: a full-scale cell keys its recording
+// as a RunGrid cell of the same kernel does, so over a directory cache a
+// figure grid has filled, FullCell records nothing and replays the
+// grid's file.
+func TestFullCellSharesGridRecording(t *testing.T) {
+	p := Quick()
+	p.Reps = 1
+	cache, err := dagtrace.NewStreamCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(p, io.Discard)
+	r.Traces = cache
+	m := p.MachineHT()
+	if _, err := r.RunGrid([]Cell{{Label: "RRM", Scheduler: "sb", Machine: m, LinksUsed: m.Links, MakeK: p.RRMFactory()}}); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	if before.Misses != 1 {
+		t.Fatalf("grid cache stats %+v, want the grid to record once", before)
+	}
+	rep, err := r.FullCell("RRM", "sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.RecordShared || rep.RecordSec != 0 || rep.WriteSec != 0 {
+		t.Errorf("FullCell recorded (shared=%v record=%.3fs write=%.3fs), want the grid's recording reused",
+			rep.RecordShared, rep.RecordSec, rep.WriteSec)
+	}
+	if s := cache.Stats(); s.Misses != before.Misses || s.Hits != before.Hits+1 {
+		t.Errorf("cache stats %+v after FullCell, %+v before: want one more hit and no new miss", s, before)
+	}
+}
+
+// TestPageSizeRule pins the one placement page-size rule
+// (machine.Desc.PageSize) on the machines whose recordings the
+// experiments key: every profile's machine gets 2 MB divided like its
+// caches, floored at 4 KB, and so does every Fig. 7 topology at that
+// scale. Trace keys carry the page size, so a change here re-keys every
+// recording.
+func TestPageSizeRule(t *testing.T) {
+	profiles := []Profile{Quick(), Paper()}
+	for div := int64(1); div <= 64; div *= 2 {
+		profiles = append(profiles, FullScale(div))
+	}
+	for _, p := range profiles {
+		want := max(int64(2<<20)/p.MachineScale, 4<<10)
+		if got := p.PageSize(); got != want {
+			t.Errorf("%s: page size %d, want %d", p.Name, got, want)
+		}
+		for _, tp := range []struct {
+			cps int
+			ht  bool
+		}{{1, false}, {2, false}, {4, false}, {8, false}, {8, true}} {
+			if got := p.MachineVariant(tp.cps, tp.ht).PageSize(); got != want {
+				t.Errorf("%s: 4x%d (ht=%v) page size %d, want %d", p.Name, tp.cps, tp.ht, got, want)
+			}
+		}
 	}
 }

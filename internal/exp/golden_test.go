@@ -157,7 +157,7 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // recordMem records root sequentially into memory.
-func recordMem(root job.Job, block int64) (*dagtrace.Trace, error) {
+func recordMem(root job.Job, block int64) (*dagtrace.StreamTrace, error) {
 	rec := dagtrace.NewRecorder()
 	if err := dagtrace.Record(rec, root, block); err != nil {
 		return nil, err
@@ -263,17 +263,16 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				}
 				return liveFP[sc]
 			}
-			// check requires every replay of tr to match the live run, and
-			// rerecord's capture of a replay to reproduce tr.
-			check := func(how string, tr *dagtrace.Trace, rerecord func(*dagtrace.StreamTrace) *dagtrace.Trace) {
+			// check requires every replay of st to match the live run, and
+			// rerecord's capture of a replay to reproduce st.
+			check := func(how string, st *dagtrace.StreamTrace, rerecord func(*dagtrace.StreamTrace) *dagtrace.StreamTrace) {
 				t.Helper()
-				st := dagtrace.Resident(tr)
 				for _, sc := range schedulers {
 					if replay(t, st, sc, nil).Fingerprint() != liveOf(sc) {
 						t.Errorf("%s recorded %s: %s replay fingerprint differs from live", k.name, how, sc)
 					}
 				}
-				if fingerprint(t, st) != fingerprint(t, dagtrace.Resident(rerecord(st))) {
+				if fingerprint(t, st) != fingerprint(t, rerecord(st)) {
 					t.Errorf("%s: re-recording a replay %s does not reproduce the trace", k.name, how)
 				}
 			}
@@ -287,7 +286,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 			if err := kern.Verify(); err != nil {
 				t.Fatalf("sequential recording: verify: %v", err)
 			}
-			check("sequentially", tr, func(st *dagtrace.StreamTrace) *dagtrace.Trace {
+			check("sequentially", tr, func(st *dagtrace.StreamTrace) *dagtrace.StreamTrace {
 				tr2, err := recordMem(st.Root(), m.Block())
 				if err != nil {
 					t.Fatalf("re-recording a replay sequentially: %v", err)
@@ -305,7 +304,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				if recRes.Fingerprint() != liveOf(rs) {
 					t.Fatalf("recording run under %s diverged from plain live run", rs)
 				}
-				check("under "+rs, tr, func(st *dagtrace.StreamTrace) *dagtrace.Trace {
+				check("under "+rs, tr, func(st *dagtrace.StreamTrace) *dagtrace.StreamTrace {
 					rec2 := dagtrace.NewRecorder()
 					replay(t, st, rs, rec2)
 					tr2, err := rec2.Finish()

@@ -109,15 +109,11 @@ func Quick() Profile {
 }
 
 // PageSize returns the hugepage (link-placement) granularity at the
-// profile's scale: 2MB divided like the caches, clamped to 4KB, so scaled
-// inputs spread over DRAM links like the paper's inputs over hugepages.
-func (p Profile) PageSize() int64 {
-	ps := int64(2<<20) / p.MachineScale
-	if ps < 4096 {
-		ps = 4096
-	}
-	return ps
-}
+// profile's scale: that of its machine (machine.Desc.PageSize), 2MB
+// divided like the caches down to 4KB, so scaled inputs spread over DRAM
+// links like the paper's inputs over hugepages. Every Fig. 7 topology has
+// the same L3 and so the same page size.
+func (p Profile) PageSize() int64 { return p.MachineHT().PageSize() }
 
 // MachineHT returns the scaled 64-hyperthread Xeon used by Figs. 5, 6, 8,
 // 9 and 10.

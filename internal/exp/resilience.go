@@ -29,11 +29,10 @@ type ResilienceConfig struct {
 	// Intensities are scenario intensities in (0,100]; nil means
 	// {25, 50, 100}. (Intensity 0 is implicitly the baseline column.)
 	Intensities []int
-	// Kernel labels the workload; MakeK builds it. Required.
+	// Kernel labels the workload; MakeK builds it. Required. It runs in
+	// an address space paged at Machine.PageSize().
 	Kernel string
 	MakeK  KernelFactory
-	// PageSize is the link-placement granularity of the address space.
-	PageSize int64
 	// Seed drives the kernel, the scheduler and the fault-plan generators.
 	Seed uint64
 }
@@ -99,12 +98,8 @@ func ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
 	if len(intensities) == 0 {
 		intensities = []int{25, 50, 100}
 	}
-	if cfg.PageSize <= 0 {
-		return nil, fmt.Errorf("exp: resilience sweep requires a positive PageSize")
-	}
-
 	runOne := func(sc string, plan *fault.Plan) (*sim.Result, *strandLatencies, error) {
-		sp := mem.NewSpacePaged(cfg.Machine.Links, cfg.Machine.Links, cfg.PageSize)
+		sp := mem.NewSpacePaged(cfg.Machine.Links, cfg.Machine.Links, cfg.Machine.PageSize())
 		kern := cfg.MakeK(sp, cfg.Machine, cfg.Seed)
 		lat := &strandLatencies{}
 		res, err := sim.Run(sim.Config{
@@ -220,7 +215,6 @@ func (r *Runner) Resilience() ([]ResiliencePoint, error) {
 		Schedulers: []string{"ws", "pws", "sb", "sbd"},
 		Kernel:     "rrm",
 		MakeK:      p.RRMFactory(),
-		PageSize:   p.PageSize(),
 		Seed:       p.Seed,
 	}
 	points, err := ResilienceSweep(cfg)

@@ -180,7 +180,6 @@ func TestResilienceSweepCSV(t *testing.T) {
 		Intensities: []int{50},
 		Kernel:      "rrm",
 		MakeK:       p.RRMFactory(),
-		PageSize:    p.PageSize(),
 		Seed:        p.Seed,
 	})
 	if err != nil {

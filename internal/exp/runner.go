@@ -40,8 +40,9 @@ type Cell struct {
 	// TraceID overrides Label as the trace-cache identity of the cell's
 	// computation. Sweeps that vary only a scheduler or cost parameter
 	// (Fig. 10's σ, the µ and chunk ablations) bake the varied value into
-	// Label for display; setting one TraceID across those cells lets them
-	// share a single recording. Empty means Label identifies the kernel.
+	// Label for display; setting TraceID to the kernel's name — the Label
+	// its Fig. 5 or Fig. 8 cells carry — lets them share one recording
+	// with those figures. Empty means Label identifies the kernel.
 	TraceID string
 }
 
@@ -84,7 +85,9 @@ type Runner struct {
 	// without re-running kernel closures. nil runs every RunGrid cell
 	// live. The full-scale paths (FullCell, FullGridRun) share recordings
 	// through it only when it has a directory, because their recordings
-	// must be files; otherwise they use a cache of their own.
+	// must be files; otherwise they use a cache of their own (fileTraces).
+	// Every path keys a recording with traceKey, so a directory cache
+	// serves figure grids and full-scale cells alike.
 	Traces *dagtrace.StreamCache
 	// Shards is the host-goroutine count for sharded full-scale replays
 	// (FullCell); it never changes results, only how many cores the fixed

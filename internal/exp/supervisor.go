@@ -102,16 +102,16 @@ type GridCellFailure struct {
 	Error    string // last attempt's error
 }
 
-// gridCellKey is a cell's inputs-fingerprint for the journal: the framed
-// recording's computation key (kernel, scale, seed, machine geometry,
-// canonical recording scheduler) plus the replay knobs that determine
-// simulated results — the scheduler under test and the bandwidth.
+// gridCellKey is a cell's inputs-fingerprint for the journal: the
+// recording's computation key (traceKey: kernel, scale, seed, machine
+// geometry) plus the replay knobs that determine simulated results — the
+// scheduler under test and the bandwidth.
 // Worker count, shard count, window and budget are deliberately absent:
 // results are pinned invariant under them (TestFullGridEquivalence and
 // the degraded-mode test), which is exactly what lets a resumed process
 // run with different host settings and still match bit-for-bit.
 func (r *Runner) gridCellKey(c GridCell, m *machine.Desc) string {
-	return fmt.Sprintf("%s|cell:sched=%s,links=%d", r.framedKey(c.Kernel, m), c.Scheduler, c.LinksUsed)
+	return fmt.Sprintf("%s|cell:sched=%s,links=%d", r.traceKey(Cell{Label: c.Kernel, Machine: m}, r.P.Seed), c.Scheduler, c.LinksUsed)
 }
 
 func cellID(c GridCell) runlog.CellID {
@@ -216,7 +216,7 @@ func (s *gridSupervisor) runCell(c GridCell, key string, priorAttempts int) (*Fu
 		if a < attempts && s.cache != nil {
 			// The recording this cell replayed may itself be the problem;
 			// evict it so the retry re-records from scratch.
-			if s.cache.Quarantine(s.r.framedKey(c.Kernel, s.m)) {
+			if s.cache.Quarantine(s.r.traceKey(Cell{Label: c.Kernel, Machine: s.m}, s.r.P.Seed)) {
 				s.quarantines.Add(1)
 				quarantined = true
 			}

@@ -70,8 +70,8 @@ type recorded struct {
 	// recordSec and writeSec are then zero. recordSec is the host seconds
 	// of recording and verifying — for a directory cache, writing the op
 	// frames as the strands finish included — and writeSec those of Fill:
-	// checking the structure and completing the file (metadata block,
-	// rename) or building the resident view.
+	// checking the structure, then completing the file (metadata block,
+	// rename) or publishing the recording held in memory.
 	shared              bool
 	recordSec, writeSec float64
 }

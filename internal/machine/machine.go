@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"repro/internal/mem"
 )
 
 // Level describes one layer of the hierarchy. Levels[0] is always the main
@@ -111,6 +113,20 @@ func (d *Desc) SocketOf(leaf int) int { return d.NodeOf(1, leaf) }
 
 // Block returns the innermost cache-line size, the B used for task sizes.
 func (d *Desc) Block() int64 { return d.Levels[len(d.Levels)-1].BlockSize }
+
+// PageSize returns the DRAM-link placement page size of d: the smallest
+// power of two from 4 KB up whose twelve pages cover an outermost cache
+// (Levels[1]), capped at the 2 MB hugepage (mem.PageSize). The full-size
+// Xeon 7560's 24 MB L3 gets 2 MB hugepages, and a copy scaled down by s
+// gets pages s times smaller, so scaled inputs spread over the DRAM links
+// as the paper's inputs spread over hugepages.
+func (d *Desc) PageSize() int64 {
+	ps := int64(4 << 10)
+	for ps < mem.PageSize && 12*ps < d.Levels[1].Size {
+		ps <<= 1
+	}
+	return ps
+}
 
 // Validate checks the structural invariants of the description.
 func (d *Desc) Validate() error {

@@ -34,8 +34,10 @@ import (
 
 // Version is the journal format version written to manifests. Open
 // rejects other versions — the format is append-only per version, never
-// silently migrated.
-const Version = 1
+// silently migrated. Version 2 changed the cell keys (a full-scale cell's
+// recording is keyed like any other cell's), so a version 1 journal is
+// refused rather than re-running every cell as if its keys were stale.
+const Version = 2
 
 const (
 	manifestName = "manifest.json"

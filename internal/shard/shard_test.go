@@ -29,7 +29,7 @@ func shardProgram(sp *mem.Space) job.Job {
 
 // recordParts records shardProgram live on m and partitions its trace
 // into k pieces.
-func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root) {
+func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.StreamTrace, []Root) {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
 	rec := dagtrace.NewRecorder()
@@ -46,9 +46,9 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 }
 
 // partRoots partitions tr into k pieces and returns them as replay roots.
-func partRoots(t *testing.T, tr *dagtrace.Trace, k int) []Root {
+func partRoots(t *testing.T, tr *dagtrace.StreamTrace, k int) []Root {
 	t.Helper()
-	p, err := dagtrace.PartitionStream(dagtrace.Resident(tr), k)
+	p, err := dagtrace.PartitionStream(tr, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestShardedReplayIgnoresNodeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := func(tr *dagtrace.Trace) string {
-		s, err := dagtrace.Resident(tr).Fingerprint()
+	fp := func(tr *dagtrace.StreamTrace) string {
+		s, err := tr.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,12 +116,11 @@ type (
 )
 
 // NewSpace creates an address space for a machine, using linksUsed of its
-// DRAM links (the bandwidth knob; pass m.Links for full bandwidth).
+// DRAM links (the bandwidth knob; 0 or m.Links for full bandwidth), paged
+// at the machine's placement page size (Machine.PageSize) as a Session's
+// runs are.
 func NewSpace(m *Machine, linksUsed int) *Space {
-	if linksUsed <= 0 {
-		linksUsed = m.Links
-	}
-	return mem.NewSpace(m.Links, linksUsed)
+	return core.SpaceFor(m, linksUsed, 0)
 }
 
 // Schedulers (§4).
