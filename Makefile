@@ -211,9 +211,10 @@ fullgrid-resume-smoke:
 # accepts exactly one -fuzz pattern per invocation, hence one run per
 # target): the opcode varint codecs, the framed-trace stream decoder, the
 # //schedlint: directive parser (malformed directives must parse into
-# findings, never panic or silently grant exemptions), and the cache model
-# against its stamp-LRU reference on fuzzed access streams. Corpus additions
-# land under <pkg>/testdata/fuzz/.
+# findings, never panic or silently grant exemptions), the cache model
+# against its stamp-LRU reference on fuzzed access streams, and the
+# RunScript replay loop against per-op Access on fuzzed op streams and
+# chunk budgets. Corpus additions land under <pkg>/testdata/fuzz/.
 fuzz:
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzUvarintRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzUvarintDecode$$' -fuzztime 5s
@@ -222,6 +223,7 @@ fuzz:
 	$(GO) test ./internal/runlog/ -run '^$$' -fuzz '^FuzzRunlogDecode$$' -fuzztime 5s
 	$(GO) test ./internal/lint/analysis/ -run '^$$' -fuzz '^FuzzDirective$$' -fuzztime 5s
 	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzAccessMatchesReference$$' -fuzztime 5s
+	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzRunScriptMatchesAccess$$' -fuzztime 5s
 
 # check is the full pre-push gate: everything CI enforces that can run
 # offline (staticcheck and govulncheck need their pinned tools installed;

@@ -58,8 +58,31 @@ func TestRunScriptZeroAllocs(t *testing.T) {
 	}
 	runScripted(h, 0, ops, 1<<40)
 	if n := testing.AllocsPerRun(50, func() {
-		h.RunScript(0, ops, 0, int64(len(ops)), 0, 1<<40)
+		h.RunScript(0, ops, 0, int64(len(ops)), 0, 0, 1<<40)
 	}); n != 0 {
 		t.Errorf("RunScript allocates %.1f per run, want 0", n)
+	}
+
+	// Sixteen writes to lines that share one set at every level (L3 has
+	// 49152 sets: a 3 MB stride): an 8-way set cycled through 16 lines
+	// misses every time, so every run takes the outer walk to DRAM and
+	// writes back dirty victims.
+	ops, prev = ops[:0], 0
+	for i := int64(0); i < 16; i++ {
+		a := mem.PageSize + i*49152*64
+		ops = opcode.AppendUvarint(ops, opcode.Zigzag(a-prev)<<opcode.TagBits|opcode.Write)
+		prev = a
+	}
+	runScripted(h, 0, ops, 1<<40)
+	misses := h.MissesAt(1)
+	clock := int64(0)
+	if n := testing.AllocsPerRun(50, func() {
+		_, _, spent := h.RunScript(0, ops, 0, int64(len(ops)), 0, clock, 1<<40)
+		clock += spent
+	}); n != 0 {
+		t.Errorf("RunScript with misses allocates %.1f per run, want 0", n)
+	}
+	if got := h.MissesAt(1) - misses; got != 51*16 {
+		t.Errorf("%d L3 misses over 51 runs, want every access to miss (%d)", got, 51*16)
 	}
 }

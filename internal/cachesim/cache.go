@@ -46,10 +46,15 @@ func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
 // Cache is one set-associative LRU cache.
 //
 // Every set keeps its ways in recency order: way 0 holds the most recently
-// used line, the valid lines follow in LRU order, and invalid ways (tag 0)
+// used line, the valid lines follow in LRU order, and invalid ways (word 0)
 // sit at the tail. A hit moves its line to the front; a fill evicts the
 // last way and inserts at the front. The LRU line is therefore always the
 // last way, and no per-way timestamps are needed.
+//
+// A way is one word: (line+1)<<1 | dirty. The dirty bit marks a written
+// line (write-back accounting at the outermost level) and moves with its
+// line for free; an invalid way is 0, so it is never dirty. The word holds
+// every line below 2^63-1.
 type Cache struct {
 	// Level is the machine level (1 = outermost cache, e.g. L3).
 	Level int
@@ -65,12 +70,9 @@ type Cache struct {
 	setMask uint64
 	setPow2 bool
 	setMul  uint64
-	// tags holds line+1 per way (0 = invalid), indexed set*assoc+way, each
+	// ways holds one word per way (see above), indexed set*assoc+way, each
 	// set in recency order.
-	tags []uint64
-	// dirty marks written lines (write-back accounting at the outermost
-	// level). It moves with its tag; invalid ways are never dirty.
-	dirty []bool
+	ways []uint64
 
 	// Stats accumulates hit/miss counters; read via the Hierarchy helpers
 	// or directly in tests.
@@ -100,11 +102,11 @@ func cacheGeom(size, block int64) (sets, assoc int) {
 	return sets, assoc
 }
 
-// init fills in a zero Cache. The tags/dirty slices are carved out of
-// shared backing arrays by the Hierarchy constructor (one allocation per
-// array for the whole tree instead of two per cache); standalone
-// construction via newCache allocates them directly.
-func (c *Cache) init(level, id int, size, block int64, tags []uint64, dirty []bool) {
+// init fills in a zero Cache. The ways slice is carved out of one shared
+// backing array by the Hierarchy constructor (one allocation for the whole
+// tree instead of one per cache); standalone construction via newCache
+// allocates it directly.
+func (c *Cache) init(level, id int, size, block int64, ways []uint64) {
 	sets, assoc := cacheGeom(size, block)
 	*c = Cache{
 		Level:      level,
@@ -115,8 +117,7 @@ func (c *Cache) init(level, id int, size, block int64, tags []uint64, dirty []bo
 		setMask:    uint64(sets - 1),
 		setPow2:    sets&(sets-1) == 0,
 		setMul:     ^uint64(0)/uint64(sets) + 1,
-		tags:       tags,
-		dirty:      dirty,
+		ways:       ways,
 	}
 }
 
@@ -124,7 +125,7 @@ func newCache(level, id int, size, block int64) *Cache {
 	sets, assoc := cacheGeom(size, block)
 	ways := sets * assoc
 	c := new(Cache)
-	c.init(level, id, size, block, make([]uint64, ways), make([]bool, ways))
+	c.init(level, id, size, block, make([]uint64, ways))
 	return c
 }
 
@@ -133,8 +134,19 @@ func (c *Cache) Lines() int { return c.sets * c.assoc }
 
 func (c *Cache) line(a mem.Addr) uint64 { return uint64(a) >> c.blockShift }
 
-// addr returns the address of the line a tag names.
-func (c *Cache) addr(tag uint64) mem.Addr { return mem.Addr(tag-1) << c.blockShift }
+// key returns the clean way word of line ln.
+func key(ln uint64) uint64 { return ln<<1 + 2 }
+
+// dirtyBit returns a way word's dirty bit for a write flag.
+func dirtyBit(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return 0
+}
+
+// addr returns the address of the line a valid way word names.
+func (c *Cache) addr(word uint64) mem.Addr { return mem.Addr(word>>1-1) << c.blockShift }
 
 // setBase returns the first way index of the set holding line ln. For a
 // non-power-of-two set count and ln < 2^32 it computes ln mod sets as the
@@ -157,14 +169,15 @@ func (c *Cache) setBase(ln uint64) int {
 
 // find scans ln's set from its MRU end and returns the set's first way
 // index plus ln's position within the set, or -1 if it is not resident.
+// A way matches when its word, with the dirty bit shifted out, is ln+1.
 // It changes no state.
 //
 //schedlint:hotpath
 func (c *Cache) find(ln uint64) (base, way int) {
 	base = c.setBase(ln)
 	tag := ln + 1
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == tag {
+	for i, w := range c.ways[base : base+c.assoc] {
+		if w>>1 == tag {
 			return base, i
 		}
 	}
@@ -177,31 +190,30 @@ func (c *Cache) find(ln uint64) (base, way int) {
 //schedlint:hotpath
 func (c *Cache) touch(base, way int, dirty bool) {
 	w := base + way
-	d := c.dirty[w] || dirty
-	if way > 0 { // way 0 is already the MRU line
-		t := c.tags[w]
-		for ; w > base; w-- {
-			c.tags[w], c.dirty[w] = c.tags[w-1], c.dirty[w-1]
-		}
-		c.tags[base] = t
+	t := c.ways[w] | dirtyBit(dirty)
+	for ; w > base; w-- { // way 0 is already the MRU line
+		c.ways[w] = c.ways[w-1]
 	}
-	c.dirty[base] = d
+	c.ways[base] = t
 }
 
 // fill installs line ln (not resident) as the MRU line of the set at base,
-// evicting the set's LRU way. It returns the evicted tag (0 if the way was
-// invalid) and its dirty bit, so the hierarchy can account the write-back.
+// evicting the set's LRU way. It returns the evicted way's word (0 if the
+// way was invalid; bit 0 is its dirty bit), so the hierarchy can account
+// the write-back.
 //
 //schedlint:hotpath
-func (c *Cache) fill(base int, ln uint64, dirty bool) (evicted uint64, evictedDirty bool) {
-	last := c.assoc - 1
-	evicted, evictedDirty = c.tags[base+last], c.dirty[base+last]
+func (c *Cache) fill(base int, ln uint64, dirty bool) (evicted uint64) {
+	w := base + c.assoc - 1
+	evicted = c.ways[w]
 	if evicted != 0 {
 		c.Stats.Evictions++
 	}
-	c.tags[base+last], c.dirty[base+last] = ln+1, dirty
-	c.touch(base, last, false)
-	return evicted, evictedDirty
+	for ; w > base; w-- {
+		c.ways[w] = c.ways[w-1]
+	}
+	c.ways[base] = key(ln) | dirtyBit(dirty)
+	return evicted
 }
 
 // invalidate removes line ln if resident (exclusive hierarchies move lines
@@ -212,11 +224,10 @@ func (c *Cache) invalidate(ln uint64) (wasDirty bool) {
 	if way < 0 {
 		return false
 	}
-	wasDirty = c.dirty[base+way]
+	wasDirty = c.ways[base+way]&1 != 0
 	last := base + c.assoc - 1
-	copy(c.tags[base+way:last], c.tags[base+way+1:last+1])
-	copy(c.dirty[base+way:last], c.dirty[base+way+1:last+1])
-	c.tags[last], c.dirty[last] = 0, false
+	copy(c.ways[base+way:last], c.ways[base+way+1:last+1])
+	c.ways[last] = 0
 	return wasDirty
 }
 
@@ -232,8 +243,7 @@ func (c *Cache) Reset() {
 // written back, matching a co-tenant evicting them through its own traffic
 // whose bandwidth we do not account.
 func (c *Cache) Invalidate() {
-	clear(c.tags)
-	clear(c.dirty)
+	clear(c.ways)
 }
 
 // Hierarchy is the full tree of caches plus the DRAM links of one machine.
@@ -283,10 +293,10 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		lineService: desc.LineService,
 	}
 	// Count caches and ways first, then carve every cache struct and its
-	// tag/dirty arrays out of three shared backings: the whole tree costs a
-	// constant number of allocations, not two per cache. Each carve is
-	// staggered by a growing multiple of stagger entries: sibling tag
-	// arrays are power-of-two sized (a 32KB/64B L1 is exactly 4KB of tags),
+	// way array out of two shared backings: the whole tree costs a
+	// constant number of allocations, not one per cache. Each carve is
+	// staggered by a growing multiple of stagger entries: sibling way
+	// arrays are power-of-two sized (a 32KB/64B L1 is exactly 4KB of ways),
 	// and packing them back to back makes the same probe set of every
 	// sibling alias to the same host cache set — a measured ~9% slowdown
 	// on random-access probes before the stagger.
@@ -299,8 +309,7 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		totalWays += desc.NodesAt(lvl) * sets * assoc
 	}
 	structs := make([]Cache, totalCaches)
-	tags := make([]uint64, totalWays+stagger*totalCaches)
-	dirty := make([]bool, totalWays+stagger*totalCaches)
+	backing := make([]uint64, totalWays+stagger*totalCaches)
 	ci, wi := 0, 0
 	for lvl := 1; lvl < nl; lvl++ {
 		n := desc.NodesAt(lvl)
@@ -310,8 +319,7 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 			ci++
 			sets, assoc := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
 			ways := sets * assoc
-			c.init(lvl, id, desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize,
-				tags[wi:wi+ways:wi+ways], dirty[wi:wi+ways:wi+ways])
+			c.init(lvl, id, desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize, backing[wi:wi+ways:wi+ways])
 			wi += ways + stagger
 			h.levels[lvl][id] = c
 		}
@@ -355,71 +363,90 @@ func (h *Hierarchy) Caches(level int) []*Cache { return h.levels[level] }
 //
 //schedlint:hotpath
 func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost int64, servedLevel int) {
-	nl := h.nl
-	path := h.paths[leaf]
-	inner := nl - 1
-	c := path[inner]
-	if base, way := c.find(c.line(a)); way >= 0 {
-		// Innermost hit, the common case: nothing to fill on any
-		// hierarchy, so return before the outer-level walk.
-		c.touch(base, way, write)
-		c.Stats.Hits++
-		if write && inner > 1 {
-			h.markDirtyOuter(leaf, a)
-		}
-		return h.hitCost[inner], inner
+	inner := h.nl - 1
+	c := h.paths[leaf][inner]
+	base, way := c.find(c.line(a))
+	if way < 0 {
+		return h.miss(leaf, now, a, write, base)
 	}
+	// Innermost hit, the common case: nothing to fill on any hierarchy.
+	c.touch(base, way, write)
+	c.Stats.Hits++
+	if write && inner > 1 {
+		h.markDirtyOuter(leaf, a)
+	}
+	return h.hitCost[inner], inner
+}
+
+// miss is the outer walk of an access that missed leaf's innermost cache,
+// whose probe found a's set at base: it probes the outer levels innermost
+// first, queues a DRAM access if every level misses, and fills. Access and
+// RunScript both call it after their own innermost probe, so a miss scans
+// the innermost set once.
+//
+// An inclusive fill installs the line in every level that missed. A level
+// below the outermost is filled right after its probe misses, reusing the
+// set base that the probe found: the fill touches only that cache, so its
+// place in the walk changes nothing another level sees. The outermost
+// fill waits until a DRAM access has taken its link slot, because the
+// write-back of its dirty victim queues on a link too. A non-inclusive
+// hierarchy fills nothing during the walk and moves the line in with
+// exclusiveFill at its end.
+//
+//schedlint:hotpath
+func (h *Hierarchy) miss(leaf int, now int64, a mem.Addr, write bool, base int) (cost int64, served int) {
+	path := h.paths[leaf]
+	exclusive := h.Desc.NonInclusive
+	lvl := h.nl - 1
+	c := path[lvl]
 	c.Stats.Misses++
-	served := 0
-	for lvl := inner - 1; lvl >= 1; lvl-- {
-		c := path[lvl]
-		if base, way := c.find(c.line(a)); way >= 0 {
+	ln := c.line(a)
+	for lvl > 1 {
+		if !exclusive {
+			c.fill(base, ln, write)
+		}
+		lvl--
+		c = path[lvl]
+		ln = c.line(a)
+		var way int
+		if base, way = c.find(ln); way >= 0 {
 			c.touch(base, way, write)
 			c.Stats.Hits++
-			served = lvl
-			break
+			if write && lvl > 1 {
+				// Propagate the dirty bit to the outermost resident copy
+				// so its eventual eviction is written back.
+				h.markDirtyOuter(leaf, a)
+			}
+			if exclusive {
+				h.exclusiveFill(leaf, now, a, write, lvl)
+			}
+			return h.hitCost[lvl], lvl
 		}
 		c.Stats.Misses++
 	}
-	if served == 0 {
-		// DRAM access: queue on the page's link.
-		link := h.space.LinkOf(a)
-		start := now
-		if h.linkFree[link] > start {
-			start = h.linkFree[link]
-		}
-		wait := start - now
-		h.linkFree[link] = start + h.lineService
-		h.DRAMAccesses++
-		h.StallCycles += wait
-		cost = wait + h.lineService + h.Desc.MemLatency
-		// NUMA: crossing to another socket's DRAM link pays the QPI +
-		// remote-link latency (§5.2), when links map 1:1 to sockets.
-		if h.numa && link != h.socket[leaf] {
-			cost += h.Desc.RemoteLatency
-			h.RemoteHits++
-		}
-	} else {
-		cost = h.hitCost[served]
-		if write && served > 1 {
-			// Propagate the dirty bit to the outermost resident copy so
-			// its eventual eviction is written back.
-			h.markDirtyOuter(leaf, a)
-		}
+	// DRAM access: queue on the page's link.
+	link := h.space.LinkOf(a)
+	start := now
+	if h.linkFree[link] > start {
+		start = h.linkFree[link]
 	}
-	if h.Desc.NonInclusive {
-		h.exclusiveFill(leaf, now, a, write, served)
-	} else {
-		// Inclusive fill of every level that missed.
-		for lvl := served + 1; lvl < nl; lvl++ {
-			c := path[lvl]
-			ln := c.line(a)
-			if ev, evDirty := c.fill(c.setBase(ln), ln, write); lvl == 1 && evDirty {
-				h.writeback(now, c.addr(ev))
-			}
-		}
+	wait := start - now
+	h.linkFree[link] = start + h.lineService
+	h.DRAMAccesses++
+	h.StallCycles += wait
+	cost = wait + h.lineService + h.Desc.MemLatency
+	// NUMA: crossing to another socket's DRAM link pays the QPI +
+	// remote-link latency (§5.2), when links map 1:1 to sockets.
+	if h.numa && link != h.socket[leaf] {
+		cost += h.Desc.RemoteLatency
+		h.RemoteHits++
 	}
-	return cost, served
+	if exclusive {
+		h.exclusiveFill(leaf, now, a, write, 0)
+	} else if ev := c.fill(base, ln, write); ev&1 != 0 {
+		h.writeback(now, c.addr(ev))
+	}
+	return cost, 0
 }
 
 // markDirtyOuter sets the dirty bit of a's line in leaf's outermost cache
@@ -429,7 +456,7 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 func (h *Hierarchy) markDirtyOuter(leaf int, a mem.Addr) {
 	c := h.paths[leaf][1]
 	if base, way := c.find(c.line(a)); way >= 0 {
-		c.dirty[base+way] = true
+		c.ways[base+way] |= 1
 	}
 }
 
@@ -455,9 +482,6 @@ func (h *Hierarchy) writeback(now int64, ev mem.Addr) {
 // dirty bits ORed — so no set ever holds a line twice.
 func (h *Hierarchy) exclusiveFill(leaf int, now int64, a mem.Addr, write bool, served int) {
 	inner := h.nl - 1
-	if served == inner {
-		return // already innermost; the probe updated LRU and dirty state
-	}
 	path := h.paths[leaf]
 	dirty := write
 	if served > 0 && path[served].invalidate(path[served].line(a)) {
@@ -472,17 +496,17 @@ func (h *Hierarchy) exclusiveFill(leaf int, now int64, a mem.Addr, write bool, s
 			c.touch(base, way, lineDirty)
 			return
 		}
-		ev, evDirty := c.fill(base, ln, lineDirty)
+		ev := c.fill(base, ln, lineDirty)
 		if ev == 0 {
 			return
 		}
 		if lvl == 1 {
-			if evDirty {
+			if ev&1 != 0 {
 				h.writeback(now, c.addr(ev))
 			}
 			return
 		}
-		lineAddr, lineDirty = c.addr(ev), evDirty
+		lineAddr, lineDirty = c.addr(ev), ev&1 != 0
 	}
 }
 

@@ -495,7 +495,7 @@ func TestSetBaseMatchesModulo(t *testing.T) {
 	rng := xrand.New(11)
 	for _, sets := range []int{2, 3, 5, 6, 7, 12, 96, 192, 768, 1000, 12288, 49152, 1<<20 - 1} {
 		var c Cache // setBase reads only the geometry: no way arrays needed
-		c.init(1, 0, int64(sets)*8*64, 64, nil, nil)
+		c.init(1, 0, int64(sets)*8*64, 64, nil)
 		if c.sets != sets {
 			t.Fatalf("geometry: %d sets, want %d", c.sets, sets)
 		}

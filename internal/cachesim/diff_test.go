@@ -28,6 +28,12 @@ func diffMachines() []diffMachine {
 	excl.NonInclusive = true
 	exclTwo := machine.TwoSocket(2, 1<<14, 1<<12)
 	exclTwo.NonInclusive = true
+	// Levels with different block sizes: an outermost line spanning two
+	// inner lines, and an innermost line spanning two outer lines.
+	wideL3 := machine.Scaled(machine.Xeon7560HT(), 256)
+	wideL3.Levels[1].BlockSize = 128
+	wideL1 := machine.Scaled(machine.Xeon7560HT(), 256)
+	wideL1.Levels[3].Size, wideL1.Levels[3].BlockSize = 1<<10, 128
 	return []diffMachine{
 		{"quick-xeon-ht", quick, mem.PageSize / 256},
 		{"paper-xeon-ht", paper, mem.PageSize / 64},
@@ -35,7 +41,16 @@ func diffMachines() []diffMachine {
 		{"flat", machine.Flat(4, 3<<12), 1 << 13},
 		{"exclusive-quick-xeon-ht", excl, mem.PageSize / 256},
 		{"exclusive-twosocket", exclTwo, 1 << 13},
+		{"quick-xeon-ht-128B-L3", wideL3, mem.PageSize / 256},
+		{"quick-xeon-ht-128B-L1", wideL1, mem.PageSize / 256},
 	}
+}
+
+// way decodes way i of c into the reference model's form: the tag is
+// line+1 (0 for an invalid way) and the dirty bit is bit 0 of the word.
+func (c *Cache) way(i int) (tag uint64, dirty bool) {
+	w := c.ways[i]
+	return w >> 1, w&1 != 0
 }
 
 // accessGen produces a seeded access stream that switches every few
@@ -117,9 +132,9 @@ func diffState(h *Hierarchy, r *refHierarchy) error {
 					if w < len(tags) {
 						tag, d = tags[w], dirty[w]
 					}
-					if got := c.tags[s*c.assoc+w]; got != tag || c.dirty[s*c.assoc+w] != d {
+					if got, gotDirty := c.way(s*c.assoc + w); got != tag || gotDirty != d {
 						return fmt.Errorf("L%d[%d] set %d way %d holds (%d, %v), reference LRU order has (%d, %v)",
-							lvl, id, s, w, got, c.dirty[s*c.assoc+w], tag, d)
+							lvl, id, s, w, got, gotDirty, tag, d)
 					}
 				}
 			}
@@ -133,8 +148,8 @@ func newPair(m diffMachine) (*Hierarchy, *refHierarchy) {
 		newRefHierarchy(m.d, mem.NewSpacePaged(m.d.Links, m.d.Links, m.page))
 }
 
-// TestAccessMatchesReference drives 1.2M seeded accesses, with random cache
-// flushes, through both models on six machines.
+// TestAccessMatchesReference drives 200k seeded accesses per machine, with
+// random cache flushes, through both models on every diffMachines entry.
 func TestAccessMatchesReference(t *testing.T) {
 	const accesses, checkEvery = 200_000, 25_000
 	for i, m := range diffMachines() {
@@ -165,44 +180,30 @@ func TestAccessMatchesReference(t *testing.T) {
 }
 
 // runScripted advances ops on h for leaf the way the engine's inline
-// interpreter does — RunScript runs, Access for each access RunScript
-// declines, a fresh budget at every exhaustion — and returns the summed
-// cost of work and accesses.
+// interpreter does — RunScript runs, a fresh budget at every exhaustion,
+// the clock advanced by every run's cycles — and returns the summed cost
+// of work and accesses.
 func runScripted(h *Hierarchy, leaf int, ops []byte, budget int64) (total int64) {
 	ip, end, prev := int64(0), int64(len(ops)), int64(0)
-	left := budget
 	for ip < end {
-		nip, nprev, spent, miss := h.RunScript(leaf, ops, ip, end, prev, left)
+		nip, nprev, spent := h.RunScript(leaf, ops, ip, end, prev, total, budget)
 		ip, prev = nip, nprev
 		total += spent
-		left -= spent
-		if left <= 0 {
-			left = budget
-			continue
-		}
-		if !miss {
-			continue
-		}
-		v, n := opcode.Uvarint(ops[ip:])
-		ip += int64(n)
-		u := v >> opcode.TagBits
-		prev += int64(u>>1) ^ -int64(u&1)
-		c, _ := h.Access(leaf, total, mem.Addr(prev), v&opcode.TagMask == opcode.Write)
-		total += c
-		left -= c
-		if left <= 0 {
-			left = budget
-		}
 	}
 	return total
 }
 
 // TestRunScriptMatchesReference replays one leaf's generated op stream
 // through RunScript at several chunk budgets and the same stream access by
-// access through the reference model.
+// access through the reference model, on every diffMachines entry.
 func TestRunScriptMatchesReference(t *testing.T) {
-	m := diffMachines()[0]
-	const leaf = 5
+	for _, m := range diffMachines() {
+		t.Run(m.name, func(t *testing.T) { runScriptMatchesReference(t, m) })
+	}
+}
+
+func runScriptMatchesReference(t *testing.T, m diffMachine) {
+	leaf := 5 % m.d.NumCores()
 	for _, budget := range []int64{1, 7, 64, 1 << 20} {
 		h, r := newPair(m)
 		g := newAccessGen(uint64(budget), m)
@@ -238,7 +239,10 @@ func TestRunScriptMatchesReference(t *testing.T) {
 // cascading into a shared cache that already holds their line must merge
 // into that copy, never install a second one in the same set.
 func TestExclusiveSetsHoldNoDuplicates(t *testing.T) {
-	for _, m := range diffMachines()[4:] {
+	for _, m := range diffMachines() {
+		if !m.d.NonInclusive {
+			continue
+		}
 		h, _ := newPair(m)
 		g := newAccessGen(7, m)
 		for n := 0; n < 50_000; n++ {
@@ -249,7 +253,11 @@ func TestExclusiveSetsHoldNoDuplicates(t *testing.T) {
 			for id, c := range h.levels[lvl] {
 				for s := 0; s < c.sets; s++ {
 					seen := map[uint64]bool{}
-					for _, tag := range c.tags[s*c.assoc : (s+1)*c.assoc] {
+					for w := s * c.assoc; w < (s+1)*c.assoc; w++ {
+						tag, dirty := c.way(w)
+						if tag == 0 && dirty {
+							t.Fatalf("%s: L%d[%d] set %d way %d is invalid but dirty", m.name, lvl, id, s, w-s*c.assoc)
+						}
 						if tag != 0 && seen[tag] {
 							t.Fatalf("%s: L%d[%d] set %d holds line %d twice", m.name, lvl, id, s, tag-1)
 						}

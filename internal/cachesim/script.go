@@ -6,54 +6,53 @@ import (
 )
 
 // RunScript is the replay fast path: it advances a recorded op stream
-// (see internal/dagtrace) for leaf, processing work charges and accesses
-// that hit the innermost cache, and hands control back the moment an
-// access misses the innermost cache (nip names that op, not yet consumed —
-// the caller routes it through the general Access walk) or the op just
-// processed drove budget to zero or below (the caller's chunk boundary).
-// Keeping the loop here, next to the cache state, is what the fast path
-// exists for: one call interprets a whole run of inner hits with no per-op
-// function-call overhead.
+// (see internal/dagtrace) for leaf, starting at simulated time now, until
+// the stream ends or the op just processed drove budget to zero or below
+// (the caller's chunk boundary). Keeping the loop here, next to the cache
+// state, is what the fast path exists for: one call interprets a whole run
+// of ops with no per-op function-call overhead.
 //
-// Every state transition matches Access op for op: an innermost hit is
-// found by scanning the set from its MRU end (recently used lines sit in
-// the first way or two), moves its line to the front, counts a hit and
-// propagates write dirt to the outermost resident copy; a work op only
-// spends cycles. The budget is decremented after each op exactly where
-// wctx.spend checks its chunk budget, so callers observe boundaries on the
-// same op as unscripted execution. The hit counter accumulates in a local
-// flushed before every return; nothing else can touch this cache while the
-// run is in progress (the engine serializes accesses, and the run's own
-// hits never evict).
+// Every state transition matches Access op for op. A work op only spends
+// cycles. An access probes the innermost cache; a hit moves its line to
+// the front, counts a hit and propagates write dirt to the outermost
+// resident copy, and a miss takes the outer walk (miss) at now plus the
+// cycles spent so far, from the set base that the probe found. The budget
+// is decremented after each op exactly where wctx.spend checks its chunk
+// budget, so callers observe boundaries on the same op as unscripted
+// execution. The innermost hit counter accumulates in a local flushed
+// before the return; the outer walk never reads it.
 //
-// miss reports why the run stopped: true means nip is an access that
-// misses the innermost cache, false means the budget ran out or the stream
-// ended.
+// A write hit skips the outermost dirty mark when it falls in the
+// outermost line that the call marked last and no miss walk ran since:
+// until the next miss only the call's own innermost hits touch the
+// caches, and a hit moves no outermost line, so that line's residency and
+// dirty bit are as the last mark left them. The memo is keyed by the
+// outermost level's line, not the innermost one, because levels may have
+// different block sizes.
 //
 //schedlint:hotpath
-func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64) (nip, nprev, spent int64, miss bool) {
+func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, now, budget int64) (nip, nprev, spent int64) {
+	path := h.paths[leaf]
 	inner := h.nl - 1
-	c := h.paths[leaf][inner]
+	c := path[inner]
 	shift := c.blockShift
 	hit := h.hitCost[inner]
 	markOuter := inner > 1
+	outerShift := path[1].blockShift
+	marked := ^uint64(0) // outermost line marked dirty last; none yet
 	var hits int64
 	for ip < end {
-		// Peek-decode the uvarint op: ip commits only once the op is
-		// known to be processable here.
 		v := uint64(ops[ip])
-		n := int64(1)
+		ip++
 		if v >= 0x80 {
 			v &= 0x7f
-			s := uint(7)
-			for {
-				b := ops[ip+n]
-				n++
+			for s := uint(7); ; s += 7 {
+				b := ops[ip]
+				ip++
 				v |= uint64(b&0x7f) << s
 				if b < 0x80 {
 					break
 				}
-				s += 7
 			}
 		}
 		var cost int64
@@ -61,28 +60,29 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 			cost = int64(v >> opcode.TagBits)
 		} else {
 			u := v >> opcode.TagBits
-			a := prev + (int64(u>>1) ^ -int64(u&1))
-			base, way := c.find(uint64(a) >> shift)
-			if way < 0 {
-				break
-			}
+			prev += int64(u>>1) ^ -int64(u&1)
 			write := tag == opcode.Write
-			c.touch(base, way, write)
-			hits++
-			if write && markOuter {
-				h.markDirtyOuter(leaf, mem.Addr(a))
+			if base, way := c.find(uint64(prev) >> shift); way >= 0 {
+				c.touch(base, way, write)
+				hits++
+				if write && markOuter {
+					if ol := uint64(prev) >> outerShift; ol != marked {
+						h.markDirtyOuter(leaf, mem.Addr(prev))
+						marked = ol
+					}
+				}
+				cost = hit
+			} else {
+				cost, _ = h.miss(leaf, now+spent, mem.Addr(prev), write, base)
+				marked = ^uint64(0)
 			}
-			prev = a
-			cost = hit
 		}
-		ip += n
 		spent += cost
 		budget -= cost
 		if budget <= 0 {
-			c.Stats.Hits += hits
-			return ip, prev, spent, false
+			break
 		}
 	}
 	c.Stats.Hits += hits
-	return ip, prev, spent, ip < end
+	return ip, prev, spent
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sync"
@@ -25,7 +24,7 @@ import (
 const DefaultWindowBytes = 16 << 20
 
 // VersionError reports a framed trace in another version of the format,
-// such as the v2 files of older builds: stale rather than corrupt.
+// such as the v3 files of older builds: stale rather than corrupt.
 type VersionError struct{ Version uint32 }
 
 func (e *VersionError) Error() string {
@@ -139,10 +138,7 @@ func newStream(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*StreamT
 		return nil, fmt.Errorf("dagtrace: framed trace metadata: %w", err)
 	}
 	body, sum := meta[:len(meta)-8], binary.LittleEndian.Uint64(meta[len(meta)-8:])
-	h := fnv.New64a()
-	h.Write(prefix[:])
-	h.Write(body)
-	if h.Sum64() != sum {
+	if checksum(prefix[:], body) != sum {
 		return nil, fmt.Errorf("dagtrace: framed-trace metadata checksum mismatch")
 	}
 	field := func(i int) uint64 { return binary.LittleEndian.Uint64(body[4+8*i:]) }
@@ -384,9 +380,7 @@ func (t *StreamTrace) readFrame(f int64, buf []byte) ([]byte, error) {
 	if _, err := t.r.ReadAt(data, prefixLen+lo); err != nil {
 		return nil, fmt.Errorf("dagtrace: frame %d read: %w", f, err)
 	}
-	h := fnv.New64a()
-	h.Write(data)
-	if h.Sum64() != t.frameSum[f] {
+	if checksum(data) != t.frameSum[f] {
 		return nil, fmt.Errorf("dagtrace: frame %d checksum mismatch (corrupt trace file)", f)
 	}
 	return data, nil

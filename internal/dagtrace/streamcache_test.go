@@ -2,6 +2,7 @@ package dagtrace
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -275,39 +276,44 @@ func TestStreamCacheEvictsCorrupt(t *testing.T) {
 	c.Fail("k", errors.New("cleanup"))
 }
 
-// TestStreamCacheEvictsStale: a file an older build wrote (format v2) at a
-// key's path is stale, not corrupt: it is evicted without counting in
-// Stats.Corrupt, and the key re-records into a file a fresh cache adopts.
+// TestStreamCacheEvictsStale: a file an older build wrote (format v2 or
+// v3) at a key's path is stale, not corrupt: it is evicted without
+// counting in Stats.Corrupt, and the key re-records into a file a fresh
+// cache adopts.
 func TestStreamCacheEvictsStale(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewStreamCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.frameSize = 1 << 12
-	p := c.path("k")
-	v2 := append([]byte(streamMagic), 2, 0, 0, 0)
-	v2 = append(v2, make([]byte, 256)...)
-	if err := os.WriteFile(p, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, into, err := c.GetOrReserve("k")
-	if err != nil || into == nil {
-		t.Fatalf("stale file: into=%v err=%v, want a fresh recording", into, err)
-	}
-	noFile(t, p, "stale file")
-	if s := c.Stats(); s.Corrupt != 0 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want no corrupt file and 1 miss", s)
-	}
-	if _, err := recordInto(t, c, "k", into, 1<<10); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewStreamCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, into, err := c2.GetOrReserve("k"); err != nil || into != nil {
-		t.Fatalf("re-recorded file not adopted: into=%v err=%v", into, err)
+	for _, version := range []byte{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := NewStreamCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.frameSize = 1 << 12
+			p := c.path("k")
+			stale := append([]byte(streamMagic), version, 0, 0, 0)
+			stale = append(stale, make([]byte, 256)...)
+			if err := os.WriteFile(p, stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, into, err := c.GetOrReserve("k")
+			if err != nil || into == nil {
+				t.Fatalf("stale file: into=%v err=%v, want a fresh recording", into, err)
+			}
+			noFile(t, p, "stale file")
+			if s := c.Stats(); s.Corrupt != 0 || s.Misses != 1 {
+				t.Fatalf("stats = %+v, want no corrupt file and 1 miss", s)
+			}
+			if _, err := recordInto(t, c, "k", into, 1<<10); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := NewStreamCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, into, err := c2.GetOrReserve("k"); err != nil || into != nil {
+				t.Fatalf("re-recorded file not adopted: into=%v err=%v", into, err)
+			}
+		})
 	}
 }
 

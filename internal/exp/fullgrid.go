@@ -168,19 +168,16 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	}
 	defer cleanup()
 	before := cache.Stats()
+	window := r.replayWindow()
 	budgetBytes := r.GridBudget
 	if budgetBytes <= 0 {
-		budgetBytes = max(r.ReplayWindow, dagtrace.DefaultWindowBytes)
+		budgetBytes = max(window, dagtrace.DefaultWindowBytes)
 	}
 	budget := dagtrace.NewBudget(budgetBytes)
-	window := r.ReplayWindow
-	if window <= 0 {
-		window = dagtrace.DefaultWindowBytes
-	}
 
 	rep := &FullGridReport{
 		Profile: r.P.Name, Machine: m.Name, Shards: r.Shards,
-		Window: r.ReplayWindow, Workers: r.workers(len(cells)),
+		Window: window, Workers: r.workers(len(cells)),
 		Grid:        cells,
 		Cells:       make([]*FullCellReport, len(cells)),
 		BudgetBytes: budgetBytes,

@@ -123,7 +123,7 @@ type fullCellOpts struct {
 	cache     *dagtrace.StreamCache // the directory cache to record into (see fileTraces)
 	budget    *dagtrace.Budget      // shared window budget (nil = per-stream only)
 	unsharded bool                  // also replay unsharded on the full machine
-	window    int64                 // decoder window override (0 = r.ReplayWindow)
+	window    int64                 // decoder window override (0 = r.replayWindow())
 	degraded  bool                  // mark the report as degraded-mode execution
 }
 
@@ -175,6 +175,16 @@ func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
 	return r.fullCell(kernel, schedName, fullCellOpts{cache: cache, unsharded: true})
 }
 
+// replayWindow is the decoder window a full-scale replay opens its
+// recording through, and the one FullCellReport and FullGridReport
+// report: r.ReplayWindow, or dagtrace.DefaultWindowBytes when that is 0.
+func (r *Runner) replayWindow() int64 {
+	if r.ReplayWindow <= 0 {
+		return dagtrace.DefaultWindowBytes
+	}
+	return r.ReplayWindow
+}
+
 // fullCell runs one full-scale cell, validated by fullGridCells, with the
 // stages and sharing discipline of o.
 func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellReport, error) {
@@ -190,7 +200,7 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	seed := r.P.Seed
 	window := o.window
 	if window == 0 {
-		window = r.ReplayWindow
+		window = r.replayWindow()
 	}
 	rep := &FullCellReport{
 		Kernel: kernel, Scheduler: schedName, Machine: m.Name,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -73,6 +74,31 @@ func TestFullCellShardInvariance(t *testing.T) {
 		prev = rep
 	}
 	_ = base
+}
+
+// TestReportsWindowInEffect: with no -replaywindow override a full-scale
+// cell replays through dagtrace.DefaultWindowBytes, and FullCell,
+// FullGridRun and the grid's cells report that window, not the zero they
+// were given.
+func TestReportsWindowInEffect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline cell")
+	}
+	r := NewRunner(Quick(), io.Discard)
+	rep, err := r.FullCell("RRM", "sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Window != dagtrace.DefaultWindowBytes {
+		t.Errorf("FullCell reports window=%d, want %d", rep.Window, dagtrace.DefaultWindowBytes)
+	}
+	grid, err := r.FullGridRun(context.Background(), []string{"RRM"}, []string{"sb"}, []int{1}, GridRunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.Window != dagtrace.DefaultWindowBytes || grid.Cells[0].Window != dagtrace.DefaultWindowBytes {
+		t.Errorf("FullGridRun reports window=%d, its cell %d, want %d", grid.Window, grid.Cells[0].Window, dagtrace.DefaultWindowBytes)
+	}
 }
 
 // TestFullCellRejectsUnknownNames covers the argument validation

@@ -572,7 +572,17 @@ func (e *engine) fastForward(t int64) {
 			w.clock = t
 		}
 	}
-	e.heap.init(e.workers)
+	if err := e.heap.init(e.workers); err != nil {
+		e.err = err
+	}
+}
+
+// requeue pushes w back into the heap. A clock outside the heap's packed
+// range fails the run.
+func (e *engine) requeue(w *worker) {
+	if err := e.heap.push(w); err != nil {
+		e.err = err
+	}
 }
 
 // sample fires Sampler callbacks for every period boundary up to now.
@@ -598,16 +608,20 @@ func (e *engine) run(src Source) (res *Result, err error) {
 	if e.sampling {
 		e.nextSample = e.cfg.SampleEvery
 	}
-	e.heap.init(e.workers)
+	if err := e.heap.init(e.workers); err != nil {
+		return nil, err
+	}
 	for {
+		if e.err != nil {
+			return nil, e.err
+		}
 		t, pending := src.Pending()
 		if !pending && e.liveRoots == 0 {
 			break
 		}
 		w := e.heap.pop()
 		if e.heap.len() > 0 {
-			u := e.heap.peek()
-			e.nextClock, e.nextID = u.clock, u.id
+			e.nextClock, e.nextID = e.heap.peek()
 		} else {
 			e.nextClock = int64(1)<<62 - 1 // single worker: always next
 		}
@@ -628,7 +642,7 @@ func (e *engine) run(src Source) (res *Result, err error) {
 				if t > w.clock && e.liveStrands == 0 && e.liveRoots == 0 {
 					// The system is fully drained and the next arrival is
 					// in the future: collapse the idle gap in one step.
-					e.heap.push(w)
+					e.requeue(w)
 					e.fastForward(t)
 					break
 				}
@@ -636,7 +650,7 @@ func (e *engine) run(src Source) (res *Result, err error) {
 					if inj, ok := src.Pop(); ok {
 						e.inject(inj, w)
 					}
-					e.heap.push(w)
+					e.requeue(w)
 					break
 				}
 			}
@@ -653,12 +667,12 @@ func (e *engine) run(src Source) (res *Result, err error) {
 				}
 			}
 			if w.clock > e.nextClock || (w.clock == e.nextClock && w.id > e.nextID) {
-				e.heap.push(w)
+				e.requeue(w)
 				break
 			}
 			t, pending = src.Pending()
 			if !pending && e.liveRoots == 0 {
-				e.heap.push(w)
+				e.requeue(w)
 				break
 			}
 		}
@@ -682,7 +696,7 @@ func (e *engine) run(src Source) (res *Result, err error) {
 //schedlint:hotpath
 func (e *engine) drainIdle(w *worker) {
 	for e.heap.len() > 0 {
-		if p := e.heap.peek(); p.clock > w.virtualPop || (p.clock == w.virtualPop && p.id > w.id) {
+		if pc, pid := e.heap.peek(); pc > w.virtualPop || (pc == w.virtualPop && pid > w.id) {
 			return
 		}
 		u := e.heap.pop()
@@ -691,8 +705,7 @@ func (e *engine) drainIdle(w *worker) {
 		// cost one pop/push instead of one each.
 		nc, ni := int64(1)<<62-1, 0
 		if e.heap.len() > 0 {
-			v := e.heap.peek()
-			nc, ni = v.clock, v.id
+			nc, ni = e.heap.peek()
 		}
 		for {
 			e.step(u)
@@ -703,7 +716,7 @@ func (e *engine) drainIdle(w *worker) {
 				break
 			}
 		}
-		e.heap.push(u)
+		e.requeue(u)
 	}
 }
 

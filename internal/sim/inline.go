@@ -4,19 +4,14 @@ package sim
 // job.Scripted (a replayed trace node) and no trace recorder is armed,
 // the engine interprets the op bytecode directly on its own goroutine
 // instead of resuming the worker goroutine to call Run. The simulated
-// state transitions are identical to the goroutine path — runs of work
-// ops and innermost-cache hits execute inside cachesim.RunScript (which
-// replicates Access's innermost-hit state change per op), accesses that
-// miss the innermost cache take the ordinary Hierarchy.Access walk, and
+// state transitions are identical to the goroutine path — every op
+// executes inside cachesim.RunScript, which applies Access's state change
+// per op (an innermost miss takes the same outer walk Access does), and
 // every chunk boundary is decided by the same engine.batchable predicate
 // wctx.pause asks — so results stay bit-identical; only the host-side
 // channel handoff, goroutine switches and per-op call overhead disappear.
 
-import (
-	"repro/internal/job"
-	"repro/internal/mem"
-	"repro/internal/opcode"
-)
+import "repro/internal/job"
 
 // beginInline arms inline execution for the strand just acquired by w if
 // its job is scripted and no recorder needs the goroutine path. (A
@@ -48,23 +43,20 @@ func (e *engine) beginInline(w *worker, j job.Job) {
 //
 // Equivalence with the goroutine path, op by op:
 //
-//   - runs of work ops and innermost-hitting accesses advance inside
-//     cachesim.RunScript, which applies the same state transition as
-//     wctx.Work / wctx.Access on an innermost hit and stops exactly on
-//     the op where cumulative cost crosses the chunk budget — the same
-//     op on which wctx.spend would have observed chunkLeft <= 0;
-//   - an innermost-missing access takes h.Access, like the general path of
-//     wctx.Access;
-//   - the budget is checked once per step, after the miss access, and the
-//     boundary is decided by engine.batchable as in wctx.pause: a batched
-//     boundary records the pop and continues with a fresh budget; a real
-//     boundary saves the decode position where pause would have parked
-//     the goroutine, and the reset of chunkLeft that pause performs after
-//     resume happens at re-entry.
+//   - ops advance inside cachesim.RunScript, which applies the same state
+//     transition as wctx.Work / wctx.Access (h.Access) per op, at the
+//     clock the op starts at, and stops exactly on the op where
+//     cumulative cost crosses the chunk budget — the same op on which
+//     wctx.spend would have observed chunkLeft <= 0;
+//   - the boundary is decided by engine.batchable as in wctx.pause: a
+//     batched boundary records the pop and continues with a fresh budget;
+//     a real boundary saves the decode position where pause would have
+//     parked the goroutine, and the reset of chunkLeft that pause
+//     performs after resume happens at re-entry.
 //
 // The worker's clock, active-bucket time and chunk budget accumulate in
 // locals and are flushed at every exit; nothing reads them in between
-// (h.Access takes the clock as an argument, and nothing re-enters the
+// (RunScript takes the clock as an argument, and nothing re-enters the
 // engine while the loop runs).
 //
 //schedlint:hotpath
@@ -82,34 +74,13 @@ func (e *engine) runInline(w *worker) bool {
 	h := e.h
 	leaf := w.leaf
 	for ip < end {
-		nip, nprev, spent, miss := h.RunScript(leaf, ops, ip, end, prev, chunkLeft)
+		nip, nprev, spent := h.RunScript(leaf, ops, ip, end, prev, clock, chunkLeft)
 		ip, prev = nip, nprev
 		clock += spent
 		active += spent
 		chunkLeft -= spent
-		if miss {
-			// Innermost miss (RunScript stops on one only with budget
-			// left): decode the access and take the general walk.
-			var v uint64
-			var vshift uint
-			for {
-				b := ops[ip]
-				ip++
-				v |= uint64(b&0x7f) << vshift
-				if b < 0x80 {
-					break
-				}
-				vshift += 7
-			}
-			u := v >> opcode.TagBits
-			prev += int64(u>>1) ^ -int64(u&1)
-			cost, _ := h.Access(leaf, clock, mem.Addr(prev), v&opcode.TagMask == opcode.Write)
-			clock += cost
-			active += cost
-			chunkLeft -= cost
-		}
 		if chunkLeft > 0 {
-			continue // budget left: the stream ended or the miss is done
+			break // budget left: the stream ended
 		}
 		if e.batchable(w, clock) {
 			w.virtualPop = clock
