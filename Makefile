@@ -214,7 +214,9 @@ fullgrid-resume-smoke:
 # findings, never panic or silently grant exemptions), the cache model
 # against its stamp-LRU reference on fuzzed access streams, and the
 # RunScript replay loop against per-op Access on fuzzed op streams and
-# chunk budgets. Corpus additions land under <pkg>/testdata/fuzz/.
+# chunk budgets, and the engine's worker heap against a sorted reference
+# on fuzzed init/pop/push/pushPop sequences. Corpus additions land under
+# <pkg>/testdata/fuzz/.
 fuzz:
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzUvarintRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzUvarintDecode$$' -fuzztime 5s
@@ -224,6 +226,7 @@ fuzz:
 	$(GO) test ./internal/lint/analysis/ -run '^$$' -fuzz '^FuzzDirective$$' -fuzztime 5s
 	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzAccessMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzRunScriptMatchesAccess$$' -fuzztime 5s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzWorkerHeap$$' -fuzztime 5s
 
 # check is the full pre-push gate: everything CI enforces that can run
 # offline (staticcheck and govulncheck need their pinned tools installed;

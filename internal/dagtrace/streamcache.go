@@ -236,14 +236,21 @@ func (c *StreamCache) publish(key string, rec Recording, err error) {
 	close(e.ready)
 }
 
-// Drop evicts key's published recording from memory, bounding a grid's
-// memory to the recordings still in use; its file, if any, survives and
-// is adopted again by a later GetOrReserve. Dropping an unfilled or
-// absent key is a no-op.
-func (c *StreamCache) Drop(key string) {
+// Retain evicts from memory every published recording whose key is not
+// in keys, bounding the cache to the recordings a grid is about to use:
+// those stay resident for it, however many grids before it recorded them.
+// An evicted recording's file, if any, survives and is adopted again by a
+// later GetOrReserve. A recording still in flight is never evicted.
+func (c *StreamCache) Retain(keys []string) {
+	keep := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		keep[k] = true
+	}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.done {
-		delete(c.entries, key)
+	for k, e := range c.entries {
+		if e.done && !keep[k] {
+			delete(c.entries, k)
+		}
 	}
 	c.mu.Unlock()
 }

@@ -119,8 +119,9 @@ func TestStreamCacheSingleFlight(t *testing.T) {
 
 // TestStreamCacheResident pins the directory-less mode: concurrent
 // callers of one key share a single recording, the very StreamTrace its
-// recorder finished with; Drop releases a filled key so it records again;
-// a failed recording — ErrUnsupported included — reaches the callers
+// recorder finished with; Retain keeps the keys it is given and releases
+// every other filled key, so that key records again, but never an
+// in-flight one; a failed recording — ErrUnsupported included — reaches the callers
 // waiting on it and releases the key; and Quarantine evicts an in-memory
 // entry like a file-backed one.
 func TestStreamCacheResident(t *testing.T) {
@@ -171,10 +172,17 @@ func TestStreamCacheResident(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 miss, %d hits, no disk hits", s, callers-1)
 	}
 
-	c.Drop("k")
-	if _, into, err := c.GetOrReserve("k"); err != nil || into == nil {
-		t.Fatalf("after Drop: into=%v err=%v, want a fresh recording slot", into, err)
+	c.Retain([]string{"other", "k"})
+	if v, into, err := c.GetOrReserve("k"); err != nil || into != nil || v.resident != views[0] {
+		t.Fatalf("after Retain of k: into=%v err=%v, want the resident recording", into, err)
 	}
+	c.Retain([]string{"other"})
+	if _, into, err := c.GetOrReserve("k"); err != nil || into == nil {
+		t.Fatalf("after Retain without k: into=%v err=%v, want a fresh recording slot", into, err)
+	}
+	// The reservation just made is in flight: Retain must leave it, so the
+	// waiter below blocks on it instead of reserving the key afresh.
+	c.Retain(nil)
 	waiter := make(chan error, 1)
 	registered := make(chan struct{})
 	go func() {
@@ -215,7 +223,8 @@ func TestStreamCacheResident(t *testing.T) {
 
 // TestStreamCacheAdoptsDisk checks that a fresh cache over an existing
 // directory adopts (and revalidates) a previous process's file instead
-// of re-recording.
+// of re-recording, and that a cache whose Retain released a key adopts
+// the key's file again.
 func TestStreamCacheAdoptsDisk(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := NewStreamCache(dir)
@@ -246,6 +255,15 @@ func TestStreamCacheAdoptsDisk(t *testing.T) {
 	}
 	if s := c2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("stats = %+v, want 1 disk hit", s)
+	}
+
+	c1.Retain(nil)
+	r3, into, err := c1.GetOrReserve("k")
+	if err != nil || into != nil || r3.Path != r1.Path {
+		t.Fatalf("after Retain without k: path=%q record=%v err=%v, want %q adopted", r3.Path, into != nil, err, r1.Path)
+	}
+	if s := c1.Stats(); s.Misses != 1 || s.DiskHits != 1 {
+		t.Fatalf("stats = %+v, want the one recording and 1 disk hit", s)
 	}
 }
 

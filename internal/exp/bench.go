@@ -197,9 +197,9 @@ func BenchTraceRecord(b *testing.B) {
 // BenchReplayFig8 measures the steady-state replay grid: the quick-profile
 // Fig. 8 grid against a directory-backed cache warmed before the timer,
 // so every cell of every iteration replays a recording from disk instead
-// of running kernel closures. (RunGrid evicts each group's recordings
-// from memory as the group finishes, so every iteration adopts the files
-// again and replays them through frame windows.)
+// of running kernel closures. (The cache holds each published recording
+// as its file's path, so every cell opens the file and replays it through
+// a frame window of its own.)
 func BenchReplayFig8(b *testing.B) {
 	p := Quick()
 	p.Reps = 1

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"slices"
 	"strings"
@@ -174,15 +175,56 @@ func TestProfilesSane(t *testing.T) {
 	}
 }
 
+// TestFigGridsRecordOnce pins the trace cache's lifetime across grids: a
+// recording does not depend on bandwidth, so Fig. 9 replays the five
+// recordings Fig. 8 made on the same Runner instead of recording them
+// again, and a following grid that replays only the quad-tree (Fig. 10)
+// releases the other four from memory when it starts.
+func TestFigGridsRecordOnce(t *testing.T) {
+	p := Quick()
+	p.Reps = 1
+	r := NewRunner(p, io.Discard)
+	if _, err := r.Fig8(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Fig9(); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Traces.Stats(); s.Misses != 5 || s.Hits != 35 {
+		t.Fatalf("Fig. 8 then Fig. 9: stats = %+v, want 5 recordings and 35 replays", s)
+	}
+	if _, err := r.Fig10(); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Traces.Stats(); s.Misses != 5 {
+		t.Fatalf("Fig. 10 after Figs. 8 and 9: stats = %+v, want no new recording", s)
+	}
+	// GetOrReserve hands back a resident recording and reserves an evicted
+	// key; each reservation is failed at once to leave the cache as it was.
+	m := p.MachineHT()
+	for _, k := range algorithmicKernels {
+		key := r.traceKey(Cell{Label: k.name, Machine: m}, p.Seed)
+		_, into, err := r.Traces.GetOrReserve(key)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if resident := into == nil; resident != (k.name == "Quad-Tree") {
+			t.Errorf("%s resident after Fig. 10 = %v, want %v", k.name, resident, k.name == "Quad-Tree")
+		}
+		if into != nil {
+			r.Traces.Fail(key, errors.New("probe only"))
+		}
+	}
+}
+
 // TestRecordFirst pins the dispatch policy RunGrid and FullGridRun share:
 // the first item of every key goes out ahead of the rest, and both parts
 // keep input order. It also pins the dispatcher that applies the policy:
 // every item runs exactly once, one worker runs the items in that order,
-// the per-key hook fires once per key after the key's last item, and a
+// the done hook fires once per item after the item has run, and a
 // canceled context leaves the undispatched items untouched.
 func TestRecordFirst(t *testing.T) {
 	keys := []string{"a", "a", "b", "a", "c", "b"}
-	perKey := map[string]int{"a": 3, "b": 2, "c": 1}
 	key := func(i int) string { return keys[i] }
 	items := []int{0, 1, 2, 3, 4, 5}
 	got := recordFirst(items, key)
@@ -197,8 +239,7 @@ func TestRecordFirst(t *testing.T) {
 		var mu sync.Mutex
 		var order []int
 		runs := make([]int, len(keys))
-		done := map[string]int{}
-		lasts := map[string]int{}
+		dones := make([]int, len(keys))
 		r.dispatch(context.Background(), items, key,
 			func(i int) string {
 				mu.Lock()
@@ -207,39 +248,31 @@ func TestRecordFirst(t *testing.T) {
 				runs[i]++
 				return ""
 			},
-			func(i int, last bool) {
-				k := keys[i]
-				done[k]++
-				if !last {
-					return
+			func(i int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if runs[i] != 1 {
+					t.Errorf("workers=%d: done(%d) fired after %d runs of the item, want 1", workers, i, runs[i])
 				}
-				lasts[k]++
-				if done[k] != perKey[k] {
-					t.Errorf("workers=%d: key %s hook fired after %d of its %d items", workers, k, done[k], perKey[k])
-				}
+				dones[i]++
 			})
-		for i, n := range runs {
-			if n != 1 {
-				t.Errorf("workers=%d: item %d ran %d times, want once", workers, i, n)
+		for i := range runs {
+			if runs[i] != 1 || dones[i] != 1 {
+				t.Errorf("workers=%d: item %d ran %d times and finished %d times, want once each", workers, i, runs[i], dones[i])
 			}
 		}
 		if workers == 1 && !slices.Equal(order, want) {
 			t.Errorf("one worker ran %v, want recordFirst order %v", order, want)
 		}
-		for k := range perKey {
-			if lasts[k] != 1 {
-				t.Errorf("workers=%d: key %s hook fired %d times, want once", workers, k, lasts[k])
-			}
-		}
 	}
 
 	// Cancel while the second item runs: with one worker, nothing after it
-	// may start, so neither started key (a, b) reaches its last item.
+	// may start, and only the two items that ran finish.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := NewRunner(Quick(), io.Discard)
 	r.Workers = 1
-	var ran []int
+	var ran, finished []int
 	r.dispatch(ctx, items, key,
 		func(i int) string {
 			ran = append(ran, i)
@@ -248,13 +281,9 @@ func TestRecordFirst(t *testing.T) {
 			}
 			return ""
 		},
-		func(i int, last bool) {
-			if last {
-				t.Errorf("key %s reported its last item after a cancel", keys[i])
-			}
-		})
-	if !slices.Equal(ran, want[:2]) {
-		t.Errorf("canceled dispatch ran %v, want only %v", ran, want[:2])
+		func(i int) { finished = append(finished, i) })
+	if !slices.Equal(ran, want[:2]) || !slices.Equal(finished, want[:2]) {
+		t.Errorf("canceled dispatch ran %v and finished %v, want only %v", ran, finished, want[:2])
 	}
 
 	// Canceled before dispatch: no item may run.
@@ -264,5 +293,5 @@ func TestRecordFirst(t *testing.T) {
 			t.Errorf("item %d ran under a context canceled before dispatch", i)
 			return ""
 		},
-		func(int, bool) {})
+		func(int) {})
 }

@@ -229,7 +229,7 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 			return fmt.Sprintf("# done %-16s %-4s bw=%d/%d: sharded=%.1fs shared=%v\n",
 				c.Kernel, c.Scheduler, c.LinksUsed, m.Links, rep.Cells[i].ShardedSec, rep.Cells[i].RecordShared)
 		},
-		func(i int, _ bool) {
+		func(i int) {
 			if opts.OnCellDone != nil {
 				opts.OnCellDone(cells[i], rep.Cells[i], errs[i])
 			}

@@ -112,10 +112,7 @@ func NewRunner(p Profile, out io.Writer) *Runner {
 
 // RunCell executes one cell: Reps repetitions with distinct seeds.
 func (r *Runner) RunCell(c Cell) (Metrics, error) {
-	reps := r.P.Reps
-	if reps < 1 {
-		reps = 1
-	}
+	reps := max(r.P.Reps, 1)
 	// Per-rep metric samples, sized up front: reps is known, so the append
 	// path never regrows.
 	active := make([]float64, 0, reps)
@@ -149,11 +146,25 @@ func (r *Runner) RunCell(c Cell) (Metrics, error) {
 }
 
 // RunGrid executes cells with bounded host parallelism and returns metrics
-// in input order. With a trace cache, the first cell of every trace group
-// is dispatched ahead of the rest (so recordings start immediately and
-// replays never queue behind them), and a group's traces are evicted as
-// soon as its last cell completes.
+// in input order. With a trace cache, it first evicts from memory every
+// recording none of its cells uses, keeping those it shares with earlier
+// grids, and then dispatches the first cell of every trace group ahead of
+// the rest, so recordings start immediately and replays never queue behind
+// them. A grid's recordings therefore stay resident until a grid that does
+// not use them starts; recordFirst already has them all resident together
+// early in the grid, so keeping them longer does not raise the high-water
+// mark.
 func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
+	if r.Traces != nil {
+		reps := max(r.P.Reps, 1)
+		keys := make([]string, 0, len(cells)*reps)
+		for _, c := range cells {
+			for rep := range reps {
+				keys = append(keys, r.traceKey(c, r.P.Seed+uint64(rep)))
+			}
+		}
+		r.Traces.Retain(keys)
+	}
 	out := make([]Metrics, len(cells))
 	errs := make([]error, len(cells))
 	all := make([]int, len(cells))
@@ -170,11 +181,7 @@ func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
 				cells[i].Label, cells[i].Scheduler, cells[i].LinksUsed, cells[i].Machine.Links,
 				out[i].TimeSec(), out[i].L3Misses.Mean)
 		},
-		func(i int, last bool) {
-			if last && r.Traces != nil {
-				r.dropTraces(cells[i])
-			}
-		})
+		func(int) {})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -190,14 +197,9 @@ func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
 // skipped: once ctx is canceled, items not yet started are left
 // untouched. After each item, one item at a time, dispatch prints the
 // progress line run returned (when r.Verbose and the line is not empty),
-// then calls done(i, last), where last reports that i was the last of its
-// key's items to finish. done runs under the output lock, so its calls are
+// then calls done(i). done runs under the output lock, so its calls are
 // serialized; it must not block.
-func (r *Runner) dispatch(ctx context.Context, items []int, key func(int) string, run func(int) string, done func(i int, last bool)) {
-	left := make(map[string]int, len(items))
-	for _, i := range items {
-		left[key(i)]++
-	}
+func (r *Runner) dispatch(ctx context.Context, items []int, key func(int) string, run func(int) string, done func(i int)) {
 	var wg sync.WaitGroup
 	// mu serializes progress lines and done calls: items finish
 	// concurrently and io.Writer implementations are not safe for
@@ -220,9 +222,7 @@ func (r *Runner) dispatch(ctx context.Context, items []int, key func(int) string
 				if r.Verbose && line != "" {
 					fmt.Fprint(r.Out, line)
 				}
-				k := key(i)
-				left[k]--
-				done(i, left[k] == 0)
+				done(i)
 				mu.Unlock()
 			}
 		}()

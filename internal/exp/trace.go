@@ -151,15 +151,3 @@ func (r *Runner) simulate(c Cell, seed uint64, st *dagtrace.StreamTrace) (*sim.R
 	}
 	return res, nil
 }
-
-// dropTraces evicts every repetition key of c's group from the cache's
-// memory (files survive).
-func (r *Runner) dropTraces(c Cell) {
-	reps := r.P.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for rep := 0; rep < reps; rep++ {
-		r.Traces.Drop(r.traceKey(c, r.P.Seed+uint64(rep)))
-	}
-}

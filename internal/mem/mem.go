@@ -10,7 +10,10 @@
 // DRAM = 25% bandwidth on the 4-socket Xeon, evenly interleaved = 100%.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a simulated physical address.
 type Addr uint64
@@ -37,6 +40,7 @@ type Space struct {
 	links     int  // total links on the machine
 	linksUsed int  // links the program's pages may occupy (bandwidth knob)
 	pageSize  Addr // placement granularity
+	pageShift uint // log2(pageSize)
 	allocs    []alloc
 }
 
@@ -65,8 +69,11 @@ func NewSpacePaged(links, linksUsed int, pageSize int64) *Space {
 	if pageSize < 64 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d must be a power of two >= 64", pageSize))
 	}
-	// Leave page 0 unused so that Addr 0 never aliases an allocation.
-	return &Space{next: Addr(pageSize), links: links, linksUsed: linksUsed, pageSize: Addr(pageSize)}
+	return &Space{
+		// Leave page 0 unused so that Addr 0 never aliases an allocation.
+		next: Addr(pageSize), links: links, linksUsed: linksUsed, pageSize: Addr(pageSize),
+		pageShift: uint(bits.TrailingZeros64(uint64(pageSize))),
+	}
 }
 
 // PageBytes returns the placement granularity.
@@ -101,9 +108,16 @@ func (s *Space) Footprint() int64 {
 
 // LinkOf returns the DRAM link serving the page containing a. Pages are
 // interleaved round-robin over the usable links, mirroring even
-// distribution of hugepages over the allowed DRAM modules.
+// distribution of hugepages over the allowed DRAM modules. It runs on
+// every DRAM access and write-back, so the page number is a shift and,
+// for a power-of-two link count, the link a mask; only three links (the
+// 75% bandwidth setting) divide.
 func (s *Space) LinkOf(a Addr) int {
-	return int((a / s.pageSize) % Addr(s.linksUsed))
+	page, n := a>>s.pageShift, Addr(s.linksUsed)
+	if n&(n-1) == 0 {
+		return int(page & (n - 1))
+	}
+	return int(page % n)
 }
 
 // F64 is a view of a simulated array of float64. Element i lives at

@@ -95,6 +95,36 @@ func TestLinkOfRestricted(t *testing.T) {
 	}
 }
 
+// TestLinkOfMatchesDivision pins LinkOf's shift-and-mask placement to the
+// division it replaces, (a / pageSize) % linksUsed, for 1–4 links of 4 and
+// every power-of-two page size from 64 B to 2 MB, at addresses around page
+// and link-cycle boundaries and above 2^40.
+func TestLinkOfMatchesDivision(t *testing.T) {
+	for used := 1; used <= 4; used++ {
+		for page := int64(64); page <= PageSize; page <<= 1 {
+			s := NewSpacePaged(4, used, page)
+			ps := Addr(page)
+			check := func(a Addr) bool {
+				if got, want := s.LinkOf(a), int((a/ps)%Addr(used)); got != want {
+					t.Errorf("links=%d page=%d: LinkOf(%#x) = %d, want %d", used, page, a, got, want)
+					return false
+				}
+				return true
+			}
+			for _, base := range []Addr{0, 1 << 40, 1<<40 + 7*ps, 1 << 52, ^Addr(0) - 13*ps} {
+				for p := Addr(0); p < 13; p++ {
+					for _, off := range []Addr{0, 1, ps / 2, ps - 1} {
+						check(base + p*ps + off)
+					}
+				}
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 func TestF64ReadWrite(t *testing.T) {
 	s := NewSpace(1, 1)
 	a := s.NewF64("xs", 16)

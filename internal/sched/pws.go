@@ -9,41 +9,7 @@ const IntraSocketBias = 10
 // Wagner as described in §4.2: identical to WS except that steal victims
 // closer in the cache hierarchy are chosen with higher probability —
 // dequeues on the same socket get IntraSocketBias times the weight of
-// dequeues on remote sockets.
+// dequeues on remote sockets (the tickets WS.victim draws from).
 func NewPWS() *WS {
-	return &WS{name: "PWS", costScale: 1, victim: socketBiasedVictim}
-}
-
-// socketBiasedVictim draws a victim with intra-socket workers weighted
-// IntraSocketBias:1 against inter-socket workers. Socket membership and
-// ticket totals are precomputed at Setup (they are static), so a draw is
-// one RNG call plus a linear walk over cached socket ids — this runs on
-// every failed get of an idle core, a very hot path in imbalanced phases.
-//
-//schedlint:hotpath
-func socketBiasedVictim(w *WS, worker int) int {
-	total := w.victimTotal[worker]
-	if total == 0 {
-		return worker // single-core machine; caller's queue is empty anyway
-	}
-	mySocket := w.socketOf[worker]
-	r := w.env.RNG(worker).Intn(total)
-	// Walk the workers, spending IntraSocketBias tickets on intra-socket
-	// candidates and 1 on the rest; n is small (≤64) so a linear pass is
-	// cheap and keeps the draw exactly weighted.
-	for v := 0; v < w.n; v++ {
-		if v == worker {
-			continue
-		}
-		if w.socketOf[v] == mySocket {
-			r -= IntraSocketBias
-		} else {
-			r--
-		}
-		if r < 0 {
-			return v
-		}
-	}
-	// Unreachable: tickets sum to total.
-	return (worker + 1) % w.n
+	return &WS{name: "PWS", costScale: 1, bias: IntraSocketBias}
 }

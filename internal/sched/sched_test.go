@@ -149,7 +149,7 @@ func TestPWSVictimBias(t *testing.T) {
 	mySocket := m.SocketOf(m.LeafOf(0))
 	intra, inter := 0, 0
 	for i := 0; i < 20000; i++ {
-		v := socketBiasedVictim(pws, 0)
+		v := pws.victim(0)
 		if v == 0 {
 			t.Fatal("victim is self")
 		}
@@ -163,6 +163,48 @@ func TestPWSVictimBias(t *testing.T) {
 	ratio := float64(intra) / float64(inter)
 	if ratio < 2.3 || ratio > 3.6 {
 		t.Errorf("intra/inter steal ratio = %.2f, want ≈ 2.92", ratio)
+	}
+}
+
+// TestVictimTickets pins the steal draw's ticket tables on the quick
+// profile's Xeon (64 hyperthreads, cache sizes divided by 64) and on every
+// Fig. 7 topology: under PWS each worker's table holds every same-socket
+// victim IntraSocketBias times and every other victim once, under WS and
+// CilkPlus every victim once, and no table holds its own worker. A table
+// lists victims in worker order, so ticket r of a uniform table is the
+// victim Appendix A's steal_choice returns for a draw of r.
+func TestVictimTickets(t *testing.T) {
+	machines := []*machine.Desc{machine.Scaled(machine.Xeon7560HT(), 64)}
+	for _, cps := range []int{1, 2, 4, 8} {
+		machines = append(machines, machine.XeonVariant(cps, false))
+	}
+	machines = append(machines, machine.XeonVariant(8, true))
+	for _, m := range machines {
+		for _, s := range []*WS{NewPWS(), NewWS(), NewCilk()} {
+			s.Setup(newFakeEnv(m))
+			n := m.NumCores()
+			for i := 0; i < n; i++ {
+				count := make([]int, n)
+				for j, v := range s.tickets[i] {
+					if j > 0 && v < s.tickets[i][j-1] {
+						t.Fatalf("%s on %s: worker %d's tickets are not in worker order", s.Name(), m.Name, i)
+					}
+					count[v]++
+				}
+				for v, got := range count {
+					want := 1
+					switch {
+					case v == i:
+						want = 0
+					case s.Name() == "PWS" && m.SocketOf(m.LeafOf(v)) == m.SocketOf(m.LeafOf(i)):
+						want = IntraSocketBias
+					}
+					if got != want {
+						t.Fatalf("%s on %s: worker %d holds %d tickets of victim %d, want %d", s.Name(), m.Name, i, got, v, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"repro/internal/job"
+	"repro/internal/machine"
 )
 
 // WS is the basic work-stealing scheduler of §4.2 and Appendix A, modeled
@@ -20,8 +21,10 @@ type WS struct {
 	// profile uses a lower value, modeling the leaner call-backs of a
 	// mature commercial runtime (the framework-validation comparison).
 	costScale float64
-	// victim picks a steal victim for worker (never worker itself).
-	victim func(w *WS, worker int) int
+	// bias is the number of tickets each same-socket victim holds in a
+	// steal draw; every other victim holds one. 1 makes the draw uniform
+	// (WS, CilkPlus), IntraSocketBias makes it PWS's.
+	bias int
 
 	env    Env
 	n      int
@@ -33,11 +36,9 @@ type WS struct {
 	// hot path avoids repeated float math.
 	baseCost, lockCost, opCost int64
 
-	// socketOf caches each worker's socket id, and victimTotal the total
-	// ticket count of its biased-steal draw, so socketBiasedVictim avoids
-	// redoing PMH index arithmetic on every failed get.
-	socketOf    []int
-	victimTotal []int
+	// tickets[worker] holds each of worker's victims once per ticket, in
+	// worker order, built at Setup; a steal draws one entry (victim).
+	tickets [][]int32
 
 	// Steals counts successful steals per worker, for diagnostics.
 	Steals []int64
@@ -52,29 +53,30 @@ type WS struct {
 
 // NewWS returns the paper's WS scheduler.
 func NewWS() *WS {
-	return &WS{name: "WS", costScale: 1, victim: uniformVictim}
+	return &WS{name: "WS", costScale: 1, bias: 1}
 }
 
 // NewCilk returns the WS policy with the CilkPlus cost profile, used to
 // validate the framework against the commercial scheduler as in §5.
 func NewCilk() *WS {
-	return &WS{name: "CilkPlus", costScale: 0.5, victim: uniformVictim}
+	return &WS{name: "CilkPlus", costScale: 0.5, bias: 1}
 }
 
-// uniformVictim chooses uniformly among all other workers (Appendix A's
-// steal_choice). On a single-core machine the worker is its own (always
-// empty) victim.
+// victim draws worker's steal victim: one uniform ticket of its table, so
+// a same-socket victim comes up bias times as often as any other. With
+// bias 1, ticket r is worker r, or r+1 from the drawing worker on:
+// Appendix A's uniform steal_choice. On a single-core machine the table is
+// empty and the worker is its own (always empty) victim. This runs on
+// every failed get of an idle core, a very hot path in imbalanced phases,
+// so it is one RNG call and one load.
 //
 //schedlint:hotpath
-func uniformVictim(w *WS, worker int) int {
-	if w.n < 2 {
+func (w *WS) victim(worker int) int {
+	t := w.tickets[worker]
+	if len(t) == 0 {
 		return worker
 	}
-	v := w.env.RNG(worker).Intn(w.n - 1)
-	if v >= worker {
-		v++
-	}
-	return v
+	return int(t[w.env.RNG(worker).Intn(len(t))])
 }
 
 // Name implements Scheduler.
@@ -105,18 +107,42 @@ func (w *WS) Setup(env Env) {
 	w.baseCost = w.scale(env.Cost().CallbackBase)
 	w.lockCost = w.scale(env.Cost().LockHold)
 	w.opCost = w.scale(env.Cost().QueueOp)
-	m := env.Machine()
-	w.socketOf = make([]int, w.n)
-	perSocket := make(map[int]int)
-	for i := 0; i < w.n; i++ {
-		w.socketOf[i] = m.SocketOf(m.LeafOf(i))
-		perSocket[w.socketOf[i]]++
+	w.buildTickets(env.Machine())
+}
+
+// buildTickets fills every worker's ticket table, in one backing array:
+// victim v of worker i holds bias tickets when it shares i's socket, else
+// one, and i itself none.
+func (w *WS) buildTickets(m *machine.Desc) {
+	socket := make([]int, w.n)
+	for i := range socket {
+		socket[i] = m.SocketOf(m.LeafOf(i))
 	}
-	w.victimTotal = make([]int, w.n)
-	for i := 0; i < w.n; i++ {
-		intra := perSocket[w.socketOf[i]] - 1
-		inter := w.n - 1 - intra
-		w.victimTotal[i] = intra*IntraSocketBias + inter
+	weight := func(i, v int) int {
+		switch {
+		case v == i:
+			return 0
+		case socket[v] == socket[i]:
+			return w.bias
+		}
+		return 1
+	}
+	total := 0
+	for i := range w.n {
+		for v := range w.n {
+			total += weight(i, v)
+		}
+	}
+	all := make([]int32, 0, total)
+	w.tickets = make([][]int32, w.n)
+	for i := range w.n {
+		start := len(all)
+		for v := range w.n {
+			for range weight(i, v) {
+				all = append(all, int32(v))
+			}
+		}
+		w.tickets[i] = all[start:len(all):len(all)]
 	}
 }
 
@@ -158,7 +184,7 @@ func (w *WS) Get(worker int) *job.Strand {
 		w.op(worker)
 		return s
 	}
-	choice := w.victim(w, worker)
+	choice := w.victim(worker)
 	w.lock(worker, w.steal[choice])
 	w.lock(worker, w.local[choice])
 	if q := w.queues[choice]; len(q) > 0 {

@@ -585,6 +585,19 @@ func (e *engine) requeue(w *worker) {
 	}
 }
 
+// switchFrom pushes w back into the heap and returns the earliest worker,
+// w itself when it still orders first, in one sift. A clock outside the
+// heap's packed range fails the run; w is then returned, out of the heap,
+// and the caller stops at its next e.err check.
+func (e *engine) switchFrom(w *worker) *worker {
+	next, err := e.heap.pushPop(w)
+	if err != nil {
+		e.err = err
+		return w
+	}
+	return next
+}
+
 // sample fires Sampler callbacks for every period boundary up to now.
 func (e *engine) sample(now int64) {
 	for e.nextSample <= now {
@@ -611,6 +624,9 @@ func (e *engine) run(src Source) (res *Result, err error) {
 	if err := e.heap.init(e.workers); err != nil {
 		return nil, err
 	}
+	// w is the earliest worker, out of the heap. Where it stops, it goes
+	// back in and the next earliest comes out in one sift (switchFrom).
+	w := e.heap.pop()
 	for {
 		if e.err != nil {
 			return nil, e.err
@@ -619,7 +635,6 @@ func (e *engine) run(src Source) (res *Result, err error) {
 		if !pending && e.liveRoots == 0 {
 			break
 		}
-		w := e.heap.pop()
 		if e.heap.len() > 0 {
 			e.nextClock, e.nextID = e.heap.peek()
 		} else {
@@ -642,15 +657,19 @@ func (e *engine) run(src Source) (res *Result, err error) {
 				if t > w.clock && e.liveStrands == 0 && e.liveRoots == 0 {
 					// The system is fully drained and the next arrival is
 					// in the future: collapse the idle gap in one step.
-					e.requeue(w)
+					// fastForward rebuilds the heap from every worker, w
+					// included.
 					e.fastForward(t)
+					if e.err == nil {
+						w = e.heap.pop()
+					}
 					break
 				}
 				if t <= w.clock {
 					if inj, ok := src.Pop(); ok {
 						e.inject(inj, w)
 					}
-					e.requeue(w)
+					w = e.switchFrom(w)
 					break
 				}
 			}
@@ -667,7 +686,7 @@ func (e *engine) run(src Source) (res *Result, err error) {
 				}
 			}
 			if w.clock > e.nextClock || (w.clock == e.nextClock && w.id > e.nextID) {
-				e.requeue(w)
+				w = e.switchFrom(w)
 				break
 			}
 			t, pending = src.Pending()
