@@ -17,9 +17,10 @@ import (
 // the front, counts a hit and propagates write dirt to the outermost
 // resident copy, and a miss takes the outer walk (miss) at now plus the
 // cycles spent so far, from the set base that the probe found. The budget
-// is decremented after each op exactly where wctx.spend checks its chunk
-// budget, so callers observe boundaries on the same op as unscripted
-// execution. The innermost hit counter accumulates in a local flushed
+// is decremented after each op, so the call stops on the op whose cost
+// exhausts it, as a caller charging each op's Access cost in turn would.
+// A budget of one cycle therefore runs one op (ops of zero cost aside).
+// The innermost hit counter accumulates in a local flushed
 // before the return; the outer walk never reads it.
 //
 // A write hit skips the outermost dirty mark when it falls in the

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/mem"
-	"repro/internal/xrand"
 )
 
 // opSink is a minimal job.Ctx that consumes ops without simulating, so the
@@ -26,8 +25,6 @@ func (c *opSink) Work(cycles int64)                            { c.cycles += cyc
 func (c *opSink) Fork(job.Job, ...job.Job)                     { c.forks++ }
 func (c *opSink) ForkFuture(job.Job, *job.Future, job.Job)     {}
 func (c *opSink) ForkAwait(job.Job, []*job.Future, ...job.Job) {}
-func (c *opSink) Worker() int                                  { return 0 }
-func (c *opSink) RNG() *xrand.Source                           { return nil }
 
 // TestReplayOpsAllocFree pins AllocsPerRun=0 on the replay inner loop: the
 // decode of a recorded strand script must not allocate, box, or escape

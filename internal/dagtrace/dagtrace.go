@@ -41,8 +41,8 @@ import (
 // (futures, multiple roots). Recording fails softly: callers run live.
 var ErrUnsupported = errors.New("dagtrace: computation not traceable")
 
-// The op bytecode itself lives in internal/opcode so the sim engine's
-// inline interpreter can share it; the local names keep this package's
+// The op bytecode itself lives in internal/opcode so the sim engine can
+// share it; the local names keep this package's
 // call sites short.
 const (
 	opRead  = opcode.Read

@@ -26,10 +26,9 @@ type streamJob struct {
 var _ job.StreamScripted = (*streamJob)(nil)
 var _ job.SBJob = (*streamJob)(nil)
 
-// Run implements job.Job. The engine's inline interpreter executes
-// replayed strands without the worker-goroutine handoff; Run is the
-// semantically identical fallback (used, e.g., when a replay is itself
-// being recorded).
+// Run implements job.Job by replaying the script through ctx. The engine
+// interprets a replayed strand's Script directly and calls Run only when a
+// replay is itself being recorded; Record, and any other Ctx, run it too.
 func (j *streamJob) Run(ctx job.Ctx) { runScripted(ctx, j) }
 
 // Script implements job.Scripted with the strand's op bytes.
@@ -72,9 +71,9 @@ func (j *streamJob) Size(int64) int64 { return j.t.nodes[j.n].taskSize }
 // StrandSize implements job.SBJob with the recorded S(ℓ;B).
 func (j *streamJob) StrandSize(int64) int64 { return j.t.nodes[j.n].strandSize }
 
-// runScripted is the goroutine-path body of a replayed strand: take the
-// script, replay it, hand it back, then perform the terminal fork
-// (job.ForkScript, as the engine's inline path does).
+// runScripted is the Run body of a replayed strand: take the script,
+// replay it through ctx, hand it back, then perform the terminal fork
+// (job.ForkScript, as the engine does when it interprets the script).
 func runScripted(ctx job.Ctx, j job.StreamScripted) {
 	ops, lo, hi := j.Script()
 	replayOps(ctx, ops, lo, hi)

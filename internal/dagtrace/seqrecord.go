@@ -5,15 +5,14 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/mem"
-	"repro/internal/xrand"
 )
 
 // Record captures root's computation into rec without simulating it.
 // The program runs depth first on the calling goroutine — no engine,
-// worker goroutines, cache simulator, scheduler or clock — and the events
-// a live run would send its sim.TraceListener drive rec, so the recording
-// is checked and finished exactly as a live one is: by rec.Finish for an
-// in-memory Recorder, by StreamCache.Fill for one a cache handed out.
+// cache simulator, scheduler or clock — and the events a live run would
+// send its sim.TraceListener drive rec, so the recording is checked and
+// finished exactly as a live one is: by rec.Finish for an in-memory
+// Recorder, by StreamCache.Fill for one a cache handed out.
 // block is the machine's cache-line size, against which the task and
 // strand space annotations resolve. The program-model rules — the fork
 // discipline, task and strand initialization, record recycling — are
@@ -34,7 +33,6 @@ import (
 func Record(rec *Recorder, root job.Job, block int64) (err error) {
 	q := &seqRecorder{rec: rec, block: block}
 	q.ctx.q = q
-	q.ctx.rng.Seed(1)
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("dagtrace: record: strand panicked: %v", p)
@@ -143,7 +141,6 @@ type seqCtx struct {
 	q    *seqRecorder
 	cur  *job.Strand
 	fork job.ForkRecord
-	rng  xrand.Source
 }
 
 // Access implements job.Ctx.
@@ -173,9 +170,3 @@ func (c *seqCtx) ForkAwait(cont job.Job, futures []*job.Future, children ...job.
 // AllocForPair implements job.ForPairAllocator: parallel-for fork
 // contexts are recycled when their splitting task ends, as in the engine.
 func (c *seqCtx) AllocForPair() *job.ForPair { return c.q.pairPool.Get() }
-
-// Worker implements job.Ctx: a sequential recording runs on one core.
-func (c *seqCtx) Worker() int { return 0 }
-
-// RNG implements job.Ctx.
-func (c *seqCtx) RNG() *xrand.Source { return &c.rng }

@@ -474,19 +474,15 @@ func (w *window) outstanding() int64 {
 	return w.leasedBytes
 }
 
-// emptyScript is the non-nil zero-length script of op-less strands: it
-// keeps the engine's inline path armed (which keys on a non-nil script)
-// without a lease.
-var emptyScript = []byte{}
-
-// fetch copies op bytes [off, end) into a leased buffer. On I/O failure or
-// frame corruption it records the error and returns an empty script — the
+// fetch copies op bytes [off, end) into a leased buffer. An op-less
+// strand gets a nil script, which leases nothing. On I/O failure or frame
+// corruption it records the error and returns a nil script too — the
 // replay then under-executes and CheckResult reports the recorded error.
 //
 //schedlint:lease acquire
 func (t *StreamTrace) fetch(off, end int64) []byte {
 	if end <= off {
-		return emptyScript
+		return nil
 	}
 	w := &t.win
 	w.mu.Lock()
@@ -498,7 +494,7 @@ func (t *StreamTrace) fetch(off, end int64) []byte {
 			w.err = err
 		}
 		w.unlease(buf)
-		return emptyScript
+		return nil
 	}
 	if w.residentBytes+w.leasedBytes > w.peak {
 		w.peak = w.residentBytes + w.leasedBytes
@@ -528,7 +524,7 @@ func (w *window) read(t *StreamTrace, out []byte, off, end int64) ([]byte, error
 //schedlint:lease release
 func (t *StreamTrace) release(buf []byte) {
 	if cap(buf) == 0 {
-		return // emptyScript
+		return // an op-less strand's nil script: nothing leased
 	}
 	w := &t.win
 	w.mu.Lock()

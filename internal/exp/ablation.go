@@ -55,24 +55,7 @@ func (r *Runner) MuSweep() ([]FigRow, error) {
 // SB-D as core count grows: the distributed top bucket exists to remove
 // the centralized queueing hotspot (§4.2 problem (ii)).
 func (r *Runner) QueueContention() ([]FigRow, error) {
-	topos := []struct {
-		label string
-		cps   int
-		ht    bool
-	}{{"4 x 2", 2, false}, {"4 x 8", 8, false}, {"4x8x2(HT)", 8, true}}
-	var cells []Cell
-	for _, tp := range topos {
-		m := r.P.MachineVariant(tp.cps, tp.ht)
-		// PDF is included as the fully centralized extreme: one shared
-		// depth-first pool, whose single lock is the worst case of the
-		// hotspot SB-D's distributed top buckets remove.
-		for _, sn := range []string{"sb", "sbd", "pdf"} {
-			cells = append(cells, Cell{
-				Label: tp.label, Scheduler: schedName(sn), Machine: m, LinksUsed: m.Links,
-				MakeK: r.P.RRMFactory(),
-			})
-		}
-	}
+	cells := r.queueContentionCells()
 	ms, err := r.RunGrid(cells)
 	if err != nil {
 		return nil, err
@@ -89,6 +72,31 @@ func (r *Runner) QueueContention() ([]FigRow, error) {
 	}
 	tw.Flush()
 	return rows, nil
+}
+
+// queueContentionCells builds QueueContention's grid: SB, SB-D and PDF on
+// three of Fig. 7's topologies.
+func (r *Runner) queueContentionCells() []Cell {
+	topos := []struct {
+		label string
+		cps   int
+		ht    bool
+	}{{"4 x 2", 2, false}, {"4 x 8", 8, false}, {"4x8x2(HT)", 8, true}}
+	var cells []Cell
+	for _, tp := range topos {
+		m := r.P.MachineVariant(tp.cps, tp.ht)
+		// PDF is included as the fully centralized extreme: one shared
+		// depth-first pool, whose single lock is the worst case of the
+		// hotspot SB-D's distributed top buckets remove.
+		for _, sn := range []string{"sb", "sbd", "pdf"} {
+			cells = append(cells, Cell{
+				Label: tp.label, Scheduler: schedName(sn), Machine: m, LinksUsed: m.Links,
+				TraceID: "RRM", // the label names the topology: every cell replays Fig. 7's RRM on its machine
+				MakeK:   r.P.RRMFactory(),
+			})
+		}
+	}
+	return cells
 }
 
 // ChunkSensitivity re-runs one cell at several interleaving granularities.

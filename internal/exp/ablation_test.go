@@ -63,6 +63,22 @@ func TestQueueContentionSBDCheaper(t *testing.T) {
 	}
 }
 
+// TestQueueContentionSharesFig7Recordings pins that the top-bucket
+// ablation records nothing of its own: each of its cells keys the same
+// computation as Fig. 7's RRM cells on its machine (Fig. 7 labels its
+// cells with the kernel's name), so it replays their recordings.
+func TestQueueContentionSharesFig7Recordings(t *testing.T) {
+	p := Quick()
+	r := NewRunner(p, io.Discard)
+	rrm := microKernels[0].name
+	for _, c := range r.queueContentionCells() {
+		fig7 := r.traceKey(Cell{Label: rrm, Machine: c.Machine}, p.Seed)
+		if got := r.traceKey(c, p.Seed); got != fig7 {
+			t.Errorf("%s %s: trace key %q, Fig. 7's %s key on that machine %q", c.Label, c.Scheduler, got, rrm, fig7)
+		}
+	}
+}
+
 func TestMuSweepRuns(t *testing.T) {
 	var buf bytes.Buffer
 	p := Quick()

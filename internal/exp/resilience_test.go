@@ -124,6 +124,56 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// TestFaultReplayGolden replays one sequential RRM recording under every
+// fault60 plan and scheduler and requires the live runs' golden
+// fingerprints: faults, straggler dilation included, act on a replayed
+// strand exactly as on the live code that was recorded.
+func TestFaultReplayGolden(t *testing.T) {
+	p := Quick()
+	m := p.MachineHT()
+	kern := p.RRMFactory()(mem.NewSpacePaged(m.Links, m.Links, p.PageSize()), m, p.Seed)
+	tr, err := recordMem(kern.Root(), m.Block())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(sc string, plan *fault.Plan) *sim.Result {
+		t.Helper()
+		res, err := sim.Run(sim.Config{
+			Machine:   m,
+			Space:     mem.NewSpacePaged(m.Links, m.Links, p.PageSize()),
+			Scheduler: sched.New(sc),
+			Seed:      p.Seed,
+			Faults:    plan,
+		}, tr.Root())
+		if err != nil {
+			t.Fatalf("replay %s: %v", sc, err)
+		}
+		if err := tr.CheckResult(res); err != nil {
+			t.Fatalf("replay %s: %v", sc, err)
+		}
+		return res
+	}
+	schedulers := []string{"ws", "pws", "sb", "sbd"}
+	if raceDetectorEnabled {
+		// One scheduler per family keeps the matrix inside the race
+		// detector's budget, as in TestLiveReplayEquivalence.
+		schedulers = []string{"ws", "sb"}
+	}
+	horizon := replay("ws", nil).WallCycles
+	for _, scen := range fault.ScenarioNames() {
+		plan, err := fault.Scenario(scen, m, 60, horizon, 99)
+		if err != nil {
+			t.Fatalf("scenario %s: %v", scen, err)
+		}
+		for _, sc := range schedulers {
+			key := "fault60/" + scen + "/" + sc
+			if got := hashFingerprint(replay(sc, plan).Fingerprint()); got != goldenFaultFingerprints[key] {
+				t.Errorf("%s: replay fingerprint hash %s != golden %s", key, got, goldenFaultFingerprints[key])
+			}
+		}
+	}
+}
+
 // TestCoreOfflineSurvival takes a core down permanently (coreloss at
 // intensity 100 never brings the first victim back) and requires every
 // scheduler to finish the program with no lost strands: the run completes,

@@ -78,22 +78,6 @@ func (p *Plan) Empty() bool {
 			len(p.Bandwidth) == 0 && len(p.Flushes) == 0
 }
 
-// HasStragglers reports whether any straggler phase actually dilates time
-// (Percent != 100). The engine uses this to disable the inline script
-// interpreter, whose chunk-batched accounting cannot apply per-op
-// dilation.
-func (p *Plan) HasStragglers() bool {
-	if p == nil {
-		return false
-	}
-	for _, s := range p.Stragglers {
-		if s.Percent != 100 {
-			return true
-		}
-	}
-	return false
-}
-
 // Kind discriminates compiled fault events.
 type Kind uint8
 

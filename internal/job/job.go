@@ -16,16 +16,16 @@
 // annotations ignore them, so the same program runs under every scheduler.
 package job
 
-import (
-	"repro/internal/mem"
-	"repro/internal/xrand"
-)
+import "repro/internal/mem"
 
 // Ctx is the per-strand execution context supplied by the runtime. It
 // carries the memory-access channel into the cache simulator, the compute
 // cost channel, and the fork primitive.
 type Ctx interface {
-	// Access performs a simulated memory access (see mem.Accessor).
+	// Access performs a simulated memory access (see mem.Accessor). The
+	// runtime may simulate its cost after the call returns: the strand's
+	// accesses and work charges are its op stream, simulated in program
+	// order, so strand code must not depend on when it runs.
 	Access(a mem.Addr, write bool)
 	// Work charges pure compute cycles to the running core.
 	Work(cycles int64)
@@ -44,10 +44,6 @@ type Ctx interface {
 	// may be empty) and gates the continuation cont on the children AND on
 	// every listed future. cont must be non-nil.
 	ForkAwait(cont Job, futures []*Future, children ...Job)
-	// Worker returns the logical id of the executing core.
-	Worker() int
-	// RNG returns the executing core's deterministic random source.
-	RNG() *xrand.Source
 }
 
 // Job is a task body: one strand of sequential code ending in an optional

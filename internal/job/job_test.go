@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/xrand"
 )
 
 // stubCtx runs jobs inline on the calling goroutine, executing forks
@@ -13,18 +12,10 @@ import (
 type stubCtx struct {
 	accesses int
 	work     int64
-	rng      *xrand.Source
 }
 
 func (c *stubCtx) Access(a mem.Addr, write bool) { c.accesses++ }
 func (c *stubCtx) Work(cycles int64)             { c.work += cycles }
-func (c *stubCtx) Worker() int                   { return 0 }
-func (c *stubCtx) RNG() *xrand.Source {
-	if c.rng == nil {
-		c.rng = xrand.New(1)
-	}
-	return c.rng
-}
 func (c *stubCtx) Fork(cont Job, children ...Job) {
 	for _, ch := range children {
 		ch.Run(c)

@@ -2,13 +2,13 @@ package job
 
 // Scripted is implemented by jobs whose strand body is a prerecorded op
 // script (see internal/opcode for the bytecode) rather than live Go
-// code. The simulator may execute such a strand inline on its own
-// goroutine — decoding ops and charging their costs directly — instead
-// of resuming the worker goroutine to call Run, which removes the
-// per-strand channel handoff and the per-op interface dispatch from
-// replay runs. Run must remain a faithful fallback: executing it through
-// a Ctx must perform exactly the accesses, work charges and terminal
-// fork that Script/ScriptFork describe.
+// code. The simulator runs every strand as such an op stream: it
+// interprets a Scripted strand's Script directly, where any other
+// strand's ops must first be captured by running its code through a Ctx.
+// Run must remain a faithful equivalent: executing it through a Ctx must
+// perform exactly the accesses, work charges and terminal fork that
+// Script/ScriptFork describe (the simulator calls it while a recorder
+// has to see every access).
 type Scripted interface {
 	Job
 	// Script returns the strand's encoded op stream: the shared arena and
@@ -41,7 +41,7 @@ type StreamScripted interface {
 // fork: Fork when it has children, ForkAwait with no futures when it has
 // only a continuation (the empty block joins at once and releases it), and
 // nothing when it has neither. Every executor of a scripted strand — the
-// engine's inline interpreter and Run on any Ctx — ends it here.
+// engine, and Run on any Ctx — ends it here.
 func ForkScript(ctx Ctx, j Scripted) {
 	switch cont, kids := j.ScriptFork(); {
 	case len(kids) > 0:

@@ -8,23 +8,15 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/mem"
-	"repro/internal/xrand"
 )
 
 // inlineCtx executes jobs depth-first on the calling goroutine — a
 // sequential semantics oracle for kernel correctness, independent of the
 // simulator.
-type inlineCtx struct{ rng *xrand.Source }
+type inlineCtx struct{}
 
 func (c *inlineCtx) Access(a mem.Addr, write bool) {}
 func (c *inlineCtx) Work(cycles int64)             {}
-func (c *inlineCtx) Worker() int                   { return 0 }
-func (c *inlineCtx) RNG() *xrand.Source {
-	if c.rng == nil {
-		c.rng = xrand.New(9)
-	}
-	return c.rng
-}
 func (c *inlineCtx) Fork(cont job.Job, children ...job.Job) {
 	for _, ch := range children {
 		ch.Run(c)

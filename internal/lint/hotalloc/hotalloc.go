@@ -1,8 +1,8 @@
 // Package hotalloc implements the "hotalloc" analyzer: functions marked
 // //schedlint:hotpath must not contain constructs the Go compiler lowers
 // to heap allocations. These functions — cachesim.Access and its helpers,
-// the engine's chunk/step/drain loops, the worker handoff and the WS/PWS
-// steal path — carry the AllocsPerRun=0 guarantees established by the
+// the engine's chunk/step/drain loops, the strand op capture and the
+// WS/PWS steal path — carry the AllocsPerRun=0 guarantees established by the
 // hot-path overhaul (DESIGN §5), which the runtime allocation tests pin
 // only for the kernels they run; the analyzer rejects regressions on any
 // code path at compile time.

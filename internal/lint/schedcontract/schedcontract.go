@@ -9,7 +9,8 @@
 // scheduler method shapes:
 //
 //  1. No goroutines: a call-back that spawns host concurrency breaks the
-//     engine's baton-pass determinism (methods run with the engine parked).
+//     determinism of the single-goroutine engine (a call-back runs inside
+//     the event loop, which waits for it to return).
 //  2. No calls back into the engine package: schedulers interact with the
 //     runtime exclusively through the sched.Env capability they received at
 //     Setup (Lock/Charge/RNG/Machine/Cost). Reaching into internal/sim

@@ -28,8 +28,8 @@ const PageSize = 2 << 20
 // kernels).
 type Accessor interface {
 	// Access records a read (write=false) or write (write=true) of the
-	// given address, advancing the accessing core's clock by the simulated
-	// cost of the access.
+	// given address; the simulator charges the accessing core's clock its
+	// simulated cost.
 	Access(a Addr, write bool)
 }
 

@@ -1,8 +1,9 @@
 // Package opcode defines the strand op-stream bytecode shared by the
-// dagtrace recorder (which emits it) and the sim engine's inline script
-// interpreter (which executes it without goroutine handoff). It lives
-// below both packages because dagtrace imports sim for the listener
-// interfaces, so sim cannot import dagtrace back.
+// dagtrace recorder (which emits it), the sim engine (which captures a live
+// strand's ops in it) and the engine's interpreter (which executes every
+// strand's ops through cachesim.RunScript). It lives below those packages
+// because dagtrace imports sim for the listener interfaces, so sim cannot
+// import dagtrace back.
 //
 // Every op is one uvarint whose low TagBits bits are the tag. Reads and
 // writes carry a zigzag address delta against the strand's previous

@@ -31,10 +31,11 @@ func steadyAllocs(t *testing.T, chunks int) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestEngineSteadyStateAllocFree asserts the per-chunk engine step — spend,
-// chunk handoff, scheduler poll — is allocation-free: quadrupling the
-// simulated work (thousands more chunk boundaries) must not change the
-// run's allocation count beyond noise.
+// TestEngineSteadyStateAllocFree asserts the per-chunk engine step — the
+// interpreter's chunk loop, scheduler poll — is allocation-free, and the
+// strand's op capture grows its reused buffer only by doubling:
+// quadrupling the simulated work (thousands more chunk boundaries) must
+// not change the run's allocation count beyond noise.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	small := steadyAllocs(t, 2_000)
 	large := steadyAllocs(t, 8_000)

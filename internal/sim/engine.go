@@ -4,13 +4,14 @@
 // meters everything — per-core active time, per-call-back scheduler
 // overheads, empty-queue time, and exact cache misses at every level.
 //
-// The engine is a deterministic discrete-event simulator. Each worker
-// (core) is a goroutine that executes strand code; the engine goroutine
-// resumes exactly one worker at a time — always the one with the smallest
-// simulated clock — for a bounded chunk of simulated cycles, so strands on
-// different cores interleave in the shared caches at fine granularity while
-// the whole simulation stays single-threaded-deterministic: a run is a pure
-// function of (machine, program, scheduler, cost model, seed).
+// The engine is a deterministic discrete-event simulator on one
+// goroutine. Each worker (core) runs its current strand as an op stream —
+// recorded for a replayed strand, captured by running the strand's code
+// when the core takes it for any other — and the engine always advances
+// the worker with the smallest simulated clock, by a bounded chunk of
+// simulated cycles, so strands on different cores interleave in the shared
+// caches at fine granularity while a run stays a pure function of
+// (machine, program, scheduler, cost model, seed).
 package sim
 
 import (
@@ -52,8 +53,10 @@ type Listener interface {
 // that ends it. A Listener that also implements TraceListener observes the
 // complete schedule-independent computation — enough to replay it later
 // under a different scheduler — at the cost of one call per access. All
-// methods are called on the engine goroutine while the engine is parked,
-// in exact simulated order.
+// methods are called on the engine goroutine. A strand's StrandAccess and
+// StrandWork events all arrive when the strand starts, just after
+// StrandStarted and in program order, while its code runs; its cache costs
+// are simulated afterwards, chunk by chunk.
 type TraceListener interface {
 	Listener
 	// StrandAccess reports one memory access performed by strand s, in
@@ -125,9 +128,7 @@ func Run(cfg Config, root job.Job) (*Result, error) {
 		}
 	}
 	normalizeCosts(&cfg)
-	e := newEngine(cfg)
-	defer e.shutdown()
-	return e.run(&oneShot{root: root})
+	return newEngine(cfg).run(&oneShot{root: root})
 }
 
 func errConfig() error           { return fmt.Errorf("sim: Config requires Machine, Space and Scheduler") }
@@ -239,19 +240,13 @@ func newEngine(cfg Config) *engine {
 	// e.workers never reallocates, so interior pointers stay valid.
 	backing := make([]worker, n)
 	e.workers = make([]*worker, n)
-	yield := make(chan yieldMsg)
-	exited := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		w := &backing[i]
 		w.id = i
 		w.leaf = e.m.LeafOf(i)
 		w.rng.Seed(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i) + 1)
-		w.resume = make(chan struct{})
-		w.yield = yield
-		w.exited = exited
 		w.ctx = wctx{w: w, e: e}
 		e.workers[i] = w
-		go w.loop(e) //schedlint:ignore nondeterminism baton-pass worker: exactly one goroutine runs at a time, sequenced by resume/yield channels
 	}
 	e.lockFree = make([]int64, 0, 2*n+8)
 	e.flt = newFaultState(&cfg)
@@ -261,20 +256,6 @@ func newEngine(cfg Config) *engine {
 	}
 	e.sch.Setup(e) // engine implements sched.Env
 	return e
-}
-
-// shutdown terminates all worker goroutines. Outside engine.step every
-// worker is blocked receiving on resume, so closing the channels unwinds
-// them all (idle workers exit the loop; paused workers unwind their strand
-// via workerStopped).
-func (e *engine) shutdown() {
-	for _, w := range e.workers {
-		close(w.resume)
-	}
-	// One token per goroutine on the shared exited channel.
-	for range e.workers {
-		<-e.workers[0].exited
-	}
 }
 
 // --- sched.Env implementation -------------------------------------------
@@ -750,8 +731,9 @@ func (e *engine) step(w *worker) {
 			// Offline core: no scheduler polls until its CoreUp event; the
 			// dead time accrues as empty-queue overhead. A core that was
 			// mid-strand at its CoreDown drains that strand first (w.cur
-			// non-nil skips this branch) — execution state lives on the
-			// worker goroutine, so mid-strand migration is not modelled.
+			// non-nil skips this branch) — a strand's op stream stays with
+			// the core that took it, so mid-strand migration is not
+			// modelled.
 			w.clock += e.cost.IdleBackoff
 			w.timers[BucketEmpty] += e.cost.IdleBackoff
 			f.offlineCycles += e.cost.IdleBackoff
@@ -771,28 +753,16 @@ func (e *engine) step(w *worker) {
 		w.cur = s
 		w.chunkLeft = e.cost.ChunkCycles
 		e.beginInline(w, s.Job)
-	}
-	if w.script != nil {
-		if !e.runInline(w) {
-			return // real chunk boundary; resumes when earliest again
+		if e.err != nil {
+			return
 		}
-		w.endInline()
-		e.drainIdle(w)
-		e.finishStrand(w)
-		return
 	}
-	msg := w.runChunk()
-	switch msg.kind {
-	case yieldChunk:
-		// Worker paused mid-strand; nothing to do, it will be resumed
-		// when it is again the earliest worker.
-	case yieldDone:
-		e.drainIdle(w)
-		e.finishStrand(w)
-	case yieldPanic:
-		//schedlint:ignore hotalloc terminal error path, runs at most once per simulation
-		e.err = fmt.Errorf("sim: strand panicked on worker %d: %v", w.id, msg.panicVal)
+	if !e.runInline(w) {
+		return // real chunk boundary; resumes when earliest again
 	}
+	w.endInline()
+	e.drainIdle(w)
+	e.finishStrand(w)
 }
 
 // collect builds the Result after the root task has ended.

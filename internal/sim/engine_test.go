@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -337,6 +339,54 @@ func TestNonInclusiveMachineEndToEnd(t *testing.T) {
 		}
 		if res.L3Misses() <= 0 {
 			t.Errorf("%s: no misses on exclusive hierarchy", sn)
+		}
+	}
+}
+
+// TestRunStartsNoGoroutines pins the engine's one strand path: every
+// worker advances on the calling goroutine, so while a live program runs,
+// under Run and RunStream alike, no goroutine created by this package is
+// alive at any Sampler reading. (The readings inspect goroutine creators
+// rather than runtime.NumGoroutine, which also counts the runtime's
+// finalizer goroutine while it runs a finalizer: under the race detector a
+// run read 3 goroutines before and 2 during.)
+func TestRunStartsNoGoroutines(t *testing.T) {
+	m := machine.TwoSocket(4, 1<<18, 1<<13)
+	buf := make([]byte, 1<<16)
+	created := func() int {
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return bytes.Count(buf[:n], []byte("\ncreated by repro/internal/sim."))
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(Config, job.Job) (*Result, error)
+	}{
+		{"Run", Run},
+		{"RunStream", func(cfg Config, root job.Job) (*Result, error) {
+			return RunStream(cfg, &listSource{at: []int64{0}, jobs: []job.Job{root}})
+		}},
+	} {
+		sp := mem.NewSpace(m.Links, m.Links)
+		arr := sp.NewF64("xs", 1<<12)
+		var readings, alive int
+		cfg := Config{Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 1,
+			SampleEvery: 1000, Sampler: func(int64) {
+				readings++
+				alive = max(alive, created())
+			}}
+		if _, err := tc.run(cfg, mapJob(arr, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if readings == 0 {
+			t.Fatalf("%s: the sampler never fired", tc.name)
+		}
+		if alive > 0 {
+			t.Errorf("%s: up to %d goroutines created by package sim were alive during the run", tc.name, alive)
 		}
 	}
 }

@@ -20,9 +20,6 @@ type faultState struct {
 	offline []bool
 	// baseLineService restores nominal DRAM bandwidth between phases.
 	baseLineService int64
-	// stragglers disables the inline script interpreter, whose batched
-	// accounting cannot apply per-op dilation.
-	stragglers bool
 
 	// Diagnostics surfaced in Result (excluded from fingerprints).
 	migrations    int64
@@ -47,7 +44,6 @@ func newFaultState(cfg *Config) *faultState {
 		mult:            make([]int64, n),
 		offline:         make([]bool, n),
 		baseLineService: cfg.Machine.LineService,
-		stragglers:      cfg.Faults.HasStragglers(),
 	}
 	for i := range f.mult {
 		f.mult[i] = 100

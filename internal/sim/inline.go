@@ -1,58 +1,106 @@
 package sim
 
-// Inline execution of scripted strands: when the strand's Job is a
-// job.Scripted (a replayed trace node) and no trace recorder is armed,
-// the engine interprets the op bytecode directly on its own goroutine
-// instead of resuming the worker goroutine to call Run. The simulated
-// state transitions are identical to the goroutine path — every op
-// executes inside cachesim.RunScript, which applies Access's state change
-// per op (an innermost miss takes the same outer walk Access does), and
-// every chunk boundary is decided by the same engine.batchable predicate
-// wctx.pause asks — so results stay bit-identical; only the host-side
-// channel handoff, goroutine switches and per-op call overhead disappear.
+// Strand execution. Every strand runs the same way: when a worker takes
+// it, beginInline hands the worker the strand's op stream (internal/opcode
+// bytecode), and runInline interprets that stream on the engine goroutine
+// through cachesim.RunScript, one chunk of simulated cycles at a time. A
+// replayed strand (a job.Scripted) brings its recorded ops; any other
+// strand's code runs to completion at once, and the ops it emits are
+// captured into the worker's buffer (wctx).
+//
+// Running a strand's code when its core takes it, rather than spread over
+// its chunks, is exact because no strand reads data that a strand
+// overlapping it in time writes (the program model has no determinacy
+// races; dagtrace.Record relies on the same property): the code emits the
+// same ops in the same order whenever it runs. RunScript applies Access's
+// state change to each op at the clock the op starts at, so the cache
+// model sees the ops as if each access were simulated the moment the code
+// performs it.
 
 import "repro/internal/job"
 
-// beginInline arms inline execution for the strand just acquired by w if
-// its job is scripted and no recorder needs the goroutine path. (A
-// recording replay must go through wctx so StrandAccess/StrandWork fire;
-// correctness there matters, not speed.)
+// beginInline readies the strand that w has just taken for runInline. A
+// scripted strand hands over its recorded ops, unless a recorder is
+// armed: the recorder must see every access, so then — as for every
+// strand that is not scripted — the strand's code runs to completion
+// here, its ops captured into w's buffer and its terminal fork into
+// w.fork. A panic in the code fails the run.
 func (e *engine) beginInline(w *worker, j job.Job) {
-	if e.rec != nil {
-		return
-	}
-	if f := e.flt; f != nil && f.stragglers {
-		// Straggler dilation is applied per charge in wctx.spend; the
-		// inline interpreter batches charges inside cachesim.RunScript and
-		// cannot reproduce the same integer roundings, so scripted strands
-		// take the goroutine path for the whole run. Correctness is
-		// unaffected — only the replay speedup is given up.
-		return
-	}
-	if sj, ok := j.(job.Scripted); ok {
+	w.sprev = 0
+	if sj, ok := j.(job.Scripted); ok && e.rec == nil {
 		w.sjob = sj
 		w.script, w.sip, w.send = sj.Script()
-		w.sprev = 0
+		return
+	}
+	if w.ctx.ops == nil {
+		e.carveOpBuffers()
+	}
+	if err := w.ctx.capture(j); err != nil {
+		e.err = err
+		return
+	}
+	w.script, w.sip, w.send = w.ctx.ops, 0, int64(len(w.ctx.ops))
+}
+
+// carveOpBuffers gives every worker's capture buffer a 1 KiB start, all
+// carved from one slab, when the run's first live strand starts; buffers
+// that outgrow it reallocate on their own, and a replay never pays for
+// them.
+func (e *engine) carveOpBuffers() {
+	const size = 1 << 10
+	slab := make([]byte, size*len(e.workers))
+	for i, w := range e.workers {
+		w.ctx.ops = slab[i*size : i*size : (i+1)*size]
 	}
 }
 
-// runInline advances w's scripted strand until its next real chunk yield
-// (returns false; resume state saved in w) or until the strand's ops are
+// batchable reports whether worker w's chunk boundary at simulated time
+// clock can be batched away: skipped — only w.virtualPop records the pop
+// the engine would have performed — because it is provably unobservable.
+//
+// No sampler may be armed, no fault event and no injection due at or
+// before clock (otherwise the engine must interpose), and one of:
+//
+//   - w runs the only live strand: every event the engine would
+//     interleave before this strand's next real boundary is a failed idle
+//     poll, and engine.drainIdle replays exactly those (in heap order)
+//     before the strand's fork publishes; or
+//   - w still orders strictly before every other worker in the heap: the
+//     engine would push and immediately re-pop it, touching nothing —
+//     drainIdle then has nothing to replay.
+//
+// Every term of the condition only changes through engine actions, and
+// none runs while runInline interprets a strand, so the decision cannot
+// be invalidated between boundaries.
+//
+//schedlint:hotpath
+func (e *engine) batchable(w *worker, clock int64) bool {
+	if !e.sampling && clock < e.nextFault &&
+		(e.liveStrands == 1 || clock < e.nextClock || (clock == e.nextClock && w.id < e.nextID)) {
+		t, pending := e.src.Pending()
+		return !pending || t > clock
+	}
+	return false
+}
+
+// runInline advances w's strand until its next real chunk boundary
+// (returns false; the decode position is saved in w) or until its ops are
 // exhausted (returns true; the caller then ends the strand with endInline
-// and finishes it exactly like a yieldDone).
+// and finishes it).
 //
-// Equivalence with the goroutine path, op by op:
-//
-//   - ops advance inside cachesim.RunScript, which applies the same state
-//     transition as wctx.Work / wctx.Access (h.Access) per op, at the
-//     clock the op starts at, and stops exactly on the op where
-//     cumulative cost crosses the chunk budget — the same op on which
-//     wctx.spend would have observed chunkLeft <= 0;
-//   - the boundary is decided by engine.batchable as in wctx.pause: a
-//     batched boundary records the pop and continues with a fresh budget;
-//     a real boundary saves the decode position where pause would have
-//     parked the goroutine, and the reset of chunkLeft that pause
-//     performs after resume happens at re-entry.
+//   - Ops advance inside cachesim.RunScript, which charges each op at the
+//     clock it starts at and stops on the op where the cumulative cost
+//     reaches the chunk budget.
+//   - A straggler core's ops run one per RunScript call (a budget of one
+//     cycle), and each op's cost is dilated on its own: every nominal
+//     cycle costs mult/100 cycles, in integer arithmetic, so the dilation
+//     is exactly reproducible. mult only changes when a fault fires, and
+//     batchable turns a fault's due time into a real boundary, so it holds
+//     for the whole call.
+//   - At the budget's end, engine.batchable decides the boundary: a
+//     batched one records the pop and continues with a fresh budget; a
+//     real one returns, and the budget is reset when the engine next
+//     steps w.
 //
 // The worker's clock, active-bucket time and chunk budget accumulate in
 // locals and are flushed at every exit; nothing reads them in between
@@ -67,20 +115,27 @@ func (e *engine) runInline(w *worker) bool {
 	chunkLeft := w.chunkLeft
 	var active int64
 	if chunkLeft <= 0 {
-		// Re-entry after a real chunk yield: wctx.pause resets the budget
-		// after its resume; the inline path resets it here.
-		chunkLeft = e.cost.ChunkCycles
+		chunkLeft = e.cost.ChunkCycles // re-entry after a real boundary
+	}
+	mult := int64(100)
+	if f := e.flt; f != nil {
+		mult = f.mult[w.id]
 	}
 	h := e.h
 	leaf := w.leaf
 	for ip < end {
-		nip, nprev, spent := h.RunScript(leaf, ops, ip, end, prev, clock, chunkLeft)
-		ip, prev = nip, nprev
+		var spent int64
+		if mult == 100 {
+			ip, prev, spent = h.RunScript(leaf, ops, ip, end, prev, clock, chunkLeft)
+		} else {
+			ip, prev, spent = h.RunScript(leaf, ops, ip, end, prev, clock, 1)
+			spent = spent * mult / 100
+		}
 		clock += spent
 		active += spent
 		chunkLeft -= spent
 		if chunkLeft > 0 {
-			break // budget left: the stream ended
+			continue // budget left: the stream ended, or a straggler's op did
 		}
 		if e.batchable(w, clock) {
 			w.virtualPop = clock
@@ -99,15 +154,19 @@ func (e *engine) runInline(w *worker) bool {
 	return true
 }
 
-// endInline finishes w's scripted strand once runInline has exhausted its
-// ops, the way runScripted ends it on the goroutine path: the recorded
-// terminal fork goes through the worker's ctx (job.ForkScript), and script
-// bytes leased from a streamed trace's decode window go back. Like
-// beginInline it runs once per strand, not per op.
+// endInline ends w's strand once runInline has exhausted its ops. A
+// scripted strand's recorded terminal fork goes through the worker's ctx
+// (job.ForkScript, as a scripted job's Run ends it), and script bytes
+// leased from a streamed trace's decode window go back; a captured
+// strand's fork is already in w.fork. Like beginInline it runs once per
+// strand, not per op.
 func (w *worker) endInline() {
-	job.ForkScript(&w.ctx, w.sjob)
-	if ss, ok := w.sjob.(job.StreamScripted); ok {
-		ss.ReleaseScript(w.script)
+	if sj := w.sjob; sj != nil {
+		job.ForkScript(&w.ctx, sj)
+		if ss, ok := sj.(job.StreamScripted); ok {
+			ss.ReleaseScript(w.script)
+		}
+		w.sjob = nil
 	}
-	w.script, w.sjob = nil, nil
+	w.script = nil
 }

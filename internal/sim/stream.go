@@ -100,7 +100,5 @@ func RunStream(cfg Config, src Source) (*Result, error) {
 		}
 	}
 	normalizeCosts(&cfg)
-	e := newEngine(cfg)
-	defer e.shutdown()
-	return e.run(src)
+	return newEngine(cfg).run(src)
 }
