@@ -9,7 +9,7 @@
 //	schedbench -experiment machine             # print the Fig. 4 machine
 //
 // Experiments: machine, fig5, fig6, fig7, fig8, fig9, fig10, validate,
-// model, resilience, cell, fullgrid, all.
+// model, ablation, resilience, cluster, cell, fullgrid, all.
 //
 // The cell experiment runs one full-scale grid cell through the streamed
 // record/partition/sharded-replay pipeline:
@@ -57,8 +57,8 @@ const exitResumable = 3
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: machine|fig5|fig6|fig7|fig8|fig9|fig10|validate|model|resilience|cluster|all")
-		profile    = flag.String("profile", "paper", "experiment scale: paper|quick")
+		experiment = flag.String("experiment", "all", "which experiment to run: machine|fig5|fig6|fig7|fig8|fig9|fig10|validate|model|ablation|resilience|cluster|cell|fullgrid|all")
+		profile    = flag.String("profile", "paper", "experiment scale: paper|quick|x1|x2|x4|x8|x16|x32|x64")
 		reps       = flag.Int("reps", 0, "override repetitions per cell (0 = profile default)")
 		seed       = flag.Uint64("seed", 0, "override base seed (0 = profile default)")
 		verbose    = flag.Bool("v", false, "print each cell as it completes")
@@ -66,7 +66,6 @@ func main() {
 		benchJSON  = flag.String("benchjson", "", "run the perf harness instead of experiments and write the report to this file (e.g. BENCH_sim.json)")
 		traceDir   = flag.String("tracecache", "", "keep recorded DAG traces in this directory and reuse them across runs: one framed-trace format for every experiment, so cell and fullgrid reuse recordings from it too (empty = keep recordings in memory for this run only)")
 		minHit     = flag.Float64("mintracehit", -1, "exit 1 if the trace-cache hit rate ends below this percentage (negative = no check)")
-		noTrace    = flag.Bool("notrace", false, "disable record/replay: execute every grid cell live")
 		kernel     = flag.String("kernel", "Quicksort", "cell experiment: kernel name (RRM|RRG|Quicksort|Samplesort|AwareSamplesort|Quad-Tree|MatMul)")
 		schedName  = flag.String("sched", "sb", "cell experiment: scheduler name")
 		shards     = flag.Int("shards", 1, "cell/fullgrid: host goroutines for each sharded replay (never changes results)")
@@ -97,16 +96,10 @@ func main() {
 	if flag.NArg() > 0 {
 		fatalUsage("unexpected positional arguments %q", flag.Args())
 	}
-	if *noTrace && *traceDir != "" {
-		fatalUsage("-notrace conflicts with -tracecache %q", *traceDir)
-	}
-	if *noTrace && *minHit >= 0 {
-		fatalUsage("-notrace conflicts with -mintracehit %.1f (no cache means no hit rate)", *minHit)
-	}
 	if *benchJSON != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "experiment", "csv", "tracecache", "mintracehit", "notrace":
+			case "experiment", "csv", "tracecache", "mintracehit":
 				fatalUsage("-benchjson runs the perf harness and ignores -%s; drop one of the two", f.Name)
 			}
 		})
@@ -159,13 +152,8 @@ func main() {
 				fatalUsage("-%s applies only to -experiment fullgrid", f.Name)
 			}
 		})
-	} else {
-		if *noTrace {
-			fatalUsage("-notrace conflicts with -experiment fullgrid (sharing recordings is the point of the grid)")
-		}
-		if *minHit >= 0 {
-			fatalUsage("-mintracehit does not apply to -experiment fullgrid (its summary line reports the grid's own cache counters)")
-		}
+	} else if *minHit >= 0 {
+		fatalUsage("-mintracehit does not apply to -experiment fullgrid (its summary line reports the grid's own cache counters)")
 	}
 
 	if *cpuProf != "" {
@@ -234,10 +222,7 @@ func main() {
 	r.Verbose = *verbose
 	r.Shards = *shards
 	r.ReplayWindow = *window
-	switch {
-	case *noTrace:
-		r.Traces = nil
-	case *traceDir != "":
+	if *traceDir != "" {
 		tc, err := dagtrace.NewStreamCache(*traceDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
@@ -246,14 +231,11 @@ func main() {
 		r.Traces = tc
 	}
 	reportTraces := func() {
-		if r.Traces == nil {
-			return
-		}
 		s := r.Traces.Stats()
 		rate := 100 * s.HitRate()
-		if s.Hits+s.Misses+s.Fallbacks > 0 {
-			fmt.Printf("# trace cache: %d replayed (%d from disk), %d recorded, %d fallbacks — hit rate %.1f%%\n",
-				s.Hits, s.DiskHits, s.Misses, s.Fallbacks, rate)
+		if s.Hits+s.Misses+s.Failed > 0 {
+			fmt.Printf("# trace cache: %d replayed (%d from disk), %d recorded, %d failed — hit rate %.1f%%\n",
+				s.Hits, s.DiskHits, s.Misses, s.Failed, rate)
 		}
 		if *minHit >= 0 && rate < *minHit {
 			fmt.Fprintf(os.Stderr, "schedbench: trace-cache hit rate %.1f%% is below -mintracehit %.1f\n", rate, *minHit)

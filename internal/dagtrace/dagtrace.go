@@ -27,8 +27,8 @@
 // Traces only capture pure fork/join programs: futures (ForkFuture /
 // ForkAwait) introduce cross-task dependencies whose replay order the
 // spawn tree alone cannot express, and multi-root streams interleave
-// arrivals; both abort recording with ErrUnsupported so callers fall back
-// to live execution.
+// arrivals; both abort recording with ErrUnsupported, which the
+// recording's caller reports as its error.
 package dagtrace
 
 import (
@@ -38,7 +38,8 @@ import (
 )
 
 // ErrUnsupported marks a computation the trace model cannot express
-// (futures, multiple roots). Recording fails softly: callers run live.
+// (futures, multiple roots). Such a computation has no recording to
+// replay: its recording fails with this error.
 var ErrUnsupported = errors.New("dagtrace: computation not traceable")
 
 // The op bytecode itself lives in internal/opcode so the sim engine can

@@ -33,17 +33,17 @@ import (
 // Stats reports cache effectiveness. A Hit is a cell that replayed a
 // published recording — from this process or adopted from disk, which
 // DiskHits also counts — instead of executing kernel closures; a Miss is
-// a reservation that had to record; a Fallback is a cell whose awaited
-// recording failed (ErrUnsupported, a kernel error, a write error) and
-// which therefore runs live. Corrupt counts files that failed validation
-// (truncated or bit-rotted) and were evicted from disk; each also counts
-// as a Miss, since its cell falls back to re-recording.
+// a reservation that had to record; Failed counts waiters handed a
+// failed recording (ErrUnsupported, a kernel error, a write error), each
+// of which fails its cell as the recording cell fails. Corrupt counts
+// files that failed validation (truncated or bit-rotted) and were evicted
+// from disk; each also counts as a Miss, since its cell re-records.
 type Stats struct {
-	Hits      int64
-	DiskHits  int64
-	Misses    int64
-	Fallbacks int64
-	Corrupt   int64
+	Hits     int64
+	DiskHits int64
+	Misses   int64
+	Failed   int64
+	Corrupt  int64
 	// Quarantined counts recordings evicted on suspicion by Quarantine (a
 	// failing grid cell distrusting its shared trace before a retry), as
 	// opposed to Corrupt's checksum failures.
@@ -52,7 +52,7 @@ type Stats struct {
 
 // HitRate is hits over all resolutions, in [0,1]; 0 when nothing ran.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Fallbacks
+	total := s.Hits + s.Misses + s.Failed
 	if total == 0 {
 		return 0
 	}
@@ -124,8 +124,8 @@ func (c *StreamCache) Dir() string { return c.dir }
 // it (Record, or a live run with it as Listener) and MUST follow up with
 // Fill or Fail. With a directory the Recorder writes the key's file as
 // it records. Every other caller blocks until then and receives the
-// published recording, or the recording's failure as err — a cell that
-// gets an error runs live. A file that cannot be created fails the
+// published recording, or the recording's failure as err, which fails
+// the waiter's cell too. A file that cannot be created fails the
 // reservation at once with a *WriteError, for the caller and the waiters.
 func (c *StreamCache) GetOrReserve(key string) (rec Recording, into *Recorder, err error) {
 	c.mu.Lock()
@@ -136,7 +136,7 @@ func (c *StreamCache) GetOrReserve(key string) (rec Recording, into *Recorder, e
 		if e.err == nil {
 			c.stats.Hits++
 		} else {
-			c.stats.Fallbacks++
+			c.stats.Failed++
 		}
 		c.mu.Unlock()
 		return e.rec, nil, e.err

@@ -198,8 +198,8 @@ func TestStreamCacheResident(t *testing.T) {
 	if err := <-waiter; !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("waiter got %v, want ErrUnsupported", err)
 	}
-	if s := c.Stats(); s.Fallbacks != 1 {
-		t.Fatalf("stats = %+v, want 1 fallback", s)
+	if s := c.Stats(); s.Failed != 1 {
+		t.Fatalf("stats = %+v, want 1 failed waiter", s)
 	}
 	_, into, err := c.GetOrReserve("k")
 	if err != nil || into == nil {
@@ -362,8 +362,8 @@ func TestStreamCacheFail(t *testing.T) {
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 		t.Fatalf("waiter got %v, want the recording error", err)
 	}
-	if s := c.Stats(); s.Fallbacks != 1 {
-		t.Fatalf("stats = %+v, want 1 fallback", s)
+	if s := c.Stats(); s.Failed != 1 {
+		t.Fatalf("stats = %+v, want 1 failed waiter", s)
 	}
 	noFile(t, c.path("k")+".tmp", "failed recording's temporary file")
 	// Fail releases the reservation: the key is recordable again, not

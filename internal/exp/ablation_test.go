@@ -98,8 +98,8 @@ func TestMuSweepRuns(t *testing.T) {
 	}
 }
 
-// TestSweepsAdoptFigureRecordings: the µ and chunk sweeps key their
-// recording by the name Fig. 8 and Fig. 5 give the kernel, so over a
+// TestSweepsAdoptFigureRecordings: the µ, chunk and resilience sweeps key
+// their recording by the name Fig. 8 and Fig. 5 give the kernel, so over a
 // directory cache they adopt the files those figures' quad-tree and RRM
 // cells left instead of recording the same computations again.
 func TestSweepsAdoptFigureRecordings(t *testing.T) {
@@ -128,6 +128,9 @@ func TestSweepsAdoptFigureRecordings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := r.ChunkSensitivity(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ResilienceSweep(trimmedResilience); err != nil {
 		t.Fatal(err)
 	}
 	if s := sweeps.Stats(); s.Misses != 0 || s.DiskHits != 2 {

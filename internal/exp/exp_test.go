@@ -3,12 +3,19 @@ package exp
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/kernels"
+	"repro/internal/machine"
+	"repro/internal/mem"
 )
 
 func quickRunner(t *testing.T) (*Runner, *bytes.Buffer) {
@@ -175,20 +182,36 @@ func TestProfilesSane(t *testing.T) {
 	}
 }
 
+// figRowsDigest pins every metric of the quick profile's Fig. 8 then
+// Fig. 9 rows (one repetition per cell), each row formatted as the frozen
+// benchmark's grid digests format it. It was computed while a grid could
+// still run its cells live, and the all-live grids gave the same digest.
+const figRowsDigest = "1c6065fe594e3473e7c4b24f985574960fb7a08401c409aba15ea706fac67738"
+
 // TestFigGridsRecordOnce pins the trace cache's lifetime across grids: a
 // recording does not depend on bandwidth, so Fig. 9 replays the five
 // recordings Fig. 8 made on the same Runner instead of recording them
 // again, and a following grid that replays only the quad-tree (Fig. 10)
-// releases the other four from memory when it starts.
+// releases the other four from memory when it starts. It also pins the
+// 40 rows the two grids print (figRowsDigest).
 func TestFigGridsRecordOnce(t *testing.T) {
 	p := Quick()
 	p.Reps = 1
 	r := NewRunner(p, io.Discard)
-	if _, err := r.Fig8(); err != nil {
-		t.Fatal(err)
+	h := sha256.New()
+	for _, fig := range []func() ([]FigRow, error){r.Fig8, r.Fig9} {
+		rows, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			m := row.M
+			fmt.Fprintf(h, "%s|%s|%+v|%+v|%+v|%+v|%+v|%+v\n", row.Group, row.Scheduler,
+				m.ActiveSec, m.OverSec, m.EmptySec, m.WallSec, m.L3Misses, m.DRAMStall)
+		}
 	}
-	if _, err := r.Fig9(); err != nil {
-		t.Fatal(err)
+	if got := hex.EncodeToString(h.Sum(nil)); got != figRowsDigest {
+		t.Errorf("Fig. 8/9 rows digest %s, want %s: simulated results drifted", got, figRowsDigest)
 	}
 	if s := r.Traces.Stats(); s.Misses != 5 || s.Hits != 35 {
 		t.Fatalf("Fig. 8 then Fig. 9: stats = %+v, want 5 recordings and 35 replays", s)
@@ -214,6 +237,39 @@ func TestFigGridsRecordOnce(t *testing.T) {
 		if into != nil {
 			r.Traces.Fail(key, errors.New("probe only"))
 		}
+	}
+}
+
+// badOutput is a kernel whose output never verifies.
+type badOutput struct{ kernels.Kernel }
+
+var errBadOutput = errors.New("output corrupted")
+
+func (badOutput) Verify() error { return errBadOutput }
+
+// TestRunGridFailsUnverifiedRecording pins that a recording whose kernel
+// output fails verification fails its cell: RunGrid returns an error that
+// names the cell and wraps the verification failure, and the kernel is
+// built once, for the recording, and never again to run the cell live.
+func TestRunGridFailsUnverifiedRecording(t *testing.T) {
+	p := Quick()
+	p.Reps = 1
+	m := p.MachineHT()
+	r := NewRunner(p, io.Discard)
+	r.Workers = 1
+	rrm, builds := p.RRMFactory(), 0
+	_, err := r.RunGrid([]Cell{{
+		Label: "RRM", Scheduler: "sb", Machine: m, LinksUsed: m.Links,
+		MakeK: func(sp *mem.Space, m *machine.Desc, seed uint64) kernels.Kernel {
+			builds++
+			return badOutput{rrm(sp, m, seed)}
+		},
+	}})
+	if !errors.Is(err, errBadOutput) || !strings.Contains(err.Error(), "RRM/sb") {
+		t.Errorf("RunGrid error %v, want the RRM/sb cell's verification failure", err)
+	}
+	if builds != 1 {
+		t.Errorf("kernel factory called %d times, want once: a failed recording fails its cell", builds)
 	}
 }
 

@@ -304,7 +304,7 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	s := cache.Stats()
 	rep.CacheStats = dagtrace.Stats{
 		Hits: s.Hits - before.Hits, Misses: s.Misses - before.Misses,
-		DiskHits: s.DiskHits - before.DiskHits, Fallbacks: s.Fallbacks - before.Fallbacks,
+		DiskHits: s.DiskHits - before.DiskHits, Failed: s.Failed - before.Failed,
 		Corrupt: s.Corrupt - before.Corrupt, Quarantined: s.Quarantined - before.Quarantined,
 	}
 

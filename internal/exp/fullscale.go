@@ -135,7 +135,7 @@ type fullCellOpts struct {
 func (r *Runner) fileTraces(runDir string) (cache *dagtrace.StreamCache, cleanup func(), err error) {
 	cleanup = func() {}
 	switch {
-	case r.Traces != nil && r.Traces.Dir() != "":
+	case r.Traces.Dir() != "":
 		return r.Traces, cleanup, nil
 	case runDir != "":
 		cache, err = dagtrace.NewStreamCache(filepath.Join(runDir, "traces"))

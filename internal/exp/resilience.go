@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
+	"repro/internal/dagtrace"
 	"repro/internal/fault"
 	"repro/internal/job"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -15,13 +16,16 @@ import (
 
 // ResilienceConfig parameterizes the scheduler-resilience sweep: a
 // (scheduler × fault-scenario × intensity) grid over one kernel, where
-// every cell runs the identical program under a seeded fault plan and is
-// compared against its scheduler's unperturbed baseline. It extends the
-// paper's static bandwidth-degradation experiment (Figs. 5–8's {100..25}%
-// knob) to arbitrary deterministic perturbations.
+// every cell replays the identical program under a seeded fault plan and
+// is compared against its scheduler's unperturbed baseline. It extends
+// the paper's static bandwidth-degradation experiment (Figs. 5–8's
+// {100..25}% knob) to arbitrary deterministic perturbations. The kernel
+// runs at the runner's profile scale on its machine (MachineHT), at its
+// seed, like every other Runner experiment.
 type ResilienceConfig struct {
-	// Machine is the PMH to perturb. Required.
-	Machine *machine.Desc
+	// Kernel names the workload, one of the profile's kernels (see
+	// FullKernelFactory). Required.
+	Kernel string
 	// Schedulers to sweep (names for sched.New). Required.
 	Schedulers []string
 	// Scenarios are fault.Scenario names; nil means all built-ins.
@@ -29,12 +33,6 @@ type ResilienceConfig struct {
 	// Intensities are scenario intensities in (0,100]; nil means
 	// {25, 50, 100}. (Intensity 0 is implicitly the baseline column.)
 	Intensities []int
-	// Kernel labels the workload; MakeK builds it. Required. It runs in
-	// an address space paged at Machine.PageSize().
-	Kernel string
-	MakeK  KernelFactory
-	// Seed drives the kernel, the scheduler and the fault-plan generators.
-	Seed uint64
 }
 
 // ResiliencePoint is one cell of the resilience grid, with its
@@ -77,15 +75,22 @@ func (l *strandLatencies) p99() int64 {
 	return int64(stats.Percentile(l.durs, 99))
 }
 
-// ResilienceSweep runs the grid. For each scheduler it first runs the
-// unperturbed baseline; the longest baseline wall across schedulers is
-// the horizon on which fault plans are laid out, so every (scenario,
-// intensity) pair yields ONE plan shared by all schedulers — fault timing
-// is identical across the schedulers being compared. Everything is seeded,
-// so the sweep is deterministic run to run.
-func ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
-	if cfg.Machine == nil || cfg.MakeK == nil {
-		return nil, fmt.Errorf("exp: resilience sweep requires a Machine and a kernel factory")
+// ResilienceSweep runs the grid off one recording of the kernel: like
+// RunGrid it first evicts every other recording from memory, then
+// resolves the kernel's recording through r.Traces under the key its
+// Fig. 5 or Fig. 8 cells use (recording it only when no cell has), and
+// replays it on r.Workers host goroutines in two phases. First each
+// scheduler's unperturbed baseline runs; the longest baseline wall across
+// schedulers is the horizon on which fault plans are laid out, so every
+// (scenario, intensity) pair yields ONE plan shared by all schedulers —
+// fault timing is identical across the schedulers being compared. Then
+// every (scenario, intensity, scheduler) point runs under its plan.
+// Everything is seeded and every point lands at a fixed index, so the
+// sweep is deterministic run to run.
+func (r *Runner) ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
+	mk, err := r.P.FullKernelFactory(cfg.Kernel)
+	if err != nil {
+		return nil, err
 	}
 	if len(cfg.Schedulers) == 0 {
 		return nil, fmt.Errorf("exp: resilience sweep requires schedulers")
@@ -98,83 +103,110 @@ func ResilienceSweep(cfg ResilienceConfig) ([]ResiliencePoint, error) {
 	if len(intensities) == 0 {
 		intensities = []int{25, 50, 100}
 	}
-	runOne := func(sc string, plan *fault.Plan) (*sim.Result, *strandLatencies, error) {
-		sp := mem.NewSpacePaged(cfg.Machine.Links, cfg.Machine.Links, cfg.Machine.PageSize())
-		kern := cfg.MakeK(sp, cfg.Machine, cfg.Seed)
-		lat := &strandLatencies{}
-		res, err := sim.Run(sim.Config{
-			Machine:   cfg.Machine,
-			Space:     sp,
-			Scheduler: sched.New(sc),
-			Seed:      cfg.Seed,
-			Listener:  lat,
-			Faults:    plan,
-		}, kern.Root())
-		if err != nil {
-			return nil, nil, err
+	m, seed := r.P.MachineHT(), r.P.Seed
+	c := Cell{Label: cfg.Kernel, Machine: m, MakeK: mk}
+	key := r.traceKey(c, seed)
+	r.Traces.Retain([]string{key})
+	rec, err := r.record(r.Traces, key, c, seed)
+	if err != nil {
+		return nil, fmt.Errorf("exp: resilience %s: %w", cfg.Kernel, err)
+	}
+	type outcome struct {
+		res *sim.Result
+		p99 int64
+		err error
+	}
+	// replayAll replays the recording n times on r.dispatch's workers, the
+	// i-th under the scheduler and fault plan (nil: unperturbed) point(i)
+	// names, and returns the outcomes in input order.
+	replayAll := func(n int, point func(i int) (string, *fault.Plan)) []outcome {
+		out := make([]outcome, n)
+		items := make([]int, n)
+		for i := range items {
+			items[i] = i
 		}
-		if err := kern.Verify(); err != nil {
-			return nil, nil, fmt.Errorf("verify: %w", err)
-		}
-		return res, lat, nil
+		r.dispatch(context.Background(), items, func(int) string { return key },
+			func(i int) string {
+				sc, plan := point(i)
+				out[i].res, out[i].p99, out[i].err = r.replayFaulted(rec.Recording, sc, plan)
+				return ""
+			},
+			func(int) {})
+		return out
 	}
 
-	type baseline struct {
-		wall   int64
-		p99    int64
-		misses int64
-	}
-	bases := make(map[string]baseline, len(cfg.Schedulers))
+	bases := replayAll(len(cfg.Schedulers), func(i int) (string, *fault.Plan) { return cfg.Schedulers[i], nil })
 	horizon := int64(0)
-	for _, sc := range cfg.Schedulers {
-		res, lat, err := runOne(sc, nil)
-		if err != nil {
-			return nil, fmt.Errorf("exp: resilience baseline %s: %w", sc, err)
+	for i, b := range bases {
+		if b.err != nil {
+			return nil, fmt.Errorf("exp: resilience baseline %s: %w", cfg.Schedulers[i], b.err)
 		}
-		bases[sc] = baseline{wall: res.WallCycles, p99: lat.p99(), misses: res.L3Misses()}
-		if res.WallCycles > horizon {
-			horizon = res.WallCycles
-		}
+		horizon = max(horizon, b.res.WallCycles)
 	}
 
 	var out []ResiliencePoint
+	var plans []*fault.Plan
 	for fi, scen := range scenarios {
 		for ii, intensity := range intensities {
-			planSeed := cfg.Seed + uint64(1000*fi+ii) + 1
-			plan, err := fault.Scenario(scen, cfg.Machine, intensity, horizon, planSeed)
+			planSeed := seed + uint64(1000*fi+ii) + 1
+			plan, err := fault.Scenario(scen, m, intensity, horizon, planSeed)
 			if err != nil {
 				return nil, fmt.Errorf("exp: resilience %s@%d: %w", scen, intensity, err)
 			}
 			for _, sc := range cfg.Schedulers {
-				res, lat, err := runOne(sc, plan)
-				if err != nil {
-					return nil, fmt.Errorf("exp: resilience %s/%s@%d: %w", sc, scen, intensity, err)
-				}
-				b := bases[sc]
-				pt := ResiliencePoint{
-					Scheduler:           sc,
-					Scenario:            scen,
-					Intensity:           intensity,
-					WallCycles:          res.WallCycles,
-					BaseWallCycles:      b.wall,
-					P99StrandCycles:     lat.p99(),
-					BaseP99StrandCycles: b.p99,
-					L3Misses:            res.L3Misses(),
-					BaseL3Misses:        b.misses,
-					Migrations:          res.Migrations,
-					FaultEvents:         res.FaultEvents,
-				}
-				if b.wall > 0 {
-					pt.Slowdown = float64(res.WallCycles) / float64(b.wall)
-				}
-				if b.misses > 0 {
-					pt.MissInflation = float64(pt.L3Misses) / float64(b.misses)
-				}
-				out = append(out, pt)
+				out = append(out, ResiliencePoint{Scheduler: sc, Scenario: scen, Intensity: intensity})
+				plans = append(plans, plan)
 			}
 		}
 	}
+	runs := replayAll(len(out), func(i int) (string, *fault.Plan) { return out[i].Scheduler, plans[i] })
+	for i, run := range runs {
+		pt := &out[i]
+		if run.err != nil {
+			return nil, fmt.Errorf("exp: resilience %s/%s@%d: %w", pt.Scheduler, pt.Scenario, pt.Intensity, run.err)
+		}
+		b := bases[i%len(cfg.Schedulers)]
+		pt.WallCycles, pt.BaseWallCycles = run.res.WallCycles, b.res.WallCycles
+		pt.P99StrandCycles, pt.BaseP99StrandCycles = run.p99, b.p99
+		pt.L3Misses, pt.BaseL3Misses = run.res.L3Misses(), b.res.L3Misses()
+		pt.Migrations, pt.FaultEvents = run.res.Migrations, run.res.FaultEvents
+		if pt.BaseWallCycles > 0 {
+			pt.Slowdown = float64(pt.WallCycles) / float64(pt.BaseWallCycles)
+		}
+		if pt.BaseL3Misses > 0 {
+			pt.MissInflation = float64(pt.L3Misses) / float64(pt.BaseL3Misses)
+		}
+	}
 	return out, nil
+}
+
+// replayFaulted replays rec once on the profile's machine under scheduler
+// sc and fault plan (nil: unperturbed), and returns the result with the
+// p99 of its strand latencies. It replays through a view of its own: a
+// file's view holds one replay's window and script leases.
+func (r *Runner) replayFaulted(rec dagtrace.Recording, sc string, plan *fault.Plan) (*sim.Result, int64, error) {
+	st, err := rec.Open(0, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer st.Close()
+	m := r.P.MachineHT()
+	lat := &strandLatencies{}
+	res, err := sim.Run(sim.Config{
+		Machine:   m,
+		Space:     mem.NewSpacePaged(m.Links, m.Links, r.P.PageSize()),
+		Scheduler: sched.New(sc),
+		Seed:      r.P.Seed,
+		Listener:  lat,
+		Faults:    plan,
+	}, st.Root())
+	if err == nil {
+		err = st.CheckResult(res)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, lat.p99(), nil
 }
 
 // WriteResilienceCSV exports the grid for external plotting.
@@ -209,15 +241,8 @@ func WriteResilienceCSV(path string, points []ResiliencePoint) error {
 // degradation separates the schedulers most — printing a table of
 // slowdowns and degradation metrics per (scheduler, scenario, intensity).
 func (r *Runner) Resilience() ([]ResiliencePoint, error) {
-	p := r.P
-	cfg := ResilienceConfig{
-		Machine:    p.MachineHT(),
-		Schedulers: []string{"ws", "pws", "sb", "sbd"},
-		Kernel:     "rrm",
-		MakeK:      p.RRMFactory(),
-		Seed:       p.Seed,
-	}
-	points, err := ResilienceSweep(cfg)
+	cfg := ResilienceConfig{Kernel: "RRM", Schedulers: []string{"ws", "pws", "sb", "sbd"}}
+	points, err := r.ResilienceSweep(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -219,19 +220,19 @@ func TestCoreOfflineSurvival(t *testing.T) {
 	}
 }
 
+// trimmedResilience is the resilience grid the tests sweep: two
+// schedulers × two scenarios at one intensity.
+var trimmedResilience = ResilienceConfig{
+	Kernel:      "RRM",
+	Schedulers:  []string{"ws", "sb"},
+	Scenarios:   []string{"coreloss", "bandwidth"},
+	Intensities: []int{50},
+}
+
 // TestResilienceSweepCSV exercises the full sweep on a trimmed grid and
-// the CSV export.
+// the CSV export, and pins the CSV's SHA-256.
 func TestResilienceSweepCSV(t *testing.T) {
-	p := Quick()
-	points, err := ResilienceSweep(ResilienceConfig{
-		Machine:     p.MachineHT(),
-		Schedulers:  []string{"ws", "sb"},
-		Scenarios:   []string{"coreloss", "bandwidth"},
-		Intensities: []int{50},
-		Kernel:      "rrm",
-		MakeK:       p.RRMFactory(),
-		Seed:        p.Seed,
-	})
+	points, err := NewRunner(Quick(), io.Discard).ResilienceSweep(trimmedResilience)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -262,5 +263,13 @@ func TestResilienceSweepCSV(t *testing.T) {
 	}
 	if len(recs) != len(points)+1 {
 		t.Fatalf("csv has %d rows, want %d", len(recs), len(points)+1)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "e5b810be2a3a826656b6c9d8760406221416981d91a8c7935467ebe2365f43de"
+	if got := hashFingerprint(string(data)); got != want {
+		t.Errorf("resilience CSV SHA-256 %s, want %s: simulated results drifted", got, want)
 	}
 }

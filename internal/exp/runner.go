@@ -79,11 +79,12 @@ type Runner struct {
 	Workers int
 	// Verbose prints each run as it completes.
 	Verbose bool
-	// Traces, when non-nil, records each distinct computation (kernel ×
-	// seed) once and replays the capture in every other cell sharing it —
-	// scheduler, bandwidth and cost sweeps re-simulate the identical DAG
-	// without re-running kernel closures. nil runs every RunGrid cell
-	// live. The full-scale paths (FullCell, FullGridRun) share recordings
+	// Traces is the trace cache, and it is required: NewRunner sets an
+	// in-memory one. Each distinct computation (kernel × seed) is recorded
+	// once into it and replayed in every cell sharing it, the recording
+	// cell included — scheduler, bandwidth, cost and fault sweeps
+	// re-simulate the identical DAG without re-running kernel closures.
+	// The full-scale paths (FullCell, FullGridRun) share recordings
 	// through it only when it has a directory, because their recordings
 	// must be files; otherwise they use a cache of their own (fileTraces).
 	// Every path keys a recording with traceKey, so a directory cache
@@ -146,25 +147,23 @@ func (r *Runner) RunCell(c Cell) (Metrics, error) {
 }
 
 // RunGrid executes cells with bounded host parallelism and returns metrics
-// in input order. With a trace cache, it first evicts from memory every
-// recording none of its cells uses, keeping those it shares with earlier
-// grids, and then dispatches the first cell of every trace group ahead of
-// the rest, so recordings start immediately and replays never queue behind
-// them. A grid's recordings therefore stay resident until a grid that does
-// not use them starts; recordFirst already has them all resident together
-// early in the grid, so keeping them longer does not raise the high-water
-// mark.
+// in input order. It first evicts from memory every recording in the
+// trace cache that none of its cells uses, keeping those it shares with
+// earlier grids, and then dispatches the first cell of every trace group
+// ahead of the rest, so recordings start immediately and replays never
+// queue behind them. A grid's recordings therefore stay resident until a
+// grid that does not use them starts; recordFirst already has them all
+// resident together early in the grid, so keeping them longer does not
+// raise the high-water mark.
 func (r *Runner) RunGrid(cells []Cell) ([]Metrics, error) {
-	if r.Traces != nil {
-		reps := max(r.P.Reps, 1)
-		keys := make([]string, 0, len(cells)*reps)
-		for _, c := range cells {
-			for rep := range reps {
-				keys = append(keys, r.traceKey(c, r.P.Seed+uint64(rep)))
-			}
+	reps := max(r.P.Reps, 1)
+	keys := make([]string, 0, len(cells)*reps)
+	for _, c := range cells {
+		for rep := range reps {
+			keys = append(keys, r.traceKey(c, r.P.Seed+uint64(rep)))
 		}
-		r.Traces.Retain(keys)
 	}
+	r.Traces.Retain(keys)
 	out := make([]Metrics, len(cells))
 	errs := make([]error, len(cells))
 	all := make([]int, len(cells))

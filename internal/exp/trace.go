@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dagtrace"
-	"repro/internal/job"
-	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -41,18 +39,15 @@ func (r *Runner) traceKey(c Cell, seed uint64) string {
 	return b.String()
 }
 
-// runRep executes one repetition of cell c: through the trace cache when
-// one is configured (record once, replay everywhere — the recording cell
-// included), live otherwise.
+// runRep executes one repetition of cell c: it resolves the cell's
+// recording through the trace cache, recording it first when no cell has
+// (record once, replay everywhere — the recording cell included), and
+// replays it. A recording that fails, here or in the cell that made it,
+// fails the cell.
 func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
-	if r.Traces == nil {
-		return r.simulate(c, seed, nil)
-	}
 	rec, err := r.record(r.Traces, r.traceKey(c, seed), c, seed)
 	if err != nil {
-		// Recording was rejected (ErrUnsupported: futures) or failed — run
-		// live and untraced; a real simulation error will reproduce here.
-		return r.simulate(c, seed, nil)
+		return nil, err
 	}
 	st, err := rec.Open(0, nil)
 	if err != nil {
@@ -80,9 +75,10 @@ type recorded struct {
 // The caller that holds the key's reservation records it here without
 // simulating it (dagtrace.Record) into the recorder the cache hands out —
 // straight into the key's file when the cache has a directory — verifies
-// the computed output as a live run would, and publishes it with Fill, or
-// with Fail on error, so the key's waiters never block on a recording
-// that died; everyone else gets the published recording or its failure.
+// the computed output (the only check of it, since a replay moves no
+// program data), and publishes it with Fill, or with Fail on error, so
+// the key's waiters never block on a recording that died; everyone else
+// gets the published recording or its failure.
 // Addresses do not depend on the link count, so the recording serves
 // every bandwidth setting.
 func (r *Runner) record(cache *dagtrace.StreamCache, key string, c Cell, seed uint64) (recorded, error) {
@@ -115,38 +111,23 @@ func (r *Runner) record(cache *dagtrace.StreamCache, key string, c Cell, seed ui
 	return out, err
 }
 
-// simulate runs one repetition of cell c under its scheduler, cost model
-// and bandwidth: a replay of st when st is set, else live — the kernel
-// constructed and its closures executed, its output verified afterwards. A
-// replay moves no program data to verify, so the trace's structural check
-// (task, strand and access counts against the recording) takes the place
-// of Kernel.Verify.
+// simulate replays st as one repetition of cell c under the cell's
+// scheduler, cost model and bandwidth. A replay moves no program data to
+// verify, so the trace's structural check (task, strand and access counts
+// against the recording) takes the place of Kernel.Verify, which ran once
+// when the recording was made.
 func (r *Runner) simulate(c Cell, seed uint64, st *dagtrace.StreamTrace) (*sim.Result, error) {
-	sp := mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize())
-	var k kernels.Kernel
-	var root job.Job
-	if st != nil {
-		root = st.Root()
-	} else {
-		k = c.MakeK(sp, c.Machine, seed)
-		root = k.Root()
-	}
 	res, err := sim.Run(sim.Config{
 		Machine:   c.Machine,
-		Space:     sp,
+		Space:     mem.NewSpacePaged(c.Machine.Links, c.LinksUsed, r.P.PageSize()),
 		Scheduler: c.scheduler(),
 		Cost:      c.Cost,
 		Seed:      seed,
-	}, root)
+	}, st.Root())
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		err = st.CheckResult(res)
-	} else if err = k.Verify(); err != nil {
-		err = fmt.Errorf("output verification failed: %w", err)
-	}
-	if err != nil {
+	if err := st.CheckResult(res); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,8 +1,9 @@
 // Scenario generators: named, seeded fault plans parameterised by an
-// intensity knob, the vocabulary of exp.ResilienceSweep. All randomness
-// (which cores straggle, phase jitter) comes from an xrand stream seeded
-// by the caller, so a (scenario, machine, intensity, horizon, seed) tuple
-// always yields the same Plan and therefore the same simulated run.
+// intensity knob, the vocabulary of exp.Runner.ResilienceSweep. All
+// randomness (which cores straggle, phase jitter) comes from an xrand
+// stream seeded by the caller, so a (scenario, machine, intensity,
+// horizon, seed) tuple always yields the same Plan and therefore the same
+// simulated run.
 package fault
 
 import (
